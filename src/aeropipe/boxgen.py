@@ -7,6 +7,17 @@ candidates, channel 1 maxima bottom-right), then combine corner pairs into
 boxes and keep those whose enclosed area is at least a ``delta`` fraction
 segmented.
 
+Only masking and denoising pass over the whole grid. Peak finding runs the
+maximum filter only on padded boxes around the pixels above the peak floor
+and groups tied plateaus on candidate coordinates; pairing tests all corner
+pairs in one broadcast and counts segmented pixels inside each surviving
+pair's box. Max, equality and integer counts involve no rounding, so the
+result is the one a full-grid decode gives.
+
+Map values come from outside the program, so `mask_maps` raises ValueError
+when the masked grid holds a NaN or an infinity (the CLI exits with code 2).
+Rejecting them there is also what keeps the support-only filter exact.
+
 Every stage is a pure function; `box_generator` is their composition and is
 deterministic for fixed input and config.
 """
@@ -23,6 +34,8 @@ from .densemaps import DenseMaps
 from .geometry import BBox, PixelCoord
 
 _EIGHT_CONNECTED = np.ones((3, 3), dtype=int)
+# Side of the square tiles on which peak finding localises the max filter.
+_TILE = 8
 
 
 @dataclass
@@ -71,85 +84,113 @@ class CornerCandidates:
 
 
 def mask_maps(maps: DenseMaps) -> np.ndarray:
-    """Elementwise product S * R per channel; zero outside segmentation."""
-    return maps.reg * maps.seg[None, :, :]
+    """Elementwise product S * R per channel; zero outside segmentation.
+
+    Raises ValueError when the product holds a NaN or an infinity.
+    """
+    with np.errstate(invalid="ignore", over="ignore"):  # reported below
+        masked = maps.reg * maps.seg[None, :, :]
+    if not np.isfinite(masked).all():
+        raise ValueError("dense maps hold non-finite values")
+    return masked
 
 
 def remove_noise(masked: np.ndarray, min_patch_area: int) -> np.ndarray:
     """Zero 8-connected support patches smaller than min_patch_area.
 
     Support is the set of pixels where either channel is nonzero; both
-    channels of a removed patch are cleared.
+    channels of a removed patch are cleared. The input is not modified.
     """
     support = (masked[0] > 0) | (masked[1] > 0)
     labels, count = ndimage.label(support, structure=_EIGHT_CONNECTED)
-    if count == 0:
-        return masked.copy()
-    areas = np.bincount(labels.ravel(), minlength=count + 1)
-    tiny = areas < min_patch_area
-    tiny[0] = False
+    where = np.flatnonzero(support)
+    patch = labels.ravel()[where]
+    tiny = np.bincount(patch, minlength=count + 1) < min_patch_area
     out = masked.copy()
-    out[:, tiny[labels]] = 0.0
+    out.reshape(2, -1)[:, where[tiny[patch]]] = 0.0
     return out
 
 
-class _UnionFind:
-    def __init__(self, n: int) -> None:
-        self.parent = list(range(n))
+def _plateau_heads(ys: np.ndarray, xs: np.ndarray, width: int, half: int) -> np.ndarray:
+    """First member of each group of candidates chained by Chebyshev
+    distance <= half; the candidates come in row-major order.
 
-    def find(self, i: int) -> int:
-        while self.parent[i] != i:
-            self.parent[i] = self.parent[self.parent[i]]
-            i = self.parent[i]
-        return i
-
-    def union(self, i: int, j: int) -> None:
-        self.parent[self.find(j)] = self.find(i)
+    Each candidate is linked to the next one in its row when that is within
+    half, and, in each of the next half rows, to the leftmost and rightmost
+    candidate within half of its column. Any candidate between those two
+    lies within half of one of them in its row, so the links chain every
+    pair within half and the groups are the same. Groups are then found by
+    propagating the smallest index over the links, with pointer jumping,
+    until no label changes; each group ends labelled by its first member.
+    """
+    flat = ys * width + xs
+    lo = np.maximum(xs - half, 0)
+    hi = np.minimum(xs + half, width - 1)
+    src: list[np.ndarray] = []
+    dst: list[np.ndarray] = []
+    for dy in range(half + 1):
+        row = (ys + dy) * width
+        first = np.searchsorted(flat, row + (xs + 1 if dy == 0 else lo))
+        last = np.searchsorted(flat, row + hi, side="right") - 1
+        linked = np.flatnonzero(first <= last)
+        src += [linked, linked]
+        dst += [first[linked], last[linked]]
+    a, b = np.concatenate(src), np.concatenate(dst)
+    label = np.arange(len(flat))
+    while True:
+        new = label.copy()
+        low = np.minimum(label[a], label[b])
+        np.minimum.at(new, a, low)
+        np.minimum.at(new, b, low)
+        while not np.array_equal(new, new[new]):
+            new = new[new]
+        if np.array_equal(new, label):
+            return np.unique(label)
+        label = new
 
 
 def _channel_peaks(values: np.ndarray, window: int, floor: float) -> list[PixelCoord]:
     """Window-maximum pixels above the floor, one per tied plateau.
 
+    The maximum filter runs only where there is support: on the bounding
+    box of each 8-connected cluster of _TILE-sided tiles that hold a pixel
+    above the floor, padded by half a window and clipped to the grid. A
+    candidate lies above the floor, hence inside its cluster's box, so its
+    whole window lies inside the padded box and its window maximum equals
+    that of a full-grid filter (beyond the grid edge both read cval 0).
+
     Candidates carrying the same value inside each other's window both
-    equal the shared window maximum, so they are one plateau; plateaus are
-    grouped transitively (8-connected flats first, then equal-valued
-    groups whose pixels come within half a window of each other) and each
+    equal the shared window maximum, so they are one plateau. Candidates
+    within half a window of each other always carry the same value, since
+    each is the maximum of a window holding the other, and 8-adjacent ones
+    are such a pair. Plateaus are therefore grouped transitively on the
+    candidate coordinates alone, by Chebyshev distance <= half, and each
     group keeps its lexicographically smallest (i_y, i_x) pixel. Equal
     peaks farther apart, such as corners of distinct boxes, stay separate.
     """
-    local_max = ndimage.maximum_filter(values, size=window, mode="constant", cval=0.0)
-    cand = (values == local_max) & (values > floor)
-    if not cand.any():
-        return []
-    labels, _ = ndimage.label(cand, structure=_EIGHT_CONNECTED)
-    ys, xs = np.nonzero(cand)  # row-major: lexicographic (i_y, i_x) order
-    comp = labels[ys, xs]
-    comp_ids, first, comp_index = np.unique(comp, return_index=True, return_inverse=True)
-
+    height, width = values.shape
     half = window // 2
-    uf = _UnionFind(len(comp_ids))
-    by_value: dict[float, list[int]] = {}
-    for i in range(len(ys)):
-        by_value.setdefault(float(values[ys[i], xs[i]]), []).append(i)
-    for members in by_value.values():
-        if len({int(comp_index[m]) for m in members}) == 1:
-            continue
-        my = ys[members]
-        mx = xs[members]
-        close = (np.abs(my[:, None] - my[None, :]) <= half) & (
-            np.abs(mx[:, None] - mx[None, :]) <= half
-        )
-        for a, b in zip(*np.nonzero(close)):
-            uf.union(int(comp_index[members[a]]), int(comp_index[members[b]]))
+    above = values > floor
+    tiles = np.zeros((-(-height // _TILE), -(-width // _TILE)), dtype=bool)
+    ay, ax = np.divmod(np.flatnonzero(above), width)
+    tiles[ay // _TILE, ax // _TILE] = True
+    clusters, _ = ndimage.label(tiles, structure=_EIGHT_CONNECTED)
 
-    best: dict[int, int] = {}
-    for k, f in enumerate(first):
-        root = uf.find(k)
-        if root not in best or f < best[root]:
-            best[root] = int(f)
-    peaks = [(int(xs[i]), int(ys[i])) for i in best.values()]
-    peaks.sort(key=lambda p: (p[1], p[0]))
-    return peaks
+    found = [np.empty(0, dtype=np.intp)]
+    for rows, cols in ndimage.find_objects(clusters):
+        y0, y1 = rows.start * _TILE, min(rows.stop * _TILE, height)
+        x0, x1 = cols.start * _TILE, min(cols.stop * _TILE, width)
+        py0, px0 = max(y0 - half, 0), max(x0 - half, 0)
+        padded = values[py0 : min(y1 + half, height), px0 : min(x1 + half, width)]
+        local_max = ndimage.maximum_filter(padded, size=window, mode="constant", cval=0.0)
+        core = (slice(y0 - py0, y1 - py0), slice(x0 - px0, x1 - px0))
+        cand = (padded[core] == local_max[core]) & above[y0:y1, x0:x1]
+        cy, cx = np.divmod(np.flatnonzero(cand), x1 - x0)
+        found.append((cy + y0) * width + cx + x0)
+    # Boxes of distinct clusters may overlap; a pixel found twice is one.
+    ys, xs = np.divmod(np.unique(np.concatenate(found)), width)
+    heads = _plateau_heads(ys, xs, width, half)
+    return list(zip(xs[heads].tolist(), ys[heads].tolist()))
 
 
 def find_peaks(masked: np.ndarray, cfg: BoxGeneratorConfig) -> CornerCandidates:
@@ -173,29 +214,26 @@ def generate_boxes(
     below a by at least the 2 px minimum box side, with diagonal at most
     max_box_diag. The kept set is deduplicated and sorted by
     (y0, x0, y1, x1).
+
+    All p1 x p2 pairs are tested in one broadcast; the segmented pixels of
+    each surviving pair are counted directly on the segmentation grid.
     """
     height, width = seg.shape
     max_diag = cfg.resolved_diag((width, height))
-    # Summed-area table: occupied(y1, x1) - ... gives segmented pixel counts.
-    integral = np.zeros((height + 1, width + 1), dtype=np.int64)
-    integral[1:, 1:] = np.cumsum(np.cumsum(seg > 0, axis=0), axis=1)
-
+    p1 = np.array(candidates.p1, dtype=np.int64).reshape(-1, 2)
+    p2 = np.array(candidates.p2, dtype=np.int64).reshape(-1, 2)
+    dx = p2[None, :, 0] - p1[:, 0, None]
+    dy = p2[None, :, 1] - p1[:, 1, None]
+    # The square root of the exact integer sum of squares rounds as
+    # math.hypot(dx, dy) does; np.hypot can differ in the last bit.
+    fits = (dx >= 2) & (dy >= 2) & (np.sqrt(dx * dx + dy * dy) <= max_diag)
+    occupied = seg > 0
     kept: set[tuple[int, int, int, int]] = set()
-    for ax, ay in candidates.p1:
-        for bx, by in candidates.p2:
-            if bx - ax < 2 or by - ay < 2:
-                continue
-            if math.hypot(bx - ax, by - ay) > max_diag:
-                continue
-            total = (bx - ax + 1) * (by - ay + 1)
-            occupied = int(
-                integral[by + 1, bx + 1]
-                - integral[ay, bx + 1]
-                - integral[by + 1, ax]
-                + integral[ay, ax]
-            )
-            if occupied / total >= cfg.delta:
-                kept.add((ax, ay, bx, by))
+    for i, j in zip(*np.nonzero(fits)):
+        (ax, ay), (bx, by) = p1[i].tolist(), p2[j].tolist()
+        count = int(np.count_nonzero(occupied[ay : by + 1, ax : bx + 1]))
+        if count / ((bx - ax + 1) * (by - ay + 1)) >= cfg.delta:
+            kept.add((ax, ay, bx, by))
     return [BBox(*t) for t in sorted(kept, key=lambda t: (t[1], t[0], t[3], t[2]))]
 
 

@@ -156,6 +156,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
 def cmd_pipeline(args: argparse.Namespace) -> int:
     cfg = _load_pipeline_config(args)
     seed, grid, entries = synth.read_manifest(args.manifest)
+    if not entries:
+        raise ValueError(f"manifest {args.manifest} lists no frames")
     base = os.path.dirname(os.path.abspath(args.manifest))
     ann_records = read_annotations(os.path.join(base, entries[0][1]))
     by_frame = group_by_frame(ann_records)

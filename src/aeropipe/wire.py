@@ -64,6 +64,10 @@ class ChecksumError(WireError):
     pass
 
 
+class BadCountError(WireError):
+    """The header declares more entries than a report may carry."""
+
+
 @dataclass(frozen=True)
 class ReportEntry:
     box: tuple[int, int, int, int]
@@ -132,7 +136,7 @@ def encode_message(msg: ReportMessage) -> bytes:
 
 
 def decode_message(data: bytes) -> ReportMessage:
-    """Strict decode: magic, version, exact length, then CRC."""
+    """Strict decode: magic, version, entry count, exact length, then CRC."""
     if len(data) < HEADER_SIZE + CRC_SIZE:
         raise LengthMismatchError(f"{len(data)} bytes is shorter than any valid message")
     magic, version, flags, frame_id, ts, lat, lon, alt, count = _HEADER.unpack_from(data, 0)
@@ -140,6 +144,8 @@ def decode_message(data: bytes) -> ReportMessage:
         raise BadMagicError(f"magic 0x{magic:04X} != 0x{MAGIC:04X}")
     if version != VERSION:
         raise BadVersionError(f"version {version} unsupported")
+    if count > MAX_ENTRIES:
+        raise BadCountError(f"count {count} exceeds the cap of {MAX_ENTRIES}")
     expected = message_size(count)
     if len(data) != expected:
         raise LengthMismatchError(f"{len(data)} bytes but count {count} implies {expected}")

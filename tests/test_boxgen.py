@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -75,6 +77,24 @@ class TestMaskMaps:
         np.testing.assert_array_equal(masked, maps.reg)
 
 
+class TestNonFiniteMaps:
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_regression_rejected(self, bad):
+        maps = encode([BBox(8, 6, 30, 28)], (40, 36))
+        maps.reg[1, 12, 12] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            mask_maps(maps)
+        with pytest.raises(ValueError, match="non-finite"):
+            box_generator(maps)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_segmentation_rejected(self, bad):
+        maps = encode([BBox(8, 6, 30, 28)], (40, 36))
+        maps.seg[0, 0] = bad  # outside the box, where the regression is 0
+        with pytest.raises(ValueError, match="non-finite"):
+            box_generator(maps)
+
+
 class TestRemoveNoise:
     def test_single_speck_removed(self):
         grid = np.zeros((2, 16, 16))
@@ -98,6 +118,15 @@ class TestRemoveNoise:
         support = (grid[0] > 0) | (grid[1] > 0)
         sizes = sorted(len(c) for c in _brute_force_components(support))
         assert sizes == [4, 16]
+
+    def test_input_not_modified(self):
+        grid = np.zeros((2, 16, 16))
+        grid[0, 5, 5] = 0.9
+        grid[1, 8:12, 8:12] = 0.5
+        before = grid.copy()
+        out = remove_noise(grid, min_patch_area=9)
+        np.testing.assert_array_equal(grid, before)
+        assert not out[0].any() and out[1, 8:12, 8:12].all()
 
     def test_removal_clears_both_channels(self):
         grid = np.zeros((2, 16, 16))
@@ -188,6 +217,15 @@ class TestGenerateBoxes:
         cands = CornerCandidates(p1=[(0, 0)], p2=[(30, 30)])
         assert generate_boxes(cands, maps.seg, BoxGeneratorConfig(max_box_diag=10.0)) == []
         assert generate_boxes(cands, maps.seg, BoxGeneratorConfig(max_box_diag=50.0)) != []
+
+
+    def test_diagonal_cap_is_inclusive_to_the_last_bit(self):
+        # np.hypot(17, 27) rounds one ulp above math.hypot(17, 27).
+        box = BBox(3, 2, 20, 29)
+        maps = encode([box], (32, 32))
+        cands = CornerCandidates(p1=[(3, 2)], p2=[(20, 29)])
+        cfg = BoxGeneratorConfig(max_box_diag=math.hypot(17, 27))
+        assert generate_boxes(cands, maps.seg, cfg) == [box]
 
 
 class TestBoxGenerator:

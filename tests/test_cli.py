@@ -2,9 +2,11 @@ import os
 import socket
 import threading
 
+import numpy as np
+
 from aeropipe.annotations import AnnotationRecord, read_annotations, write_annotations
 from aeropipe.cli import main
-from aeropipe.densemaps import load_maps
+from aeropipe.densemaps import encode, load_maps, save_maps
 from aeropipe.geometry import BBox
 from aeropipe.wire import unframe_stream
 
@@ -193,6 +195,19 @@ class TestExitCodes:
         code = main(["detect", "--maps", str(tmp_path / "nope.aero"), "--out", str(tmp_path / "o.txt")])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_non_finite_maps_are_data_error(self, tmp_path, capsys):
+        maps = encode([BBox(8, 6, 30, 28)], (40, 36))
+        maps.reg[1, 12, 12] = np.inf
+        save_maps(str(tmp_path / "maps.aero"), maps)
+        assert main(["detect", "--maps", str(tmp_path / "maps.aero"), "--out", str(tmp_path / "o.txt")]) == 2
+        assert "non-finite" in capsys.readouterr().err
+
+    def test_empty_manifest_is_data_error(self, tmp_path, capsys):
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text("seed 1\ngrid 64 48\n")
+        assert main(["pipeline", "--manifest", str(manifest), "--out", str(tmp_path / "run")]) == 2
+        assert "no frames" in capsys.readouterr().err
 
     def test_bad_grid_is_data_error(self, tmp_path):
         ann = tmp_path / "gt.txt"

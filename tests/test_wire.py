@@ -1,10 +1,12 @@
 import struct
+import zlib
 
 import numpy as np
 import pytest
 
 from aeropipe import wire
 from aeropipe.wire import (
+    BadCountError,
     BadMagicError,
     BadVersionError,
     ChecksumError,
@@ -47,6 +49,13 @@ def _random_message(rng, count=None):
     )
 
 
+def _crafted_report(count):
+    """A report declaring `count` entries, with matching length and valid CRC."""
+    body = struct.pack("<HBBIQiiHB", wire.MAGIC, wire.VERSION, 0, 1, 2, 3, 4, 5, count)
+    body += bytes(wire.ENTRY_SIZE * count)
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
 class TestMessageCodec:
     def test_empty_message_is_31_bytes(self):
         msg = ReportMessage(frame_id=0, timestamp_ms=0, drone_lat_e7=0, drone_lon_e7=0, drone_alt_dm=0)
@@ -72,6 +81,11 @@ class TestMessageCodec:
         entries = tuple(_random_message(rng, count=1).entries[0] for _ in range(32))
         with pytest.raises(ValueError, match="cap"):
             ReportMessage(0, 0, 0, 0, 0, entries=entries)
+
+    def test_crafted_count_over_cap_is_wire_error(self):
+        for count in (32, 255):
+            with pytest.raises(BadCountError):
+                decode_message(_crafted_report(count))
 
     def test_entry_field_validation(self):
         with pytest.raises(ValueError, match="u16"):
@@ -185,6 +199,14 @@ class TestFraming:
         assert back[0] == msgs[0]
         assert msgs[2] in back
         assert skipped > 0
+
+    def test_crafted_count_frame_skipped(self):
+        msg = _random_message(np.random.default_rng(10), count=1)
+        crafted = _crafted_report(32)
+        data = struct.pack("<H", len(crafted)) + crafted + frame_stream([msg])
+        back, skipped = unframe_stream(data)
+        assert back == [msg]
+        assert skipped == 2 + len(crafted)
 
     def test_trailing_garbage_counted(self):
         rng = np.random.default_rng(7)

@@ -55,14 +55,10 @@ def _parse_grid(text: str) -> tuple[int, int]:
 
 def _load_pipeline_config(args: argparse.Namespace) -> PipelineConfig:
     values = parse_config_file(args.config) if getattr(args, "config", None) else {}
-    cfg = config_from_mapping(values)
-    if getattr(args, "delta", None) is not None:
-        cfg.boxgen.delta = args.delta
-    if getattr(args, "iou", None) is not None:
-        cfg.nms_iou = args.iou
-    if getattr(args, "addr", None) is not None:
-        cfg.address = args.addr
-    return cfg
+    for key, flag in (("boxgen.delta", "delta"), ("nms.iou_threshold", "iou"), ("wire.address", "addr")):
+        if getattr(args, flag, None) is not None:
+            values[key] = str(getattr(args, flag))
+    return config_from_mapping(values)
 
 
 # ---------------------------------------------------------------------------
@@ -285,8 +281,7 @@ def cmd_recv(args: argparse.Namespace) -> int:
         print(f"listening on {host}:{port}", file=sys.stderr)
         conn, peer = server.accept()
         with conn:
-            data = conn.makefile("rb").read()
-    messages, skipped = wire.unframe_stream(data)
+            messages, skipped = wire.receive_stream(conn.makefile("rb"))
     lines = [
         f"frame={m.frame_id} entries={len(m.entries)} size={m.encoded_size}"
         for m in messages

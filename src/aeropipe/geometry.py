@@ -83,12 +83,6 @@ def center(b: BBox) -> tuple[float, float]:
     return ((b.x0 + b.x1) / 2.0, (b.y0 + b.y1) / 2.0)
 
 
-def center_distance(a: BBox, b: BBox) -> float:
-    ax, ay = center(a)
-    bx, by = center(b)
-    return math.hypot(ax - bx, ay - by)
-
-
 def separation(a: BBox, b: BBox) -> int:
     """Empty-pixel gap between the occupied regions of two boxes.
 

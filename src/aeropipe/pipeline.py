@@ -37,6 +37,10 @@ class StubConfig:
     scales: tuple[int, ...] = (1, 2, 4)
     local_window: int = 3
 
+    def __post_init__(self) -> None:
+        if not self.scales or any(not isinstance(s, int) or s < 1 for s in self.scales):
+            raise ValueError(f"scales must be positive integers, got {self.scales}")
+
     @property
     def depth(self) -> int:
         return 3 * len(self.scales)
@@ -61,6 +65,10 @@ class PipelineConfig:
         return (self.stub.depth + 1) * self.attention.out_size**2
 
 
+def _int_tuple(raw: str) -> tuple[int, ...]:
+    return tuple(int(v) for v in raw.split(",") if v.strip())
+
+
 _CONFIG_KEYS = {
     "boxgen.delta": ("boxgen", "delta", float),
     "boxgen.max_filter_window": ("boxgen", "max_filter_window", int),
@@ -70,6 +78,7 @@ _CONFIG_KEYS = {
     "attention.expand_ratio": ("attention", "expand_ratio", float),
     "attention.sigma_scale": ("attention", "sigma_scale", float),
     "attention.out_size": ("attention", "out_size", int),
+    "stub.scales": ("stub", "scales", _int_tuple),
     "stub.local_window": ("stub", "local_window", int),
     "nms.iou_threshold": (None, "nms_iou", float),
     "nms.score_floor": (None, "score_floor", float),
@@ -98,17 +107,20 @@ def parse_config_file(path: str) -> dict[str, str]:
 
 
 def config_from_mapping(values: dict[str, str]) -> PipelineConfig:
-    cfg = PipelineConfig()
+    """Build a config from flat keys; each section goes through its
+    constructor, so its checks run on the overridden values."""
+    sections: dict[str | None, dict] = {"boxgen": {}, "attention": {}, "stub": {}, None: {}}
     for key, raw in values.items():
-        if key == "stub.scales":
-            cfg.stub.scales = tuple(int(v) for v in raw.split(",") if v.strip())
-            continue
         if key not in _CONFIG_KEYS:
             raise ValueError(f"unknown config key {key!r}")
         section, attr, cast = _CONFIG_KEYS[key]
-        target = cfg if section is None else getattr(cfg, section)
-        setattr(target, attr, cast(raw))
-    return cfg
+        sections[section][attr] = cast(raw)
+    return PipelineConfig(
+        boxgen=BoxGeneratorConfig(**sections["boxgen"]),
+        attention=AttentionConfig(**sections["attention"]),
+        stub=StubConfig(**sections["stub"]),
+        **sections[None],
+    )
 
 
 @dataclass
@@ -267,9 +279,6 @@ class Pipeline:
         for i, track in enumerate(tracks):
             track.h = h[i]
             track.c = c_state[i]
-            track.primary_dist = a_primary[i]
-            track.secondary_dist = a_secondary[i]
-            track.confidence = float(conf[i])
             detections.append(
                 Detection(
                     box=boxes[i],

@@ -17,8 +17,6 @@ Floats in [0, 1) take the top 53 bits: ``(z >> 11) * 2**-53``.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -56,12 +54,6 @@ class SplitMix64:
             raise ValueError(f"empty range [{lo}, {hi}]")
         return lo + int(self.random() * (hi - lo + 1))
 
-    def normal(self) -> float:
-        """Standard normal via Box-Muller (two uniforms per call)."""
-        u1 = max(self.random(), 2.0**-53)
-        u2 = self.random()
-        return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
-
     def fill_u64(self, n: int) -> np.ndarray:
         """Next n outputs as a uint64 array; same stream as scalar draws."""
         ks = np.arange(1, n + 1, dtype=np.uint64)
@@ -89,7 +81,3 @@ class SplitMix64:
         u2 = u[1::2]
         out = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
         return out.reshape(shape)
-
-    def split(self) -> "SplitMix64":
-        """Child generator seeded from the next output."""
-        return SplitMix64(self.next_u64())

@@ -227,9 +227,6 @@ class Track:
     c: np.ndarray
     last_box: BBox
     age: int = 0
-    primary_dist: np.ndarray | None = None
-    secondary_dist: np.ndarray | None = None
-    confidence: float = 0.5
 
 
 @dataclass

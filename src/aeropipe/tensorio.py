@@ -22,6 +22,8 @@ record:
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from typing import BinaryIO
 
@@ -60,8 +62,13 @@ def _read_record(fh: BinaryIO) -> np.ndarray:
         raise TensorFormatError(f"unknown dtype tag {tag}")
     dims = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank))
     dtype = _DTYPE_TAGS[tag]
-    count = int(np.prod(dims)) if rank else 1
-    raw = _read_exact(fh, count * dtype.itemsize)
+    size = math.prod(dims) * dtype.itemsize
+    here = fh.tell()
+    left = fh.seek(0, os.SEEK_END) - here
+    fh.seek(here)
+    if size > left:
+        raise TensorFormatError(f"truncated tensor file: dims {dims} need {size} bytes, {left} left")
+    raw = _read_exact(fh, size)
     return np.frombuffer(raw, dtype=dtype).reshape(dims).copy()
 
 
@@ -110,7 +117,10 @@ def load_named_tensors(path: str) -> dict[str, np.ndarray]:
         (count,) = struct.unpack("<I", _read_exact(fh, 4))
         for _ in range(count):
             (name_len,) = struct.unpack("<H", _read_exact(fh, 2))
-            name = _read_exact(fh, name_len).decode("utf-8")
+            try:
+                name = _read_exact(fh, name_len).decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise TensorFormatError(f"record name is not utf-8: {exc}") from None
             out[name] = _read_record(fh)
         if fh.read(1):
             raise TensorFormatError("trailing bytes after last record")

@@ -21,8 +21,10 @@ Wire layout, all little-endian:
     crc32 (4 bytes)  IEEE polynomial over all preceding bytes
 
 Total size is 31 + 15 * count bytes, at most 496. Stream framing prefixes
-each message with a u16 length; the unframer resynchronizes on the magic
-after corrupt framing and reports how many bytes it skipped.
+each message with a u16 length. The unframer reads a stream in one scan:
+it takes each message at the next magic that decodes, sized by its header
+count. A length prefix that matches the message counts as framing; every
+other byte passed over is reported as skipped.
 """
 
 from __future__ import annotations
@@ -107,7 +109,7 @@ class ReportMessage:
 
     @property
     def encoded_size(self) -> int:
-        return HEADER_SIZE + ENTRY_SIZE * len(self.entries) + CRC_SIZE
+        return message_size(len(self.entries))
 
 
 def message_size(count: int) -> int:
@@ -222,69 +224,37 @@ def frame_stream(messages: Iterable[ReportMessage]) -> bytes:
     return bytes(out)
 
 
-def _try_raw_decode(data: bytes, pos: int) -> ReportMessage | None:
-    """Attempt to decode a message starting exactly at `pos`."""
-    if pos + HEADER_SIZE + CRC_SIZE > len(data):
-        return None
-    count = data[pos + HEADER_SIZE - 1]
-    end = pos + message_size(count)
-    if end > len(data):
-        return None
-    try:
-        return decode_message(data[pos:end])
-    except WireError:
-        return None
-
-
 def unframe_stream(data: bytes) -> tuple[list[ReportMessage], int]:
     """Recover framed messages; returns (messages, skipped byte count).
 
-    After a framing error the parser scans forward for the message magic,
-    validates the candidate message in place, and counts everything passed
-    over as skipped. A matching length prefix directly before a recovered
-    message is treated as framing, not garbage.
+    One scan: from the current position, find the next magic whose message
+    (sized by the count in its header) decodes, and take that message. A
+    u16 length prefix right before it that equals its size is framing;
+    every other byte passed over counts as skipped.
     """
     messages: list[ReportMessage] = []
     skipped = 0
-    pos = 0
+    pos = scan = 0
     n = len(data)
-    while pos < n:
-        framed = None
-        if pos + 2 <= n:
-            (length,) = struct.unpack_from("<H", data, pos)
-            if pos + 2 + length <= n:
-                try:
-                    framed = decode_message(data[pos + 2 : pos + 2 + length])
-                except WireError:
-                    framed = None
-        if framed is not None:
-            messages.append(framed)
-            pos += 2 + length
-            continue
-        # Resync: find the next decodable message by its magic bytes.
-        scan = pos
-        recovered = None
-        while True:
-            idx = data.find(_MAGIC_BYTES, scan)
-            if idx < 0:
-                break
-            recovered = _try_raw_decode(data, idx)
-            if recovered is not None:
-                break
-            scan = idx + 1
-        if recovered is None:
-            skipped += n - pos
+    while True:
+        idx = data.find(_MAGIC_BYTES, scan)
+        if idx < 0 or idx + HEADER_SIZE > n:
             break
-        count = data[idx + HEADER_SIZE - 1]
-        end = idx + message_size(count)
-        prefix_start = idx - 2
-        if prefix_start >= pos and struct.unpack_from("<H", data, prefix_start)[0] == message_size(count):
-            skipped += prefix_start - pos
-        else:
-            skipped += idx - pos
-        messages.append(recovered)
-        pos = end
-    return messages, skipped
+        scan = idx + 1
+        end = idx + message_size(data[idx + HEADER_SIZE - 1])
+        if end > n:
+            continue
+        try:
+            msg = decode_message(data[idx:end])
+        except WireError:
+            continue
+        start = idx - 2
+        if start < pos or struct.unpack_from("<H", data, start)[0] != end - idx:
+            start = idx
+        skipped += start - pos
+        messages.append(msg)
+        pos = scan = end
+    return messages, skipped + n - pos
 
 
 # ---------------------------------------------------------------------------

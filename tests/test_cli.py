@@ -3,6 +3,7 @@ import socket
 import threading
 
 import numpy as np
+import pytest
 
 from aeropipe.annotations import AnnotationRecord, read_annotations, write_annotations
 from aeropipe.cli import main
@@ -213,3 +214,21 @@ class TestExitCodes:
         ann = tmp_path / "gt.txt"
         _write_gt(ann, [BBox(4, 4, 20, 20)])
         assert main(["encode", "--ann", str(ann), "--grid", "64by48", "--out", str(tmp_path / "m.aero")]) == 2
+
+    @pytest.mark.parametrize(
+        "flags, config",
+        [
+            (["--delta", "0"], None),
+            ([], "boxgen.max_filter_window = 4\n"),
+            ([], "stub.scales = 0\n"),
+        ],
+        ids=["delta-0", "max-filter-window-4", "stub-scales-0"],
+    )
+    def test_bad_config_value_is_data_error(self, tmp_path, capsys, flags, config):
+        save_maps(str(tmp_path / "maps.aero"), encode([BBox(8, 6, 30, 28)], (40, 36)))
+        if config is not None:
+            (tmp_path / "cfg.txt").write_text(config)
+            flags = [*flags, "--config", str(tmp_path / "cfg.txt")]
+        args = ["detect", "--maps", str(tmp_path / "maps.aero"), "--out", str(tmp_path / "o.txt"), *flags]
+        assert main(args) == 2
+        assert "error:" in capsys.readouterr().err

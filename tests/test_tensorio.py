@@ -1,5 +1,10 @@
+import io
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aeropipe import tensorio
 
@@ -80,3 +85,75 @@ def test_dense_maps_file_layout(tmp_path):
     dims = np.frombuffer(raw[7:19], dtype="<u4")
     assert tuple(dims) == (3, 5, 2)
     assert len(raw) == 19 + 3 * 5 * 2 * 4
+
+
+def _write(path, data):
+    with open(path, "wb") as fh:
+        fh.write(data)
+    return str(path)
+
+
+def test_dims_product_past_int64_is_format_error(tmp_path):
+    # 65536**4 == 2**64: an int64 product wraps to 0 elements.
+    data = tensorio.MAGIC + bytes([tensorio.VERSION, 0, 4]) + struct.pack("<4I", *[65536] * 4)
+    assert len(data) == 23
+    with pytest.raises(tensorio.TensorFormatError, match="truncated"):
+        tensorio.load_tensor(_write(tmp_path / "huge.aero", data))
+
+
+class _ReadGuard(io.BytesIO):
+    """Fails any read asking for more bytes than are left."""
+
+    def read(self, n=-1):
+        assert n <= len(self.getbuffer()) - self.tell(), f"read of {n} bytes requested"
+        return super().read(n)
+
+
+def test_declared_size_checked_before_reading():
+    record = bytes([1, 2]) + struct.pack("<2I", 2**31, 2**31) + bytes(16)
+    with pytest.raises(tensorio.TensorFormatError, match="truncated"):
+        tensorio._read_record(_ReadGuard(record))
+
+
+def test_non_utf8_record_name_is_format_error(tmp_path):
+    path = str(tmp_path / "params.aero")
+    tensorio.save_named_tensors(path, {"w": np.ones(2)})
+    data = bytearray(open(path, "rb").read())
+    data[11] = 0xFF  # the one-byte name "w"
+    with pytest.raises(tensorio.TensorFormatError, match="utf-8"):
+        tensorio.load_named_tensors(_write(path, bytes(data)))
+
+
+# Arbitrary bytes, and bytes behind a valid header so that the record
+# parsing (dtype tag, rank, dims, names) is reached too.
+_HEADER = tensorio.MAGIC + bytes([tensorio.VERSION])
+_FILE_BYTES = st.one_of(
+    st.binary(max_size=64),
+    st.binary(max_size=64).map(lambda b: _HEADER + b),
+    st.tuples(st.integers(0, 2), st.integers(0, 5), st.binary(max_size=64)).map(
+        lambda t: _HEADER + bytes(t[:2]) + t[2]
+    ),
+    st.tuples(st.integers(0, 3), st.binary(max_size=8), st.binary(max_size=64)).map(
+        lambda t: _HEADER + struct.pack("<IH", t[0], len(t[1])) + t[1] + t[2]
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_FILE_BYTES)
+def test_load_tensor_raises_only_format_error(tmp_path_factory, data):
+    path = _write(tmp_path_factory.getbasetemp() / "arbitrary_tensor.aero", data)
+    try:
+        tensorio.load_tensor(path)
+    except tensorio.TensorFormatError:
+        pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(_FILE_BYTES)
+def test_load_named_tensors_raises_only_format_error(tmp_path_factory, data):
+    path = _write(tmp_path_factory.getbasetemp() / "arbitrary_named.aero", data)
+    try:
+        tensorio.load_named_tensors(path)
+    except tensorio.TensorFormatError:
+        pass

@@ -3,6 +3,8 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from aeropipe import wire
 from aeropipe.wire import (
@@ -10,6 +12,7 @@ from aeropipe.wire import (
     BadMagicError,
     BadVersionError,
     ChecksumError,
+    MAX_ENTRIES,
     LengthMismatchError,
     ReportEntry,
     ReportMessage,
@@ -276,3 +279,189 @@ def test_header_layout_is_bit_exact():
     import zlib
 
     assert payload[27:31] == struct.pack("<I", zlib.crc32(payload[:27]))
+
+
+# ---------------------------------------------------------------------------
+# The single-scan receiver against the two-path receiver it replaced
+# ---------------------------------------------------------------------------
+
+# The two-path receiver (framed fast path plus magic resync), copied
+# verbatim, is the reference the single scan must equal on every input.
+_MAGIC_BYTES = wire._MAGIC_BYTES
+HEADER_SIZE = wire.HEADER_SIZE
+CRC_SIZE = wire.CRC_SIZE
+
+
+def _try_raw_decode(data: bytes, pos: int) -> ReportMessage | None:
+    """Attempt to decode a message starting exactly at `pos`."""
+    if pos + HEADER_SIZE + CRC_SIZE > len(data):
+        return None
+    count = data[pos + HEADER_SIZE - 1]
+    end = pos + message_size(count)
+    if end > len(data):
+        return None
+    try:
+        return decode_message(data[pos:end])
+    except WireError:
+        return None
+
+
+def _reference_unframe_stream(data: bytes) -> tuple[list[ReportMessage], int]:
+    """Recover framed messages; returns (messages, skipped byte count).
+
+    After a framing error the parser scans forward for the message magic,
+    validates the candidate message in place, and counts everything passed
+    over as skipped. A matching length prefix directly before a recovered
+    message is treated as framing, not garbage.
+    """
+    messages: list[ReportMessage] = []
+    skipped = 0
+    pos = 0
+    n = len(data)
+    while pos < n:
+        framed = None
+        if pos + 2 <= n:
+            (length,) = struct.unpack_from("<H", data, pos)
+            if pos + 2 + length <= n:
+                try:
+                    framed = decode_message(data[pos + 2 : pos + 2 + length])
+                except WireError:
+                    framed = None
+        if framed is not None:
+            messages.append(framed)
+            pos += 2 + length
+            continue
+        # Resync: find the next decodable message by its magic bytes.
+        scan = pos
+        recovered = None
+        while True:
+            idx = data.find(_MAGIC_BYTES, scan)
+            if idx < 0:
+                break
+            recovered = _try_raw_decode(data, idx)
+            if recovered is not None:
+                break
+            scan = idx + 1
+        if recovered is None:
+            skipped += n - pos
+            break
+        count = data[idx + HEADER_SIZE - 1]
+        end = idx + message_size(count)
+        prefix_start = idx - 2
+        if prefix_start >= pos and struct.unpack_from("<H", data, prefix_start)[0] == message_size(count):
+            skipped += prefix_start - pos
+        else:
+            skipped += idx - pos
+        messages.append(recovered)
+        pos = end
+    return messages, skipped
+
+
+_u = st.integers
+_ENTRIES = st.builds(
+    ReportEntry,
+    st.tuples(_u(0, 0xFFFF), _u(0, 0xFFFF), _u(0, 0xFFFF), _u(0, 0xFFFF)),
+    _u(0, 2**32 - 1),
+    _u(0, 255),
+    _u(0, 255),
+    _u(0, 255),
+)
+_MESSAGES = st.builds(
+    ReportMessage,
+    frame_id=_u(0, 2**32 - 1),
+    timestamp_ms=_u(0, 2**64 - 1),
+    drone_lat_e7=_u(-(2**31), 2**31 - 1),
+    drone_lon_e7=_u(-(2**31), 2**31 - 1),
+    drone_alt_dm=_u(0, 0xFFFF),
+    entries=st.lists(_ENTRIES, max_size=MAX_ENTRIES).map(tuple),
+    flags=_u(0, 255),
+)
+# (kind, position as a fraction of the stream, value)
+_EDITS = st.lists(
+    st.tuples(st.sampled_from(["flip", "drop", "magic", "prefix"]), st.floats(0, 1), _u(1, 255)),
+    max_size=6,
+)
+
+
+def _corrupt(messages: list[ReportMessage], edits) -> bytes:
+    """Frame `messages`, then flip bytes, drop spans of up to 64 bytes,
+    insert magic bytes, or overwrite a length prefix with the magic."""
+    prefixes = []
+    data = bytearray()
+    for msg in messages:
+        prefixes.append(len(data))
+        data += frame_stream([msg])
+    for kind, where, value in edits:
+        if kind == "prefix":
+            if prefixes:
+                at = prefixes[int(where * (len(prefixes) - 1))]
+                data[at : at + 2] = _MAGIC_BYTES
+            continue
+        at = int(where * len(data))
+        if kind == "magic":
+            data[at:at] = _MAGIC_BYTES
+        elif at < len(data):
+            if kind == "flip":
+                data[at] ^= value
+            else:
+                del data[at : at + value % 64 + 1]
+    return bytes(data)
+
+
+# Arbitrary bytes, also spliced with magic bytes and whole framed messages
+# so that the resync paths are reached.
+_CHUNKS = st.one_of(
+    st.binary(max_size=40),
+    st.just(_MAGIC_BYTES),
+    st.just(_MAGIC_BYTES + bytes([wire.VERSION])),
+    _MESSAGES.map(lambda m: frame_stream([m])),
+    _MESSAGES.map(encode_message),
+)
+_SETTINGS = settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+
+@_SETTINGS
+@given(st.one_of(st.binary(max_size=600), st.lists(_CHUNKS, max_size=8).map(b"".join)))
+def test_unframe_matches_reference_on_arbitrary_bytes(data):
+    assert unframe_stream(data) == _reference_unframe_stream(data)
+
+
+@_SETTINGS
+@given(st.lists(_MESSAGES, max_size=5), _EDITS)
+@example([ReportMessage(1, 2, 3, 4, 5)] * 3, [("prefix", 0.5, 1)])
+@example([ReportMessage(1, 2, 3, 4, 5)] * 2, [("drop", 0.0, 1), ("magic", 0.0, 1)])
+def test_unframe_matches_reference_on_corrupted_streams(messages, edits):
+    data = _corrupt(messages, edits)
+    assert unframe_stream(data) == _reference_unframe_stream(data)
+
+
+@_SETTINGS
+@given(st.lists(_MESSAGES, max_size=5), _EDITS)
+def test_unframe_returns_only_sent_messages(messages, edits):
+    back, skipped = unframe_stream(_corrupt(messages, edits))
+    assert all(msg in messages for msg in back)
+    if not edits:
+        assert (back, skipped) == (messages, 0)
+
+
+@_SETTINGS
+@given(
+    st.one_of(
+        st.binary(max_size=600),
+        # Magic, version and a count below and above the cap, padded to the
+        # exact length that count implies, so the CRC check is reached.
+        st.tuples(st.binary(min_size=23, max_size=23), _u(0, 40), st.binary(max_size=40)).map(
+            lambda t: _MAGIC_BYTES
+            + bytes([wire.VERSION])
+            + t[0]
+            + bytes([t[1]])
+            + (t[2] * 700)[: max(message_size(t[1]) - HEADER_SIZE, 0)]
+        ),
+    )
+)
+def test_decode_message_raises_only_wire_error(data):
+    try:
+        msg = decode_message(data)
+    except WireError:
+        return
+    assert encode_message(msg) == data

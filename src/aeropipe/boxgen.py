@@ -43,9 +43,9 @@ class BoxGeneratorConfig:
     """Decode knobs.
 
     delta is the minimum segmented fraction a candidate box must enclose.
-    A true corner carries a regression value of exactly 1, so peak_floor
-    rejects mid-box plateaus without touching real corners. max_box_diag
-    of None means "half the grid diagonal", resolved per call.
+    A true corner carries a regression value of exactly 1, so a peak_floor
+    in [0, 1) rejects mid-box plateaus without touching real corners.
+    max_box_diag of None means "half the grid diagonal", resolved per call.
 
     The window must stay small enough that same-channel corners of
     distinct boxes never share a window: half the window below
@@ -68,6 +68,10 @@ class BoxGeneratorConfig:
             raise ValueError(f"max_filter_window must be odd and >= 3, got {self.max_filter_window}")
         if self.min_patch_area < 1:
             raise ValueError(f"min_patch_area must be >= 1, got {self.min_patch_area}")
+        if not 0.0 <= self.peak_floor < 1.0:
+            raise ValueError(f"peak_floor must be in [0, 1), got {self.peak_floor}")
+        if self.max_box_diag is not None and not self.max_box_diag > 0.0:
+            raise ValueError(f"max_box_diag must be positive, got {self.max_box_diag}")
 
     def resolved_diag(self, grid: tuple[int, int]) -> float:
         if self.max_box_diag is not None:

@@ -182,11 +182,11 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     with open(reports_path, "wb") as fh:
         fh.write(stream)
     print(f"wrote {pred_path} and {reports_path}")
-    if cfg.address:
-        host, port = wire.parse_address(cfg.address)
+    if cfg.wire.address:
+        host, port = wire.parse_address(cfg.wire.address)
         with socket.create_connection((host, port)) as sock:
             sock.sendall(stream)
-        print(f"sent {len(stream)} bytes to {cfg.address}")
+        print(f"sent {len(stream)} bytes to {cfg.wire.address}")
     return 0
 
 
@@ -343,7 +343,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_detect)
 
     p = sub.add_parser("synth", help="generate synthetic fixtures")
-    common(p)
+    p.add_argument("--seed", type=int, default=0, help="pseudorandom seed")
     p.add_argument("--kind", choices=("scene", "sequence", "crops"), default="sequence")
     p.add_argument("--frames", type=int, default=10)
     p.add_argument("--noise", type=float, default=0.0, help="regression noise amplitude")

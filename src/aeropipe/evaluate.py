@@ -89,26 +89,25 @@ def _match_predictions(
     predictions: dict[int, list[Detection]],
     ground_truth: dict[int, list[AnnotationRecord]],
     iou_threshold: float,
-    gt_label=None,
-    det_label=None,
-    wanted_label: int | None = None,
+    label: str | None = None,
+    wanted: int | None = None,
 ) -> tuple[np.ndarray, int]:
     """Global confidence-sorted TP flags plus the ground-truth count.
 
-    When wanted_label is given, only predictions whose extracted label
-    equals it participate and only ground truth with that label counts.
+    When label names an action attribute, only predictions and ground
+    truth whose value of it equals wanted participate.
     """
     gts: dict[int, list[AnnotationRecord]] = {}
     total_gt = 0
     for fid, records in ground_truth.items():
-        rows = [r for r in records if wanted_label is None or gt_label(r) == wanted_label]
+        rows = [r for r in records if label is None or getattr(r, label) == wanted]
         gts[fid] = rows
         total_gt += len(rows)
 
     flat: list[tuple[float, int, int, Detection]] = []
     for fid, dets in predictions.items():
         for k, det in enumerate(dets):
-            if wanted_label is not None and det_label(det) != wanted_label:
+            if label is not None and getattr(det, label) != wanted:
                 continue
             flat.append((det.confidence, fid, k, det))
     # Highest confidence first; frame and in-frame order break ties.
@@ -156,32 +155,6 @@ def evaluate_map(
     return _ap_from_flags(tp, total_gt)
 
 
-def _per_class_ap(
-    predictions: dict[int, list[Detection]],
-    ground_truth: dict[int, list[AnnotationRecord]],
-    iou_threshold: float,
-    gt_label,
-    det_label,
-    classes: list[int],
-) -> float:
-    """Macro-average AP over classes that appear in the ground truth."""
-    aps = []
-    for cls in classes:
-        tp, total_gt = _match_predictions(
-            predictions,
-            ground_truth,
-            iou_threshold,
-            gt_label=gt_label,
-            det_label=det_label,
-            wanted_label=cls,
-        )
-        if total_gt == 0:
-            continue
-        ap, _ = _ap_from_flags(tp, total_gt)
-        aps.append(ap)
-    return float(np.mean(aps)) if aps else 0.0
-
-
 def action_map(
     predictions: dict[int, list[Detection]],
     ground_truth: dict[int, list[AnnotationRecord]],
@@ -195,31 +168,19 @@ def action_map(
     the macro average.
     """
     cfg = cfg or EvalConfig()
-    primary_classes = sorted(
-        {r.primary_action for rows in ground_truth.values() for r in rows}
-        | {d.primary_action for dets in predictions.values() for d in dets}
-    )
-    secondary_classes = sorted(
-        {r.secondary_action for rows in ground_truth.values() for r in rows}
-        | {d.secondary_action for dets in predictions.values() for d in dets}
-    )
-    primary_ap = _per_class_ap(
-        predictions,
-        ground_truth,
-        cfg.iou_threshold,
-        gt_label=lambda r: r.primary_action,
-        det_label=lambda d: d.primary_action,
-        classes=primary_classes,
-    )
-    secondary_ap = _per_class_ap(
-        predictions,
-        ground_truth,
-        cfg.iou_threshold,
-        gt_label=lambda r: r.secondary_action,
-        det_label=lambda d: d.secondary_action,
-        classes=secondary_classes,
-    )
-    return primary_ap, secondary_ap
+    aps: dict[str, float] = {}
+    for label in ("primary_action", "secondary_action"):
+        classes = sorted(
+            {getattr(r, label) for rows in ground_truth.values() for r in rows}
+            | {getattr(d, label) for dets in predictions.values() for d in dets}
+        )
+        class_aps = []
+        for cls in classes:
+            tp, total_gt = _match_predictions(predictions, ground_truth, cfg.iou_threshold, label, cls)
+            if total_gt:
+                class_aps.append(_ap_from_flags(tp, total_gt)[0])
+        aps[label] = float(np.mean(class_aps)) if class_aps else 0.0
+    return aps["primary_action"], aps["secondary_action"]
 
 
 def detections_to_records(detections: list[Detection]) -> list[AnnotationRecord]:

@@ -11,6 +11,8 @@ on real data.
 from __future__ import annotations
 
 import time
+import types
+import typing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,6 +42,8 @@ class StubConfig:
     def __post_init__(self) -> None:
         if not self.scales or any(not isinstance(s, int) or s < 1 for s in self.scales):
             raise ValueError(f"scales must be positive integers, got {self.scales}")
+        if self.local_window < 1:
+            raise ValueError(f"local_window must be >= 1, got {self.local_window}")
 
     @property
     def depth(self) -> int:
@@ -47,48 +51,79 @@ class StubConfig:
 
 
 @dataclass
+class NmsConfig:
+    iou_threshold: float = 0.5
+    score_floor: float = 0.3
+
+    def __post_init__(self) -> None:
+        for name in ("iou_threshold", "score_floor"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1], got {getattr(self, name)}")
+
+
+@dataclass
+class AssociateConfig:
+    max_dist: float = 40.0
+    max_age: int = 5
+
+    def __post_init__(self) -> None:
+        if not self.max_dist >= 0.0:
+            raise ValueError(f"max_dist must be >= 0, got {self.max_dist}")
+        if self.max_age < 0:
+            raise ValueError(f"max_age must be >= 0, got {self.max_age}")
+
+
+@dataclass
+class TemporalConfig:
+    hidden_size: int = 64
+    model_seed: int | None = None
+
+
+@dataclass
+class WireConfig:
+    address: str | None = None
+
+
+@dataclass
+class LoopConfig:
+    """Nominal frame spacing: report timestamps of frames without one, and
+    arrival times in the latest-only benchmark."""
+
+    frame_period_ms: int = 100
+
+    def __post_init__(self) -> None:
+        if self.frame_period_ms < 0:
+            raise ValueError(f"frame_period_ms must be >= 0, got {self.frame_period_ms}")
+
+
+@dataclass
 class PipelineConfig:
+    """One field per config-file section: the key `section.field` sets
+    `getattr(cfg, section).field`."""
+
     boxgen: BoxGeneratorConfig = field(default_factory=BoxGeneratorConfig)
     attention: AttentionConfig = field(default_factory=AttentionConfig)
     stub: StubConfig = field(default_factory=StubConfig)
-    nms_iou: float = 0.5
-    score_floor: float = 0.3
-    max_dist: float = 40.0
-    max_age: int = 5
-    hidden_size: int = 64
-    model_seed: int | None = None
-    address: str | None = None
-    frame_period_ms: int = 100
+    nms: NmsConfig = field(default_factory=NmsConfig)
+    associate: AssociateConfig = field(default_factory=AssociateConfig)
+    temporal: TemporalConfig = field(default_factory=TemporalConfig)
+    wire: WireConfig = field(default_factory=WireConfig)
+    pipeline: LoopConfig = field(default_factory=LoopConfig)
 
     @property
     def crop_input_size(self) -> int:
         return (self.stub.depth + 1) * self.attention.out_size**2
 
 
-def _int_tuple(raw: str) -> tuple[int, ...]:
-    return tuple(int(v) for v in raw.split(",") if v.strip())
-
-
-_CONFIG_KEYS = {
-    "boxgen.delta": ("boxgen", "delta", float),
-    "boxgen.max_filter_window": ("boxgen", "max_filter_window", int),
-    "boxgen.min_patch_area": ("boxgen", "min_patch_area", int),
-    "boxgen.max_box_diag": ("boxgen", "max_box_diag", float),
-    "boxgen.peak_floor": ("boxgen", "peak_floor", float),
-    "attention.expand_ratio": ("attention", "expand_ratio", float),
-    "attention.sigma_scale": ("attention", "sigma_scale", float),
-    "attention.out_size": ("attention", "out_size", int),
-    "stub.scales": ("stub", "scales", _int_tuple),
-    "stub.local_window": ("stub", "local_window", int),
-    "nms.iou_threshold": (None, "nms_iou", float),
-    "nms.score_floor": (None, "score_floor", float),
-    "associate.max_dist": (None, "max_dist", float),
-    "associate.max_age": (None, "max_age", int),
-    "temporal.hidden_size": (None, "hidden_size", int),
-    "temporal.model_seed": (None, "model_seed", int),
-    "wire.address": (None, "address", str),
-    "pipeline.frame_period_ms": (None, "frame_period_ms", int),
-}
+def _parse_value(hint, raw: str):
+    """Parse `raw` as the annotated type: `X | None` as X, `tuple[X, ...]`
+    as a comma list of X."""
+    if isinstance(hint, types.UnionType):
+        (hint,) = (arg for arg in typing.get_args(hint) if arg is not type(None))
+    if typing.get_origin(hint) is tuple:
+        item = typing.get_args(hint)[0]
+        return tuple(item(v) for v in raw.split(",") if v.strip())
+    return hint(raw)
 
 
 def parse_config_file(path: str) -> dict[str, str]:
@@ -106,21 +141,27 @@ def parse_config_file(path: str) -> dict[str, str]:
     return values
 
 
+def config_keys() -> dict[str, object]:
+    """Every valid config-file key, `section.field`, with its annotated type."""
+    return {
+        f"{name}.{attr}": hint
+        for name, section in typing.get_type_hints(PipelineConfig).items()
+        for attr, hint in typing.get_type_hints(section).items()
+    }
+
+
 def config_from_mapping(values: dict[str, str]) -> PipelineConfig:
-    """Build a config from flat keys; each section goes through its
-    constructor, so its checks run on the overridden values."""
-    sections: dict[str | None, dict] = {"boxgen": {}, "attention": {}, "stub": {}, None: {}}
+    """Build a config from `section.field` keys; each section goes through
+    its constructor, so its checks run on the overridden values."""
+    keys = config_keys()
+    sections = typing.get_type_hints(PipelineConfig)
+    overrides: dict[str, dict] = {name: {} for name in sections}
     for key, raw in values.items():
-        if key not in _CONFIG_KEYS:
+        if key not in keys:
             raise ValueError(f"unknown config key {key!r}")
-        section, attr, cast = _CONFIG_KEYS[key]
-        sections[section][attr] = cast(raw)
-    return PipelineConfig(
-        boxgen=BoxGeneratorConfig(**sections["boxgen"]),
-        attention=AttentionConfig(**sections["attention"]),
-        stub=StubConfig(**sections["stub"]),
-        **sections[None],
-    )
+        section, _, attr = key.partition(".")
+        overrides[section][attr] = _parse_value(keys[key], raw)
+    return PipelineConfig(**{name: sections[name](**kw) for name, kw in overrides.items()})
 
 
 @dataclass
@@ -197,8 +238,8 @@ class Pipeline:
         self.cfg = cfg or PipelineConfig()
         self.model = model or ActivityModel.build(
             input_size=self.cfg.crop_input_size,
-            hidden_size=self.cfg.hidden_size,
-            seed=self.cfg.model_seed,
+            hidden_size=self.cfg.temporal.hidden_size,
+            seed=self.cfg.temporal.model_seed,
         )
         if self.model.cell.input_size != self.cfg.crop_input_size:
             raise ValueError(
@@ -207,8 +248,8 @@ class Pipeline:
             )
         self.store = TrackStore(
             hidden_size=self.model.cell.hidden_size,
-            max_dist=self.cfg.max_dist,
-            max_age=self.cfg.max_age,
+            max_dist=self.cfg.associate.max_dist,
+            max_age=self.cfg.associate.max_age,
         )
         self.last_frame_id: int | None = None
 
@@ -246,7 +287,7 @@ class Pipeline:
         timings["temporal"] = (time.perf_counter() - start) * 1e3
 
         start = time.perf_counter()
-        kept = nms(detections, self.cfg.nms_iou, self.cfg.score_floor)
+        kept = nms(detections, self.cfg.nms.iou_threshold, self.cfg.nms.score_floor)
         timings["nms"] = (time.perf_counter() - start) * 1e3
 
         start = time.perf_counter()
@@ -256,7 +297,7 @@ class Pipeline:
             timestamp_ms=(
                 frame.timestamp_ms
                 if frame.timestamp_ms is not None
-                else frame.frame_id * self.cfg.frame_period_ms
+                else frame.frame_id * self.cfg.pipeline.frame_period_ms
             ),
             drone_lat=frame.drone_lat,
             drone_lon=frame.drone_lon,
@@ -335,7 +376,7 @@ def bench_frames(
     clock_ms = 0.0
     for idx, scene in enumerate(scenes):
         if latest_only and idx >= warmup:
-            arrival = idx * cfg.frame_period_ms
+            arrival = idx * cfg.pipeline.frame_period_ms
             if arrival < clock_ms:
                 skipped += 1
                 continue
@@ -347,7 +388,7 @@ def bench_frames(
         result = pipeline.run_frame(record)
         if idx >= warmup:
             rows.append(result.timings_ms)
-            clock_ms = max(clock_ms, idx * cfg.frame_period_ms) + sum(
+            clock_ms = max(clock_ms, idx * cfg.pipeline.frame_period_ms) + sum(
                 result.timings_ms[s] for s in STAGES
             )
     stats: dict[str, tuple[float, float]] = {}

@@ -586,54 +586,42 @@ def train_toy(
 # ---------------------------------------------------------------------------
 
 
-def _bn_params(prefix: str, bn: BatchNormStream) -> dict[str, np.ndarray]:
-    return {
-        f"{prefix}.gamma": bn.gamma,
-        f"{prefix}.beta": bn.beta,
-        f"{prefix}.running_mean": bn.running_mean,
-        f"{prefix}.running_var": bn.running_var,
-    }
+def _parameters(model: ActivityModel) -> dict[str, np.ndarray]:
+    """Every stored array of the model, by file record name."""
+    cell = model.cell
+    params = {"cell.w_xh": cell.w_xh, "cell.w_hh": cell.w_hh, "cell.bias": cell.bias}
+    for prefix, bn in (("cell.bn_x", cell.bn_x), ("cell.bn_h", cell.bn_h), ("cell.bn_c", cell.bn_c)):
+        for attr in ("gamma", "beta", "running_mean", "running_var"):
+            params[f"{prefix}.{attr}"] = getattr(bn, attr)
+    params.update({f"heads.{k}": v for k, v in model.heads.parameters().items()})
+    return params
 
 
 def save_model(path: str, model: ActivityModel) -> None:
-    tensors: dict[str, np.ndarray] = {
-        "cell.w_xh": model.cell.w_xh,
-        "cell.w_hh": model.cell.w_hh,
-        "cell.bias": model.cell.bias,
-    }
-    tensors.update(_bn_params("cell.bn_x", model.cell.bn_x))
-    tensors.update(_bn_params("cell.bn_h", model.cell.bn_h))
-    tensors.update(_bn_params("cell.bn_c", model.cell.bn_c))
-    tensors.update({f"heads.{k}": v for k, v in model.heads.parameters().items()})
-    tensorio.save_named_tensors(path, tensors)
+    tensorio.save_named_tensors(path, _parameters(model))
 
 
 def load_model(path: str, vocab: ActionVocabulary | None = None) -> ActivityModel:
+    """Build the model the stored shapes describe and fill it in place; a
+    missing record or one whose shape differs from the model's raises
+    TensorFormatError."""
     tensors = tensorio.load_named_tensors(path)
-    w_xh = tensors["cell.w_xh"]
-    input_size, four_h = w_xh.shape
-    hidden_size = four_h // 4
+
+    def shape(name: str, rank: int) -> tuple[int, ...]:
+        if name not in tensors or tensors[name].ndim != rank:
+            raise tensorio.TensorFormatError(f"{path}: no rank-{rank} record {name!r}")
+        return tensors[name].shape
+
+    input_size, four_h = shape("cell.w_xh", 2)
     vocab = vocab or ActionVocabulary(
-        primary_labels=tuple(
-            f"p{i}" for i in range(tensors["heads.w_primary"].shape[1])
-        ),
-        secondary_labels=tuple(
-            f"s{i}" for i in range(tensors["heads.w_secondary"].shape[1])
-        ),
+        primary_labels=tuple(f"p{i}" for i in range(shape("heads.w_primary", 2)[1])),
+        secondary_labels=tuple(f"s{i}" for i in range(shape("heads.w_secondary", 2)[1])),
     )
-    model = ActivityModel.build(input_size, hidden_size, vocab)
-    model.cell.w_xh = w_xh.astype(np.float64)
-    model.cell.w_hh = tensors["cell.w_hh"].astype(np.float64)
-    model.cell.bias = tensors["cell.bias"].astype(np.float64)
-    for prefix, bn in (
-        ("cell.bn_x", model.cell.bn_x),
-        ("cell.bn_h", model.cell.bn_h),
-        ("cell.bn_c", model.cell.bn_c),
-    ):
-        bn.gamma = tensors[f"{prefix}.gamma"].astype(np.float64)
-        bn.beta = tensors[f"{prefix}.beta"].astype(np.float64)
-        bn.running_mean = tensors[f"{prefix}.running_mean"].astype(np.float64)
-        bn.running_var = tensors[f"{prefix}.running_var"].astype(np.float64)
-    for key, value in model.heads.parameters().items():
-        value[...] = tensors[f"heads.{key}"]
+    model = ActivityModel.build(input_size, four_h // 4, vocab)
+    for name, array in _parameters(model).items():
+        if shape(name, array.ndim) != array.shape:
+            raise tensorio.TensorFormatError(
+                f"{path}: {name!r} has shape {tensors[name].shape}, not {array.shape}"
+            )
+        array[...] = tensors[name]
     return model

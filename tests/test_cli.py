@@ -110,6 +110,16 @@ class TestSynthAndPipeline:
         tensors = load_named_tensors(str(out / "crops.aero"))
         assert set(tensors) == {"features", "primary_labels", "secondary_labels", "pedestrian"}
 
+    @pytest.mark.parametrize(
+        "flag",
+        [["--config", "cfg.txt"], ["--delta", "0.8"], ["--iou", "0.4"], ["--addr", "h:1"]],
+        ids=["config", "delta", "iou", "addr"],
+    )
+    def test_synth_rejects_flags_it_ignores(self, tmp_path, capsys, flag):
+        assert main(["synth", "--frames", "1", "--out", str(tmp_path / "s"), *flag]) == 1
+        assert "usage error" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+
 
 class TestTrainBenchOverlay:
     def test_train_quick(self, tmp_path, capsys):
@@ -221,8 +231,21 @@ class TestExitCodes:
             (["--delta", "0"], None),
             ([], "boxgen.max_filter_window = 4\n"),
             ([], "stub.scales = 0\n"),
+            ([], "nms.iou_threshold = 5\n"),
+            ([], "nms.score_floor = -0.1\n"),
+            ([], "associate.max_dist = -1\n"),
+            ([], "associate.max_age = -1\n"),
+            ([], "pipeline.frame_period_ms = -5\n"),
+            ([], "stub.local_window = 0\n"),
+            ([], "boxgen.peak_floor = -1\n"),
+            ([], "boxgen.peak_floor = 1\n"),
+            ([], "boxgen.max_box_diag = 0\n"),
         ],
-        ids=["delta-0", "max-filter-window-4", "stub-scales-0"],
+        ids=[
+            "delta-0", "max-filter-window-4", "stub-scales-0", "nms-iou-5", "nms-score-floor-neg",
+            "max-dist-neg", "max-age-neg", "frame-period-neg", "local-window-0", "peak-floor-neg",
+            "peak-floor-1", "max-box-diag-0",
+        ],
     )
     def test_bad_config_value_is_data_error(self, tmp_path, capsys, flags, config):
         save_maps(str(tmp_path / "maps.aero"), encode([BBox(8, 6, 30, 28)], (40, 36)))

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aeropipe.annotations import AnnotationRecord
-from aeropipe.evaluate import Detection, EvalConfig, action_map, evaluate_map, nms
-from aeropipe.geometry import BBox
+from aeropipe.evaluate import Detection, EvalConfig, _ap_from_flags, action_map, evaluate_map, nms
+from aeropipe.geometry import BBox, iou
 
 
 def _det(x0, y0, x1, y1, conf, primary=None, secondary=None, frame=0, track=-1):
@@ -209,3 +211,162 @@ class TestActionMap:
         primary_ap, secondary_ap = action_map(preds, gt)
         assert primary_ap == pytest.approx(5.0 / 12.0, abs=1e-9)
         assert secondary_ap == pytest.approx(1.0, abs=1e-9)
+
+
+# Verbatim copy of the per-action AP before it read labels by attribute
+# name; the current `action_map` must give exactly the same numbers.
+def _reference_match_predictions(
+    predictions: dict[int, list[Detection]],
+    ground_truth: dict[int, list[AnnotationRecord]],
+    iou_threshold: float,
+    gt_label=None,
+    det_label=None,
+    wanted_label: int | None = None,
+) -> tuple[np.ndarray, int]:
+    """Global confidence-sorted TP flags plus the ground-truth count.
+
+    When wanted_label is given, only predictions whose extracted label
+    equals it participate and only ground truth with that label counts.
+    """
+    gts: dict[int, list[AnnotationRecord]] = {}
+    total_gt = 0
+    for fid, records in ground_truth.items():
+        rows = [r for r in records if wanted_label is None or gt_label(r) == wanted_label]
+        gts[fid] = rows
+        total_gt += len(rows)
+
+    flat: list[tuple[float, int, int, Detection]] = []
+    for fid, dets in predictions.items():
+        for k, det in enumerate(dets):
+            if wanted_label is not None and det_label(det) != wanted_label:
+                continue
+            flat.append((det.confidence, fid, k, det))
+    # Highest confidence first; frame and in-frame order break ties.
+    flat.sort(key=lambda item: (-item[0], item[1], item[2]))
+
+    tp = np.zeros(len(flat), dtype=bool)
+    used: dict[int, set[int]] = {fid: set() for fid in gts}
+    for rank, (_, fid, _, det) in enumerate(flat):
+        candidates = gts.get(fid, [])
+        best_iou, best_idx = 0.0, -1
+        for gi, record in enumerate(candidates):
+            if gi in used.get(fid, set()):
+                continue
+            value = iou(det.box, record.box)
+            if value > best_iou:
+                best_iou, best_idx = value, gi
+        if best_idx >= 0 and best_iou >= iou_threshold:
+            tp[rank] = True
+            used.setdefault(fid, set()).add(best_idx)
+    return tp, total_gt
+
+
+def _reference_per_class_ap(
+    predictions: dict[int, list[Detection]],
+    ground_truth: dict[int, list[AnnotationRecord]],
+    iou_threshold: float,
+    gt_label,
+    det_label,
+    classes: list[int],
+) -> float:
+    """Macro-average AP over classes that appear in the ground truth."""
+    aps = []
+    for cls in classes:
+        tp, total_gt = _reference_match_predictions(
+            predictions,
+            ground_truth,
+            iou_threshold,
+            gt_label=gt_label,
+            det_label=det_label,
+            wanted_label=cls,
+        )
+        if total_gt == 0:
+            continue
+        ap, _ = _ap_from_flags(tp, total_gt)
+        aps.append(ap)
+    return float(np.mean(aps)) if aps else 0.0
+
+
+def _reference_action_map(
+    predictions: dict[int, list[Detection]],
+    ground_truth: dict[int, list[AnnotationRecord]],
+    cfg: EvalConfig | None = None,
+) -> tuple[float, float]:
+    """Per-action AP for the two vocabularies.
+
+    A prediction is a true positive for class c only when its argmax action
+    is c, the matched ground truth carries label c, and the boxes overlap at
+    the IoU threshold. Classes absent from the ground truth are skipped in
+    the macro average.
+    """
+    cfg = cfg or EvalConfig()
+    primary_classes = sorted(
+        {r.primary_action for rows in ground_truth.values() for r in rows}
+        | {d.primary_action for dets in predictions.values() for d in dets}
+    )
+    secondary_classes = sorted(
+        {r.secondary_action for rows in ground_truth.values() for r in rows}
+        | {d.secondary_action for dets in predictions.values() for d in dets}
+    )
+    primary_ap = _reference_per_class_ap(
+        predictions,
+        ground_truth,
+        cfg.iou_threshold,
+        gt_label=lambda r: r.primary_action,
+        det_label=lambda d: d.primary_action,
+        classes=primary_classes,
+    )
+    secondary_ap = _reference_per_class_ap(
+        predictions,
+        ground_truth,
+        cfg.iou_threshold,
+        gt_label=lambda r: r.secondary_action,
+        det_label=lambda d: d.secondary_action,
+        classes=secondary_classes,
+    )
+    return primary_ap, secondary_ap
+
+
+_box = st.builds(
+    lambda x, y, w, h: BBox(x, y, x + w, y + h),
+    st.integers(0, 30), st.integers(0, 30), st.integers(2, 12), st.integers(2, 12),
+)
+_dist = st.integers(1, 3).flatmap(
+    lambda n: st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]), min_size=n, max_size=n)
+)
+
+
+@st.composite
+def _scored_frames(draw):
+    """Ground truth on up to three frames; predictions often reuse those
+    boxes, so matches, duplicates and confidence ties all occur."""
+    label = st.integers(-1, 2)
+    gt = {
+        fid: [
+            AnnotationRecord(frame_id=fid, box=b, primary_action=draw(label), secondary_action=draw(label))
+            for b in draw(st.lists(_box, min_size=1, max_size=5))
+        ]
+        for fid in draw(st.lists(st.integers(0, 3), min_size=1, max_size=3, unique=True))
+    }
+    preds = {}
+    for fid in draw(st.lists(st.integers(0, 3), min_size=1, max_size=3, unique=True)):
+        known = [r.box for r in gt.get(fid, [])]
+        box = st.one_of(st.sampled_from(known), _box) if known else _box
+        preds[fid] = [
+            Detection(
+                box=b,
+                confidence=draw(st.sampled_from([0.2, 0.5, 0.9])),
+                primary_dist=np.array(draw(_dist)),
+                secondary_dist=np.array(draw(_dist)),
+                frame_id=fid,
+            )
+            for b in draw(st.lists(box, max_size=6))
+        ]
+    return preds, gt, EvalConfig(draw(st.sampled_from([0.1, 0.5, 0.9])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_scored_frames())
+def test_action_map_equals_reference(inputs):
+    preds, gt, cfg = inputs
+    assert action_map(preds, gt, cfg) == _reference_action_map(preds, gt, cfg)

@@ -7,11 +7,14 @@ from aeropipe.evaluate import nms
 from aeropipe.geometry import iou
 from aeropipe.pipeline import (
     FrameRecord,
+    LoopConfig,
     Pipeline,
     PipelineConfig,
     StubConfig,
+    TemporalConfig,
     bench_frames,
     config_from_mapping,
+    config_keys,
     feature_stub,
     parse_config_file,
 )
@@ -121,7 +124,7 @@ class TestRunFrame:
 
     def test_matches_manual_stage_chain(self):
         scene = generate_scene(SceneConfig(box_count=(6, 6)), 23)
-        cfg = PipelineConfig(model_seed=5)
+        cfg = PipelineConfig(temporal=TemporalConfig(model_seed=5))
         intensity = render_intensity(scene.records, (640, 360))
 
         pipeline = Pipeline(cfg)
@@ -130,7 +133,7 @@ class TestRunFrame:
         manual = Pipeline(cfg)  # same seeded model, fresh state
         features = feature_stub(intensity, cfg.stub)
         boxes = box_generator(scene.maps, cfg.boxgen)
-        store = TrackStore(cfg.hidden_size, cfg.max_dist, cfg.max_age)
+        store = TrackStore(cfg.temporal.hidden_size, cfg.associate.max_dist, cfg.associate.max_age)
         tracks = store.step(boxes)
         x = np.stack(
             [crop_and_resize(features, b, cfg.attention).tensor.reshape(-1) for b in boxes]
@@ -145,7 +148,7 @@ class TestRunFrame:
                       secondary_dist=a_s[i], track_id=tracks[i].track_id, frame_id=0)
             for i, b in enumerate(boxes)
         ]
-        manual_kept = nms(manual_dets, cfg.nms_iou, cfg.score_floor)
+        manual_kept = nms(manual_dets, cfg.nms.iou_threshold, cfg.nms.score_floor)
 
         assert [d.box for d in result.detections] == [d.box for d in manual_kept]
         np.testing.assert_allclose(
@@ -158,7 +161,7 @@ class TestRunFrame:
         scenes = generate_sequence(SceneConfig(box_count=(4, 4)), frames=5, seed=24)
         payloads = []
         for _ in range(2):
-            pipeline = Pipeline(PipelineConfig(model_seed=9))
+            pipeline = Pipeline(PipelineConfig(temporal=TemporalConfig(model_seed=9)))
             run = []
             for scene in scenes:
                 frame = FrameRecord(
@@ -194,9 +197,54 @@ class TestConfigFile:
         cfg = config_from_mapping(parse_config_file(str(path)))
         assert cfg.boxgen.delta == 0.8
         assert cfg.attention.out_size == 12
-        assert cfg.nms_iou == 0.4
+        assert cfg.nms.iou_threshold == 0.4
         assert cfg.stub.scales == (1, 2)
-        assert cfg.model_seed == 3
+        assert cfg.temporal.model_seed == 3
+
+    def test_derived_keys(self):
+        assert sorted(config_keys()) == sorted([
+            "boxgen.delta",
+            "boxgen.max_filter_window",
+            "boxgen.min_patch_area",
+            "boxgen.max_box_diag",
+            "boxgen.peak_floor",
+            "attention.expand_ratio",
+            "attention.sigma_scale",
+            "attention.out_size",
+            "stub.scales",
+            "stub.local_window",
+            "nms.iou_threshold",
+            "nms.score_floor",
+            "associate.max_dist",
+            "associate.max_age",
+            "temporal.hidden_size",
+            "temporal.model_seed",
+            "wire.address",
+            "pipeline.frame_period_ms",
+        ])
+
+    def test_default_values_round_trip(self):
+        defaults = PipelineConfig()
+        checked = 0
+        for key in config_keys():
+            section, _, attr = key.partition(".")
+            value = getattr(getattr(defaults, section), attr)
+            if value is None:
+                continue
+            text = ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+            cfg = config_from_mapping({key: text})
+            got = getattr(getattr(cfg, section), attr)
+            assert got == value and type(got) is type(value), key
+            assert cfg == defaults, key
+            checked += 1
+        assert checked == 15
+
+    def test_optional_keys_parse_as_their_type(self):
+        cfg = config_from_mapping(
+            {"boxgen.max_box_diag": "30", "temporal.model_seed": "3", "wire.address": "h:9"}
+        )
+        assert (cfg.boxgen.max_box_diag, cfg.temporal.model_seed, cfg.wire.address) == (30.0, 3, "h:9")
+        assert type(cfg.boxgen.max_box_diag) is float and type(cfg.temporal.model_seed) is int
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown config key"):
@@ -223,7 +271,7 @@ class TestBench:
             assert float(p95_ms) >= float(mean_ms) * 0.5
 
     def test_latest_only_can_skip(self):
-        cfg = PipelineConfig(frame_period_ms=0)
+        cfg = PipelineConfig(pipeline=LoopConfig(frame_period_ms=0))
         report = bench_frames(cfg, frames=6, boxes=2, grid=(160, 120), seed=2, warmup=1, latest_only=True)
         # zero-length frame period means every later frame already arrived
         assert report.frames + report.skipped == 6

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from aeropipe.geometry import BBox
+from aeropipe.tensorio import TensorFormatError, load_named_tensors, save_named_tensors
 from aeropipe.temporal import (
     ActionVocabulary,
     ActivityModel,
@@ -386,6 +387,18 @@ class TestModelPersistence:
         path2 = str(tmp_path / "model2.aero")
         save_model(path2, model)
         assert open(path, "rb").read() == open(path2, "rb").read()
+
+    @pytest.mark.parametrize(
+        "name, shape", [("cell.bn_c.gamma", (1,)), ("heads.w_conf", (1, 1)), ("heads.w_primary", (5,))]
+    )
+    def test_load_rejects_a_broadcastable_shape(self, tmp_path, name, shape):
+        path = str(tmp_path / "model.aero")
+        save_model(path, ActivityModel.build(input_size=12, hidden_size=6, seed=13))
+        tensors = load_named_tensors(path)
+        tensors[name] = np.full(shape, 0.5)
+        save_named_tensors(path, tensors)
+        with pytest.raises(TensorFormatError, match=name):
+            load_model(path)
 
     def test_vocabulary_validation(self):
         with pytest.raises(ValueError):

@@ -8,7 +8,7 @@ and the compact operator report protocol.
 """
 
 from .annotations import AnnotationRecord, group_by_frame, read_annotations, write_annotations
-from .attention import AttentionConfig, AttentionMap, CropFeature, attention_map, crop_and_resize, expanded_window
+from .attention import AttentionConfig, AttentionMap, CropFeature, FeatureGrid, attention_map, crop_and_resize, expanded_window
 from .boxgen import BoxGeneratorConfig, CornerCandidates, box_generator, find_peaks, generate_boxes, mask_maps, remove_noise
 from .densemaps import DenseMaps, decode_pixel, encode, load_maps, save_maps
 from .evaluate import Detection, EvalConfig, action_map, evaluate_map, nms

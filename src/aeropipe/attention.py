@@ -85,6 +85,22 @@ def expanded_window(b: BBox, cfg: AttentionConfig) -> CropWindow:
     return CropWindow(x0, y0, m)
 
 
+def _attention_at(b: BBox, cfg: AttentionConfig, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Attention at every (ys[i], xs[j]) frame pixel: 1 in the box, else
+    the Gaussian of the center offset."""
+    cx, cy = center(b)
+    sx = cfg.sigma_scale * b.width
+    sy = cfg.sigma_scale * b.height
+    q = ((xs - cx) / sx)[None, :] ** 2 + ((ys - cy) / sy)[:, None] ** 2
+    values = np.exp(-0.5 * q)
+    inside = (
+        ((xs >= b.x0) & (xs <= b.x1))[None, :]
+        & ((ys >= b.y0) & (ys <= b.y1))[:, None]
+    )
+    values[inside] = 1.0
+    return values
+
+
 def attention_map(b: BBox, cfg: AttentionConfig) -> AttentionMap:
     """Exact-interior Gaussian attention over the expanded window.
 
@@ -93,66 +109,93 @@ def attention_map(b: BBox, cfg: AttentionConfig) -> AttentionMap:
     sigma_scale * width and sigma_scale * height.
     """
     win = expanded_window(b, cfg)
-    cx, cy = center(b)
-    sx = cfg.sigma_scale * b.width
-    sy = cfg.sigma_scale * b.height
     xs = np.arange(win.x0, win.x0 + win.size, dtype=np.float64)
     ys = np.arange(win.y0, win.y0 + win.size, dtype=np.float64)
-    q = ((xs - cx) / sx)[None, :] ** 2 + ((ys - cy) / sy)[:, None] ** 2
-    values = np.exp(-0.5 * q)
-    inside = (
-        ((xs >= b.x0) & (xs <= b.x1))[None, :]
-        & ((ys >= b.y0) & (ys <= b.y1))[:, None]
-    )
-    values[inside] = 1.0
     return AttentionMap(
-        values=values,
+        values=_attention_at(b, cfg, xs, ys),
         window=win,
         box_window=(b.x0 - win.x0, b.y0 - win.y0, b.x1 - win.x0, b.y1 - win.y0),
     )
 
 
-def _extract_window(features: np.ndarray, win: CropWindow) -> np.ndarray:
-    """Copy the window from a (C, H, W) grid, zero-filling beyond the frame."""
-    channels, height, width = features.shape
-    out = np.zeros((channels, win.size, win.size), dtype=np.float64)
-    x_lo, x_hi = max(win.x0, 0), min(win.x0 + win.size, width)
-    y_lo, y_hi = max(win.y0, 0), min(win.y0 + win.size, height)
-    if x_lo < x_hi and y_lo < y_hi:
-        out[:, y_lo - win.y0 : y_hi - win.y0, x_lo - win.x0 : x_hi - win.x0] = features[
-            :, y_lo:y_hi, x_lo:x_hi
-        ]
-    return out
+@dataclass
+class FeatureGrid:
+    """Feature channels of an (H, W) frame, each kept at its own scale.
 
+    ``levels`` holds (scale, array) pairs with array of shape
+    (C, ceil(H / scale), ceil(W / scale)); channel c of a level at frame
+    pixel (y, x) is ``array[c, y // scale, x // scale]``. Crops read the
+    levels directly, so no frame-size tensor is built per scale;
+    ``np.asarray`` gives the dense (depth, H, W) tensor.
+    """
 
-def _resize_square(stack: np.ndarray, out_size: int) -> np.ndarray:
-    """Bilinear (C, M, M) -> (C, out, out) with half-pixel-center sampling."""
-    m = stack.shape[-1]
-    if m == out_size:
-        return stack.copy()
-    src = (np.arange(out_size, dtype=np.float64) + 0.5) * (m / out_size) - 0.5
-    src = np.clip(src, 0.0, m - 1.0)
-    lo = np.floor(src).astype(int)
-    hi = np.minimum(lo + 1, m - 1)
-    frac = src - lo
-    rows = stack[:, lo, :] * (1.0 - frac)[None, :, None] + stack[:, hi, :] * frac[None, :, None]
-    return rows[:, :, lo] * (1.0 - frac)[None, None, :] + rows[:, :, hi] * frac[None, None, :]
+    shape: tuple[int, int]
+    levels: list[tuple[int, np.ndarray]]
+
+    @property
+    def depth(self) -> int:
+        return sum(len(array) for _, array in self.levels)
+
+    @property
+    def nbytes(self) -> int:
+        return sum(array.nbytes for _, array in self.levels)
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        height, width = self.shape
+        dense = np.concatenate([
+            np.repeat(np.repeat(array, scale, axis=1), scale, axis=2)[:, :height, :width]
+            for scale, array in self.levels
+        ])
+        return dense if dtype is None else dense.astype(dtype, copy=False)
 
 
 def crop_and_resize(
-    features: np.ndarray, b: BBox, cfg: AttentionConfig, frame_index: int = -1
+    features: FeatureGrid | np.ndarray, b: BBox, cfg: AttentionConfig, frame_index: int = -1
 ) -> CropFeature:
-    """Expanded-window crop of the feature grid with its attention channel.
+    """Expanded-window crop of the features with its attention channel.
 
-    The window is cut from the (D, H, W) grid with zero fill outside the
-    frame, resized square-to-square to out_size, and the equally resized
-    attention map is appended as channel D + 1.
+    The M x M window is resized square-to-square to out_size by bilinear
+    sampling at half-pixel centers, with zero features outside the frame,
+    and the equally resized attention map is appended as channel D + 1.
+    Only the window rows and columns that the resize reads are gathered
+    from each level, and attention is evaluated only there. A dense
+    (D, H, W) array is read as one scale-1 level.
     """
-    attn = attention_map(b, cfg)
-    window = _extract_window(np.asarray(features, dtype=np.float64), attn.window)
-    stack = np.concatenate([window, attn.values[None, :, :]], axis=0)
-    resized = _resize_square(stack, cfg.out_size)
-    return CropFeature(tensor=resized, source_box=b, frame_index=frame_index)
+    if not isinstance(features, FeatureGrid):
+        dense = np.asarray(features, dtype=np.float64)
+        features = FeatureGrid(dense.shape[1:], [(1, dense)])
+    height, width = features.shape
+    win = expanded_window(b, cfg)
+    m, n = win.size, cfg.out_size
+    if m == n:
+        taps = np.arange(m)
+    else:
+        src = np.minimum(np.maximum((np.arange(n) + 0.5) * (m / n) - 0.5, 0.0), m - 1.0)
+        lo = src.astype(int)
+        frac = src - lo
+        taps = np.concatenate([lo, np.minimum(lo + 1, m - 1)])
+    ys = win.y0 + taps
+    xs = win.x0 + taps
+    iy = np.minimum(np.maximum(ys, 0), height - 1)
+    ix = np.minimum(np.maximum(xs, 0), width - 1)
+    stack = np.empty((features.depth + 1, len(taps), len(taps)))
+    c = 0
+    for scale, array in features.levels:
+        flat = (iy // scale * array.shape[2])[:, None] + ix // scale
+        k = len(array)
+        # The indices are in range; mode "clip" lets take write into out
+        # without an intermediate buffer.
+        np.take(array.reshape(k, -1), flat, axis=1, out=stack[c : c + k], mode="clip")
+        c += k
+    if win.y0 < 0 or win.y1 >= height:
+        stack[:c, (ys < 0) | (ys >= height), :] = 0.0
+    if win.x0 < 0 or win.x1 >= width:
+        stack[:c, :, (xs < 0) | (xs >= width)] = 0.0
+    stack[c] = _attention_at(b, cfg, xs, ys)
+    if m != n:
+        rows = stack[:, :n, :] * (1.0 - frac)[None, :, None] + stack[:, n:, :] * frac[None, :, None]
+        stack = rows[:, :, :n] * (1.0 - frac)[None, None, :] + rows[:, :, n:] * frac[None, None, :]
+    return CropFeature(tensor=stack, source_box=b, frame_index=frame_index)
 
 
 def write_pgm(path: str, values: np.ndarray) -> None:

@@ -161,10 +161,11 @@ def load_maps(path: str) -> DenseMaps:
     if tensor.ndim != 3 or tensor.shape[0] != 3:
         raise tensorio.TensorFormatError(f"expected dims (3, W, H), got {tensor.shape}")
     _, width, height = tensor.shape
-    grids = tensor.transpose(0, 2, 1).astype(np.float64)
     return DenseMaps(
-        seg=np.ascontiguousarray(grids[SEG_CHANNEL]),
-        reg=np.ascontiguousarray(grids[[REG0_CHANNEL, REG1_CHANNEL]]),
+        seg=np.ascontiguousarray(tensor[SEG_CHANNEL].T, dtype=np.float64),
+        reg=np.ascontiguousarray(
+            tensor[REG0_CHANNEL : REG1_CHANNEL + 1].transpose(0, 2, 1), dtype=np.float64
+        ),
         width=width,
         height=height,
     )

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import ndimage
 
-from .attention import AttentionConfig, crop_and_resize
+from .attention import AttentionConfig, FeatureGrid, crop_and_resize
 from .boxgen import BoxGeneratorConfig, box_generator
 from .densemaps import DenseMaps
 from .evaluate import Detection, nms
@@ -188,38 +188,35 @@ def _downsample(frame: np.ndarray, factor: int) -> np.ndarray:
     h, w = frame.shape
     pad_h = (-h) % factor
     pad_w = (-w) % factor
-    padded = np.pad(frame, ((0, pad_h), (0, pad_w)), mode="edge")
-    return padded.reshape(
+    # np.pad returns a copy; without padding a C-ordered frame already has
+    # the copy's layout, so the block means sum in the same order.
+    if pad_h or pad_w or not frame.flags.c_contiguous:
+        frame = np.pad(frame, ((0, pad_h), (0, pad_w)), mode="edge")
+    return frame.reshape(
         (h + pad_h) // factor, factor, (w + pad_w) // factor, factor
     ).mean(axis=(1, 3))
 
 
-def _upsample(grid: np.ndarray, factor: int, shape: tuple[int, int]) -> np.ndarray:
-    if factor == 1:
-        return grid
-    full = np.repeat(np.repeat(grid, factor, axis=0), factor, axis=1)
-    return full[: shape[0], : shape[1]]
+def feature_stub(intensity: np.ndarray, cfg: StubConfig) -> FeatureGrid:
+    """Deterministic multiscale features from a grayscale frame.
 
-
-def feature_stub(intensity: np.ndarray, cfg: StubConfig) -> np.ndarray:
-    """Deterministic (D, H, W) dense features from a grayscale frame.
-
-    Per scale: the block-averaged intensity upsampled back to frame size,
-    its local mean, and its local variance (window `local_window` at the
-    downsampled resolution, nearest-edge handling).
+    Per scale, one level at the downsampled resolution holding the
+    block-averaged intensity, its local mean and its local variance
+    (window `local_window`, nearest-edge handling). Levels are not
+    upsampled; crops read them through `crop_and_resize`.
     """
     frame = np.asarray(intensity, dtype=np.float64)
-    shape = frame.shape
-    channels: list[np.ndarray] = []
+    levels = []
     for scale in cfg.scales:
         down = _downsample(frame, scale)
-        mean = ndimage.uniform_filter(down, size=cfg.local_window, mode="nearest")
-        sq_mean = ndimage.uniform_filter(down * down, size=cfg.local_window, mode="nearest")
-        var = np.clip(sq_mean - mean * mean, 0.0, None)
-        channels.append(_upsample(down, scale, shape))
-        channels.append(_upsample(mean, scale, shape))
-        channels.append(_upsample(var, scale, shape))
-    return np.stack(channels)
+        level = np.empty((3, *down.shape))
+        level[0] = down
+        ndimage.uniform_filter(down, size=cfg.local_window, mode="nearest", output=level[1])
+        ndimage.uniform_filter(down * down, size=cfg.local_window, mode="nearest", output=level[2])
+        level[2] -= level[1] * level[1]
+        np.clip(level[2], 0.0, None, out=level[2])
+        levels.append((scale, level))
+    return FeatureGrid(frame.shape, levels)
 
 
 @dataclass

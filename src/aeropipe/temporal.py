@@ -613,11 +613,21 @@ def load_model(path: str, vocab: ActionVocabulary | None = None) -> ActivityMode
         return tensors[name].shape
 
     input_size, four_h = shape("cell.w_xh", 2)
+    hidden = four_h // 4
+    # Check the records that grow with the hidden size before building, so
+    # a small file cannot ask for a large model.
+    for name in ("cell.w_hh", "heads.w_primary", "heads.w_secondary", "heads.w_conf"):
+        rows, cols = shape(name, 2)
+        if hidden < 1 or rows != hidden or name == "cell.w_hh" and cols != 4 * hidden:
+            raise tensorio.TensorFormatError(
+                f"{path}: {name!r} has shape {(rows, cols)}, which does not fit "
+                f"'cell.w_xh' {tensors['cell.w_xh'].shape}"
+            )
     vocab = vocab or ActionVocabulary(
         primary_labels=tuple(f"p{i}" for i in range(shape("heads.w_primary", 2)[1])),
         secondary_labels=tuple(f"s{i}" for i in range(shape("heads.w_secondary", 2)[1])),
     )
-    model = ActivityModel.build(input_size, four_h // 4, vocab)
+    model = ActivityModel.build(input_size, hidden, vocab)
     for name, array in _parameters(model).items():
         if shape(name, array.ndim) != array.shape:
             raise tensorio.TensorFormatError(

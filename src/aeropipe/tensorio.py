@@ -68,8 +68,11 @@ def _read_record(fh: BinaryIO) -> np.ndarray:
     fh.seek(here)
     if size > left:
         raise TensorFormatError(f"truncated tensor file: dims {dims} need {size} bytes, {left} left")
-    raw = _read_exact(fh, size)
-    return np.frombuffer(raw, dtype=dtype).reshape(dims).copy()
+    array = np.empty(dims, dtype=dtype)
+    got = fh.readinto(array)
+    if got != size:
+        raise TensorFormatError(f"truncated tensor file: wanted {size} bytes, got {got}")
+    return array
 
 
 def _check_header(fh: BinaryIO) -> None:

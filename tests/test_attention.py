@@ -2,15 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import ndimage
 
 from aeropipe.attention import (
     AttentionConfig,
+    CropFeature,
+    CropWindow,
     attention_map,
     crop_and_resize,
     expanded_window,
     write_pgm,
 )
 from aeropipe.geometry import BBox, center
+from aeropipe.pipeline import StubConfig, feature_stub
 
 
 def _scalar_attention(box, cfg, ix, iy):
@@ -191,6 +197,179 @@ class TestCropAndResize:
         for box in (BBox(5, 5, 45, 12), BBox(5, 5, 12, 45), BBox(20, 20, 24, 24)):
             crop = crop_and_resize(features, box, AttentionConfig(out_size=16))
             assert crop.tensor.shape == (2, 16, 16)
+
+
+# ---------------------------------------------------------------------------
+# Reference: the dense-tensor stub and crop path, kept verbatim. The stub
+# upsampled every scale to a (D, H, W) tensor; crops copied the whole
+# expanded window and resized it.
+# ---------------------------------------------------------------------------
+
+
+def _downsample_reference(frame: np.ndarray, factor: int) -> np.ndarray:
+    """Block-average by `factor`, edge-padding to a multiple first."""
+    if factor == 1:
+        return frame
+    h, w = frame.shape
+    pad_h = (-h) % factor
+    pad_w = (-w) % factor
+    padded = np.pad(frame, ((0, pad_h), (0, pad_w)), mode="edge")
+    return padded.reshape(
+        (h + pad_h) // factor, factor, (w + pad_w) // factor, factor
+    ).mean(axis=(1, 3))
+
+
+def _upsample_reference(grid: np.ndarray, factor: int, shape: tuple[int, int]) -> np.ndarray:
+    if factor == 1:
+        return grid
+    full = np.repeat(np.repeat(grid, factor, axis=0), factor, axis=1)
+    return full[: shape[0], : shape[1]]
+
+
+def _feature_stub_reference(intensity: np.ndarray, cfg: StubConfig) -> np.ndarray:
+    """Deterministic (D, H, W) dense features from a grayscale frame.
+
+    Per scale: the block-averaged intensity upsampled back to frame size,
+    its local mean, and its local variance (window `local_window` at the
+    downsampled resolution, nearest-edge handling).
+    """
+    frame = np.asarray(intensity, dtype=np.float64)
+    shape = frame.shape
+    channels: list[np.ndarray] = []
+    for scale in cfg.scales:
+        down = _downsample_reference(frame, scale)
+        mean = ndimage.uniform_filter(down, size=cfg.local_window, mode="nearest")
+        sq_mean = ndimage.uniform_filter(down * down, size=cfg.local_window, mode="nearest")
+        var = np.clip(sq_mean - mean * mean, 0.0, None)
+        channels.append(_upsample_reference(down, scale, shape))
+        channels.append(_upsample_reference(mean, scale, shape))
+        channels.append(_upsample_reference(var, scale, shape))
+    return np.stack(channels)
+
+
+def _extract_window_reference(features: np.ndarray, win: CropWindow) -> np.ndarray:
+    """Copy the window from a (C, H, W) grid, zero-filling beyond the frame."""
+    channels, height, width = features.shape
+    out = np.zeros((channels, win.size, win.size), dtype=np.float64)
+    x_lo, x_hi = max(win.x0, 0), min(win.x0 + win.size, width)
+    y_lo, y_hi = max(win.y0, 0), min(win.y0 + win.size, height)
+    if x_lo < x_hi and y_lo < y_hi:
+        out[:, y_lo - win.y0 : y_hi - win.y0, x_lo - win.x0 : x_hi - win.x0] = features[
+            :, y_lo:y_hi, x_lo:x_hi
+        ]
+    return out
+
+
+def _resize_square_reference(stack: np.ndarray, out_size: int) -> np.ndarray:
+    """Bilinear (C, M, M) -> (C, out, out) with half-pixel-center sampling."""
+    m = stack.shape[-1]
+    if m == out_size:
+        return stack.copy()
+    src = (np.arange(out_size, dtype=np.float64) + 0.5) * (m / out_size) - 0.5
+    src = np.clip(src, 0.0, m - 1.0)
+    lo = np.floor(src).astype(int)
+    hi = np.minimum(lo + 1, m - 1)
+    frac = src - lo
+    rows = stack[:, lo, :] * (1.0 - frac)[None, :, None] + stack[:, hi, :] * frac[None, :, None]
+    return rows[:, :, lo] * (1.0 - frac)[None, None, :] + rows[:, :, hi] * frac[None, None, :]
+
+
+def _crop_and_resize_reference(
+    features: np.ndarray, b: BBox, cfg: AttentionConfig, frame_index: int = -1
+) -> CropFeature:
+    """Expanded-window crop of the feature grid with its attention channel.
+
+    The window is cut from the (D, H, W) grid with zero fill outside the
+    frame, resized square-to-square to out_size, and the equally resized
+    attention map is appended as channel D + 1.
+    """
+    attn = attention_map(b, cfg)
+    window = _extract_window_reference(np.asarray(features, dtype=np.float64), attn.window)
+    stack = np.concatenate([window, attn.values[None, :, :]], axis=0)
+    resized = _resize_square_reference(stack, cfg.out_size)
+    return CropFeature(tensor=resized, source_box=b, frame_index=frame_index)
+
+
+# Frames from 1x1 up, with sides below the largest scales, in C order, in
+# Fortran order or as a strided view, with continuous values or plateaus
+# (where the local variance rounds below zero); scale sets with repeats and
+# values >= 8.
+_FRAMES = st.tuples(
+    st.integers(1, 40),
+    st.integers(1, 40),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["C", "F", "strided"]),
+    st.booleans(),
+)
+_STUBS = st.builds(
+    StubConfig,
+    scales=st.lists(st.integers(1, 12), min_size=1, max_size=4).map(tuple),
+    local_window=st.integers(1, 5),
+)
+
+
+def _frame(h: int, w: int, seed: int, layout: str, plateaus: bool) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    values = rng.integers(0, 4, size=(h, w)) * 0.1 if plateaus else rng.random((h, w))
+    if layout == "F":
+        return np.asfortranarray(values)
+    if layout == "strided":
+        return np.asfortranarray(np.repeat(values, 2, axis=0))[::2]
+    return values
+
+
+@st.composite
+def _crops(draw):
+    """A box anywhere from wholly inside to wholly outside a frame of up to
+    40 px, and an attention config; a quarter of them resize M to M."""
+    w, h = draw(st.integers(2, 40)), draw(st.integers(2, 40))
+    x0, y0 = draw(st.integers(-50, 45)), draw(st.integers(-50, 45))
+    box = BBox(x0, y0, x0 + w, y0 + h)
+    if draw(st.integers(0, 3)) == 0:
+        cfg = AttentionConfig(expand_ratio=1.0, out_size=max(4, w, h))
+    else:
+        cfg = AttentionConfig(
+            expand_ratio=draw(st.floats(1.0, 2.5)),
+            sigma_scale=draw(st.floats(0.1, 2.0)),
+            out_size=draw(st.integers(4, 24)),
+        )
+    return box, cfg
+
+
+class TestAgainstDenseReference:
+    @settings(max_examples=300, deadline=None)
+    @given(_FRAMES, _STUBS)
+    def test_dense_stub_is_the_reference_stub(self, frame_spec, cfg):
+        frame = _frame(*frame_spec)
+        grid = feature_stub(frame, cfg)
+        reference = _feature_stub_reference(frame, cfg)
+        assert grid.depth == len(reference) == cfg.depth
+        assert np.array_equal(np.asarray(grid), reference)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_FRAMES, _STUBS, st.lists(_crops(), min_size=1, max_size=3))
+    def test_crops_equal_the_reference_crops(self, frame_spec, cfg, crops):
+        frame = _frame(*frame_spec)
+        grid = feature_stub(frame, cfg)
+        dense = _feature_stub_reference(frame, cfg)
+        for box, attention in crops:
+            reference = _crop_and_resize_reference(dense, box, attention).tensor
+            assert reference.shape == (cfg.depth + 1, attention.out_size, attention.out_size)
+            assert np.array_equal(crop_and_resize(grid, box, attention).tensor, reference)
+            assert np.array_equal(crop_and_resize(dense, box, attention).tensor, reference)
+
+
+def test_crops_equal_the_reference_crops_at_every_offset():
+    """Windows slid one pixel at a time across the frame and past each edge."""
+    frame = np.random.default_rng(8).random((21, 26))
+    cfg = StubConfig(scales=(1, 2, 4, 8))
+    grid, dense = feature_stub(frame, cfg), _feature_stub_reference(frame, cfg)
+    attention = AttentionConfig(out_size=8)
+    for y0 in range(-14, 30):
+        for x0 in range(-14, 35):
+            box = BBox(x0, y0, x0 + 9, y0 + 6)
+            reference = _crop_and_resize_reference(dense, box, attention).tensor
+            assert np.array_equal(crop_and_resize(grid, box, attention).tensor, reference)
 
 
 def test_write_pgm(tmp_path):

@@ -1,7 +1,23 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from aeropipe.densemaps import decode_pixel, encode, load_maps, save_maps, zero_maps
+from aeropipe import tensorio
+from aeropipe.densemaps import (
+    REG0_CHANNEL,
+    REG1_CHANNEL,
+    SEG_CHANNEL,
+    DenseMaps,
+    decode_pixel,
+    encode,
+    load_maps,
+    save_maps,
+    zero_maps,
+)
 from aeropipe.geometry import BBox
 
 
@@ -181,6 +197,50 @@ class TestMapsFile:
         tensorio.save_tensor(path, np.zeros((2, 4, 4), dtype=np.float32))
         with pytest.raises(tensorio.TensorFormatError):
             load_maps(path)
+
+
+def _load_tensor_reference(path: str) -> np.ndarray:
+    """A well-formed single-tensor file decoded from its bytes in one piece."""
+    raw = open(path, "rb").read()
+    tag, rank = raw[5], raw[6]
+    dims = struct.unpack_from(f"<{rank}I", raw, 7)
+    dtype = np.dtype("<f4") if tag == 0 else np.dtype("<f8")
+    return np.frombuffer(raw, dtype=dtype, offset=7 + 4 * rank).reshape(dims).copy()
+
+
+def _load_maps_reference(path: str) -> DenseMaps:
+    """The loader that converted all three channels, then copied again."""
+    tensor = _load_tensor_reference(path)
+    if tensor.ndim != 3 or tensor.shape[0] != 3:
+        raise tensorio.TensorFormatError(f"expected dims (3, W, H), got {tensor.shape}")
+    _, width, height = tensor.shape
+    grids = tensor.transpose(0, 2, 1).astype(np.float64)
+    return DenseMaps(
+        seg=np.ascontiguousarray(grids[SEG_CHANNEL]),
+        reg=np.ascontiguousarray(grids[[REG0_CHANNEL, REG1_CHANNEL]]),
+        width=width,
+        height=height,
+    )
+
+
+@st.composite
+def _map_tensors(draw):
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    shape = (3, draw(st.integers(1, 12)), draw(st.integers(1, 12)))
+    return draw(hnp.arrays(dtype, shape, elements=st.floats(width=np.dtype(dtype).itemsize * 8)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_map_tensors())
+def test_load_maps_equals_reference_loader(tmp_path_factory, tensor):
+    path = str(tmp_path_factory.getbasetemp() / "generated_maps.aero")
+    tensorio.save_tensor(path, tensor)
+    maps, reference = load_maps(path), _load_maps_reference(path)
+    assert (maps.width, maps.height) == (reference.width, reference.height)
+    for got, want in ((maps.seg, reference.seg), (maps.reg, reference.reg)):
+        assert got.dtype == want.dtype == np.float64 and got.shape == want.shape
+        assert got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
 
 
 def test_validate_rejects_mask_breach():

@@ -61,7 +61,7 @@ def _stub_reference(frame, scales, window):
 class TestFeatureStub:
     def test_constant_frame(self):
         frame = np.full((24, 32), 0.4)
-        features = feature_stub(frame, StubConfig())
+        features = np.asarray(feature_stub(frame, StubConfig()))
         assert features.shape == (9, 24, 32)
         for k in range(0, 9, 3):
             np.testing.assert_allclose(features[k], 0.4, atol=1e-12)      # intensity
@@ -71,7 +71,7 @@ class TestFeatureStub:
     def test_scale_one_intensity_is_input(self):
         rng = np.random.default_rng(0)
         frame = rng.random((20, 28))
-        features = feature_stub(frame, StubConfig())
+        features = np.asarray(feature_stub(frame, StubConfig()))
         np.testing.assert_array_equal(features[0], frame)
 
     def test_matches_scalar_reference(self):

@@ -400,6 +400,27 @@ class TestModelPersistence:
         with pytest.raises(TensorFormatError, match=name):
             load_model(path)
 
+    def test_load_checks_shapes_before_building(self, tmp_path, monkeypatch):
+        # cell.w_xh (3, 8) means hidden size 2, so cell.w_hh must be (2, 8).
+        path = str(tmp_path / "model.aero")
+        save_named_tensors(
+            path,
+            {
+                "cell.w_xh": np.zeros((3, 8)),
+                "cell.w_hh": np.zeros((5, 5)),
+                "heads.w_primary": np.zeros((2, 3)),
+                "heads.w_secondary": np.zeros((2, 2)),
+                "heads.w_conf": np.zeros((2, 1)),
+            },
+        )
+
+        def build(*args, **kwargs):
+            pytest.fail("the model was built before its shapes were checked")
+
+        monkeypatch.setattr(ActivityModel, "build", build)
+        with pytest.raises(TensorFormatError, match="cell.w_hh"):
+            load_model(path)
+
     def test_vocabulary_validation(self):
         with pytest.raises(ValueError):
             ActionVocabulary(primary_labels=("only",), secondary_labels=("a", "b"))

@@ -9,7 +9,7 @@ on the box itself and decays as an unnormalized Gaussian outside.
 
 import numpy as np
 
-from aeropipe import AttentionConfig, BBox, attention_map, crop_and_resize, expanded_window
+from aeropipe import AttentionConfig, BBox, FeatureGrid, attention_map, crop_and_resize, expanded_window
 from aeropipe.attention import write_pgm
 
 box = BBox(20, 14, 40, 30)  # 20 x 16 detection
@@ -27,9 +27,9 @@ print("corner of the expanded window:", round(float(attn.values[0, 0]), 4))
 write_pgm("attention.pgm", attn.values)
 print("wrote attention.pgm (portable graymap, white = weight 1)")
 
-# a crop from a synthetic feature grid: 3 channels + 1 attention channel
+# a crop from a synthetic one-level, scale-1 feature grid: 3 channels + 1 attention channel
 rng = np.random.default_rng(0)
-features = rng.random((3, 64, 96))
+features = FeatureGrid((64, 96), [(1, rng.random((3, 64, 96)))])
 crop = crop_and_resize(features, box, cfg)
 print("crop tensor shape:", crop.tensor.shape, "(3 feature channels + attention)")
 print("attention channel range:",

@@ -72,8 +72,6 @@ class CropFeature:
     """Fixed-size per-detection tensor: D feature channels + 1 attention."""
 
     tensor: np.ndarray
-    source_box: BBox
-    frame_index: int = -1
 
 
 def expanded_window(b: BBox, cfg: AttentionConfig) -> CropWindow:
@@ -125,8 +123,7 @@ class FeatureGrid:
     ``levels`` holds (scale, array) pairs with array of shape
     (C, ceil(H / scale), ceil(W / scale)); channel c of a level at frame
     pixel (y, x) is ``array[c, y // scale, x // scale]``. Crops read the
-    levels directly, so no frame-size tensor is built per scale;
-    ``np.asarray`` gives the dense (depth, H, W) tensor.
+    levels directly, so no frame-size tensor is built per scale.
     """
 
     shape: tuple[int, int]
@@ -140,30 +137,16 @@ class FeatureGrid:
     def nbytes(self) -> int:
         return sum(array.nbytes for _, array in self.levels)
 
-    def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        height, width = self.shape
-        dense = np.concatenate([
-            np.repeat(np.repeat(array, scale, axis=1), scale, axis=2)[:, :height, :width]
-            for scale, array in self.levels
-        ])
-        return dense if dtype is None else dense.astype(dtype, copy=False)
 
-
-def crop_and_resize(
-    features: FeatureGrid | np.ndarray, b: BBox, cfg: AttentionConfig, frame_index: int = -1
-) -> CropFeature:
+def crop_and_resize(features: FeatureGrid, b: BBox, cfg: AttentionConfig) -> CropFeature:
     """Expanded-window crop of the features with its attention channel.
 
     The M x M window is resized square-to-square to out_size by bilinear
     sampling at half-pixel centers, with zero features outside the frame,
     and the equally resized attention map is appended as channel D + 1.
     Only the window rows and columns that the resize reads are gathered
-    from each level, and attention is evaluated only there. A dense
-    (D, H, W) array is read as one scale-1 level.
+    from each level, and attention is evaluated only there.
     """
-    if not isinstance(features, FeatureGrid):
-        dense = np.asarray(features, dtype=np.float64)
-        features = FeatureGrid(dense.shape[1:], [(1, dense)])
     height, width = features.shape
     win = expanded_window(b, cfg)
     m, n = win.size, cfg.out_size
@@ -195,7 +178,7 @@ def crop_and_resize(
     if m != n:
         rows = stack[:, :n, :] * (1.0 - frac)[None, :, None] + stack[:, n:, :] * frac[None, :, None]
         stack = rows[:, :, :n] * (1.0 - frac)[None, None, :] + rows[:, :, n:] * frac[None, None, :]
-    return CropFeature(tensor=stack, source_box=b, frame_index=frame_index)
+    return CropFeature(stack)
 
 
 def write_pgm(path: str, values: np.ndarray) -> None:

@@ -24,7 +24,7 @@ from . import synth, tensorio, wire
 from .annotations import AnnotationRecord, group_by_frame, read_annotations, write_annotations
 from .boxgen import box_generator
 from .densemaps import encode, load_maps, save_maps
-from .evaluate import EvalConfig, action_map, detections_to_records, evaluate_map, records_to_detections
+from .evaluate import EvalConfig, action_map, detections_to_records, evaluate_map
 from .pipeline import (
     FrameRecord,
     Pipeline,
@@ -194,10 +194,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     cfg = EvalConfig(iou_threshold=args.iou if args.iou is not None else 0.5)
     gt = group_by_frame(read_annotations(args.gt))
     pred_records = read_annotations(args.pred)
-    preds = {
-        fid: records_to_detections(rows)
-        for fid, rows in group_by_frame(pred_records).items()
-    }
+    preds = group_by_frame(pred_records)
     ap, curve = evaluate_map(preds, gt, cfg)
     print(f"ap={ap:.6f}")
     has_actions = any(r.primary_action >= 0 for r in pred_records)
@@ -322,12 +319,17 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="aeropipe", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: _Parser) -> None:
-        p.add_argument("--config", help="flat key-value config file (section.key = value)")
-        p.add_argument("--seed", type=int, default=0, help="pseudorandom seed")
-        p.add_argument("--delta", type=float, help="override decode delta fraction")
-        p.add_argument("--iou", type=float, help="override IoU threshold")
-        p.add_argument("--addr", help="host:port wire endpoint")
+    shared = {
+        "--config": {"help": "flat key-value config file (section.key = value)"},
+        "--seed": {"type": int, "default": 0, "help": "pseudorandom seed"},
+        "--delta": {"type": float, "help": "override decode delta fraction"},
+        "--iou": {"type": float, "help": "override IoU threshold"},
+        "--addr": {"help": "host:port wire endpoint"},
+    }
+
+    def common(p: _Parser, *flags: str) -> None:
+        for flag in flags:
+            p.add_argument(flag, **shared[flag])
 
     p = sub.add_parser("encode", help="rasterize annotations into map tensors")
     p.add_argument("--ann", required=True)
@@ -336,14 +338,14 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_encode)
 
     p = sub.add_parser("detect", help="decode boxes from map tensors")
-    common(p)
+    common(p, "--config", "--delta")
     p.add_argument("--maps", required=True, help=".aero file or directory of frame_*.aero")
     p.add_argument("--frame-id", type=int, help="frame id for single-file input")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_detect)
 
     p = sub.add_parser("synth", help="generate synthetic fixtures")
-    p.add_argument("--seed", type=int, default=0, help="pseudorandom seed")
+    common(p, "--seed")
     p.add_argument("--kind", choices=("scene", "sequence", "crops"), default="sequence")
     p.add_argument("--frames", type=int, default=10)
     p.add_argument("--noise", type=float, default=0.0, help="regression noise amplitude")
@@ -351,7 +353,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("pipeline", help="run the full per-frame loop on a manifest")
-    common(p)
+    common(p, "--config", "--delta", "--iou", "--addr")
     p.add_argument("--manifest", required=True)
     p.add_argument("--model", help="trained model parameter file")
     p.add_argument("--out", required=True, help="output directory")
@@ -372,7 +374,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("bench", help="per-stage latency statistics")
-    common(p)
+    common(p, "--config", "--seed", "--delta", "--iou")
     p.add_argument("--frames", type=int, default=100)
     p.add_argument("--boxes", type=int, default=10)
     p.add_argument("--latest-only", action="store_true", help="drop frames that arrive mid-processing")

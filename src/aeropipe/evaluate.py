@@ -38,6 +38,10 @@ class Detection:
         return int(np.argmax(self.secondary_dist))
 
 
+# What scoring reads: box, confidence and the two actions.
+Prediction = AnnotationRecord | Detection
+
+
 @dataclass
 class EvalConfig:
     iou_threshold: float = 0.5
@@ -66,9 +70,7 @@ def nms(detections: list[Detection], iou_threshold: float, score_floor: float = 
 def _interpolated_ap(recall: np.ndarray, precision: np.ndarray) -> float:
     """Area under the all-point-interpolated precision envelope."""
     r = np.concatenate([[0.0], recall, [1.0]])
-    p = np.concatenate([[0.0], precision, [0.0]])
-    for i in range(len(p) - 2, -1, -1):
-        p[i] = max(p[i], p[i + 1])
+    p = np.maximum.accumulate(np.concatenate([[0.0], precision, [0.0]])[::-1])[::-1]
     steps = np.nonzero(r[1:] != r[:-1])[0]
     return float(((r[steps + 1] - r[steps]) * p[steps + 1]).sum())
 
@@ -86,7 +88,7 @@ class PrCurve:
 
 
 def _match_predictions(
-    predictions: dict[int, list[Detection]],
+    predictions: dict[int, list[Prediction]],
     ground_truth: dict[int, list[AnnotationRecord]],
     iou_threshold: float,
     label: str | None = None,
@@ -104,7 +106,7 @@ def _match_predictions(
         gts[fid] = rows
         total_gt += len(rows)
 
-    flat: list[tuple[float, int, int, Detection]] = []
+    flat: list[tuple[float, int, int, Prediction]] = []
     for fid, dets in predictions.items():
         for k, det in enumerate(dets):
             if label is not None and getattr(det, label) != wanted:
@@ -145,7 +147,7 @@ def _ap_from_flags(tp: np.ndarray, total_gt: int) -> tuple[float, PrCurve]:
 
 
 def evaluate_map(
-    predictions: dict[int, list[Detection]],
+    predictions: dict[int, list[Prediction]],
     ground_truth: dict[int, list[AnnotationRecord]],
     cfg: EvalConfig | None = None,
 ) -> tuple[float, PrCurve]:
@@ -156,16 +158,17 @@ def evaluate_map(
 
 
 def action_map(
-    predictions: dict[int, list[Detection]],
+    predictions: dict[int, list[Prediction]],
     ground_truth: dict[int, list[AnnotationRecord]],
     cfg: EvalConfig | None = None,
 ) -> tuple[float, float]:
     """Per-action AP for the two vocabularies.
 
-    A prediction is a true positive for class c only when its argmax action
-    is c, the matched ground truth carries label c, and the boxes overlap at
-    the IoU threshold. Classes absent from the ground truth are skipped in
-    the macro average.
+    A prediction is a true positive for class c only when its action is c,
+    the matched ground truth carries label c, and the boxes overlap at the
+    IoU threshold. A prediction whose action is -1 (unknown) counts for no
+    labelled class. Classes absent from the ground truth are skipped in the
+    macro average.
     """
     cfg = cfg or EvalConfig()
     aps: dict[str, float] = {}
@@ -195,20 +198,3 @@ def detections_to_records(detections: list[Detection]) -> list[AnnotationRecord]
         )
         for d in detections
     ]
-
-
-def records_to_detections(records: list[AnnotationRecord]) -> list[Detection]:
-    out = []
-    for r in records:
-        det = Detection(
-            box=r.box,
-            confidence=r.confidence,
-            track_id=r.track_id,
-            frame_id=r.frame_id,
-        )
-        if r.primary_action >= 0:
-            det.primary_dist = np.eye(max(r.primary_action + 1, 2))[r.primary_action]
-        if r.secondary_action >= 0:
-            det.secondary_dist = np.eye(max(r.secondary_action + 1, 2))[r.secondary_action]
-        out.append(det)
-    return out

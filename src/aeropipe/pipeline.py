@@ -273,10 +273,7 @@ class Pipeline:
         timings["decode"] = (time.perf_counter() - start) * 1e3
 
         start = time.perf_counter()
-        crops = [
-            crop_and_resize(features, b, self.cfg.attention, frame_index=frame.frame_id)
-            for b in boxes
-        ]
+        crops = [crop_and_resize(features, b, self.cfg.attention) for b in boxes]
         timings["attention"] = (time.perf_counter() - start) * 1e3
 
         start = time.perf_counter()

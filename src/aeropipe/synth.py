@@ -16,7 +16,7 @@ combiner legitimately keeps, and the roundtrip would not be bijective.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -24,6 +24,9 @@ from .annotations import AnnotationRecord
 from .densemaps import DenseMaps, encode
 from .geometry import BBox, separation
 from .rng import SplitMix64
+from .temporal import ActionVocabulary
+
+_VOCAB = ActionVocabulary()
 
 
 class SceneGenerationError(RuntimeError):
@@ -49,8 +52,6 @@ class SceneConfig:
     noise_amplitude: float = 0.05
     flip_probability: float = 0.01
     max_cross_fill: float = 0.85
-    n_primary: int = 4
-    n_secondary: int = 5
     max_attempts: int = 10_000
 
     def __post_init__(self) -> None:
@@ -100,6 +101,12 @@ def _cross_fill_ok(boxes: list[BBox], threshold: float) -> bool:
     return True
 
 
+def _valid_against(candidate: BBox, others: list[BBox], cfg: SceneConfig) -> bool:
+    if any(separation(candidate, other) < cfg.min_gap for other in others):
+        return False
+    return _cross_fill_ok(others + [candidate], cfg.max_cross_fill)
+
+
 def _place_boxes(cfg: SceneConfig, rng: SplitMix64, count: int) -> list[BBox]:
     width, height = cfg.grid
     boxes: list[BBox] = []
@@ -117,11 +124,8 @@ def _place_boxes(cfg: SceneConfig, rng: SplitMix64, count: int) -> list[BBox]:
         x0 = rng.randint(0, width - 1 - w)
         y0 = rng.randint(0, height - 1 - h)
         candidate = BBox(x0, y0, x0 + w, y0 + h)
-        if any(separation(candidate, other) < cfg.min_gap for other in boxes):
-            continue
-        if not _cross_fill_ok(boxes + [candidate], cfg.max_cross_fill):
-            continue
-        boxes.append(candidate)
+        if _valid_against(candidate, boxes, cfg):
+            boxes.append(candidate)
     return boxes
 
 
@@ -135,8 +139,8 @@ def generate_scene(cfg: SceneConfig, seed: int, frame_id: int = 0) -> Scene:
             frame_id=frame_id,
             box=box,
             track_id=k,
-            primary_action=rng.randint(0, cfg.n_primary - 1),
-            secondary_action=rng.randint(0, cfg.n_secondary - 1),
+            primary_action=rng.randint(0, _VOCAB.n_primary - 1),
+            secondary_action=rng.randint(0, _VOCAB.n_secondary - 1),
         )
         for k, box in enumerate(boxes)
     ]
@@ -159,12 +163,6 @@ class _MovingTrack:
         x0 = int(round(self.fx))
         y0 = int(round(self.fy))
         return BBox(x0, y0, x0 + self.w, y0 + self.h)
-
-
-def _valid_against(candidate: BBox, others: list[BBox], cfg: SceneConfig) -> bool:
-    if any(separation(candidate, other) < cfg.min_gap for other in others):
-        return False
-    return _cross_fill_ok(others + [candidate], cfg.max_cross_fill)
 
 
 def generate_sequence(cfg: SceneConfig, frames: int, seed: int) -> list[Scene]:
@@ -190,8 +188,8 @@ def generate_sequence(cfg: SceneConfig, frames: int, seed: int) -> list[Scene]:
                 h=b.height,
                 vx=rng.uniform(cfg.velocity_range[0], cfg.velocity_range[1]),
                 vy=rng.uniform(cfg.velocity_range[0], cfg.velocity_range[1]),
-                primary=rng.randint(0, cfg.n_primary - 1),
-                secondary=rng.randint(0, cfg.n_secondary - 1),
+                primary=rng.randint(0, _VOCAB.n_primary - 1),
+                secondary=rng.randint(0, _VOCAB.n_secondary - 1),
             )
         )
 
@@ -202,18 +200,11 @@ def generate_sequence(cfg: SceneConfig, frames: int, seed: int) -> list[Scene]:
                 nfx, nvx = _reflect(track.fx + track.vx, track.vx, width - 1 - track.w)
                 nfy, nvy = _reflect(track.fy + track.vy, track.vy, height - 1 - track.h)
                 others = [o.box() for j, o in enumerate(tracks) if j != idx]
-                moved = _MovingTrack(
-                    track.track_id, nfx, nfy, track.w, track.h,
-                    nvx, nvy, track.primary, track.secondary,
-                )
+                moved = replace(track, fx=nfx, fy=nfy, vx=nvx, vy=nvy)
                 if _valid_against(moved.box(), others, cfg):
                     tracks[idx] = moved
                 else:
-                    bounced = _MovingTrack(
-                        track.track_id, track.fx, track.fy, track.w, track.h,
-                        -track.vx, -track.vy, track.primary, track.secondary,
-                    )
-                    tracks[idx] = bounced
+                    tracks[idx] = replace(track, vx=-track.vx, vy=-track.vy)
         records = [
             AnnotationRecord(
                 frame_id=t,
@@ -279,8 +270,6 @@ def crop_dataset(
     seed: int,
     n_samples: int = 512,
     feature_shape: tuple[int, ...] = (10, 16, 16),
-    n_primary: int = 4,
-    n_secondary: int = 5,
     noise: float = 0.1,
     background_fraction: float = 0.25,
 ) -> CropDataset:
@@ -293,6 +282,7 @@ def crop_dataset(
     radius, so a nearest-mean classifier is exact.
     """
     rng = SplitMix64(seed)
+    n_primary, n_secondary = _VOCAB.n_primary, _VOCAB.n_secondary
     dim = int(np.prod(feature_shape))
     means = rng.random_array((n_primary * n_secondary, dim)) * 2.0 - 1.0
 
@@ -335,14 +325,17 @@ def write_manifest(path: str, seed: int, grid: tuple[int, int], entries: list[tu
 
 
 def read_manifest(path: str) -> tuple[int, tuple[int, int], list[tuple[int, str, str]]]:
+    """Seed, grid and frame entries; a truncated line raises ValueError."""
     seed = 0
     grid = (0, 0)
     entries: list[tuple[int, str, str]] = []
     with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
+        for lineno, raw in enumerate(fh, 1):
             parts = raw.split()
             if not parts or parts[0].startswith("#"):
                 continue
+            if len(parts) < {"seed": 2, "grid": 3, "frame": 4}.get(parts[0], 0):
+                raise ValueError(f"{path} line {lineno}: truncated {parts[0]!r} line {raw.strip()!r}")
             if parts[0] == "seed":
                 seed = int(parts[1])
             elif parts[0] == "grid":

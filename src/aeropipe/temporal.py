@@ -249,14 +249,12 @@ def associate(tracks: list[Track], detections: list[BBox], max_dist: float) -> A
     t_centers = np.array([center(t.last_box) for t in tracks])
     d_centers = np.array([center(d) for d in detections])
     dist = np.sqrt(((t_centers[:, None, :] - d_centers[None, :, :]) ** 2).sum(axis=2))
-    pairs = sorted(
-        ((dist[ti, di], ti, di) for ti in range(len(tracks)) for di in range(len(detections))),
-        key=lambda p: (p[0], p[1], p[2]),
-    )
+    t_idx, d_idx = np.indices(dist.shape).reshape(2, -1)
+    order = np.lexsort((d_idx, t_idx, dist.ravel()))
     matches: list[tuple[int, int]] = []
     used_t: set[int] = set()
     used_d: set[int] = set()
-    for d, ti, di in pairs:
+    for d, ti, di in zip(dist.ravel()[order].tolist(), t_idx[order].tolist(), d_idx[order].tolist()):
         if d > max_dist:
             break
         if ti in used_t or di in used_d:
@@ -615,13 +613,15 @@ def load_model(path: str, vocab: ActionVocabulary | None = None) -> ActivityMode
     input_size, four_h = shape("cell.w_xh", 2)
     hidden = four_h // 4
     # Check the records that grow with the hidden size before building, so
-    # a small file cannot ask for a large model.
+    # a small file cannot ask for a large model; an action head needs at
+    # least two labels.
     for name in ("cell.w_hh", "heads.w_primary", "heads.w_secondary", "heads.w_conf"):
         rows, cols = shape(name, 2)
-        if hidden < 1 or rows != hidden or name == "cell.w_hh" and cols != 4 * hidden:
+        narrow = cols < 2 and name in ("heads.w_primary", "heads.w_secondary")
+        if hidden < 1 or rows != hidden or narrow or name == "cell.w_hh" and cols != 4 * hidden:
             raise tensorio.TensorFormatError(
                 f"{path}: {name!r} has shape {(rows, cols)}, which does not fit "
-                f"'cell.w_xh' {tensors['cell.w_xh'].shape}"
+                f"'cell.w_xh' {tensors['cell.w_xh'].shape} with at least 2 labels per action head"
             )
     vocab = vocab or ActionVocabulary(
         primary_labels=tuple(f"p{i}" for i in range(shape("heads.w_primary", 2)[1])),

@@ -10,6 +10,7 @@ from aeropipe.attention import (
     AttentionConfig,
     CropFeature,
     CropWindow,
+    FeatureGrid,
     attention_map,
     crop_and_resize,
     expanded_window,
@@ -28,6 +29,21 @@ def _scalar_attention(box, cfg, ix, iy):
         (iy - cy) / (cfg.sigma_scale * box.height)
     ) ** 2
     return math.exp(-0.5 * q)
+
+
+def _grid(dense):
+    """A dense (D, H, W) array as a one-level, scale-1 feature grid."""
+    dense = np.asarray(dense, dtype=np.float64)
+    return FeatureGrid(dense.shape[1:], [(1, dense)])
+
+
+def _dense(grid):
+    """The (D, H, W) tensor of a feature grid, each level upsampled."""
+    height, width = grid.shape
+    return np.concatenate([
+        np.repeat(np.repeat(array, scale, axis=1), scale, axis=2)[:, :height, :width]
+        for scale, array in grid.levels
+    ])
 
 
 class TestExpandedWindow:
@@ -132,7 +148,7 @@ class TestAttentionMap:
 class TestCropAndResize:
     def test_constant_grid_stays_constant(self):
         features = np.ones((3, 40, 40))
-        crop = crop_and_resize(features, BBox(10, 10, 20, 18), AttentionConfig())
+        crop = crop_and_resize(_grid(features), BBox(10, 10, 20, 18), AttentionConfig())
         assert crop.tensor.shape == (4, 16, 16)
         np.testing.assert_allclose(crop.tensor[:3], 1.0, atol=1e-12)
 
@@ -141,7 +157,7 @@ class TestCropAndResize:
         features = rng.random((2, 40, 40))
         box = BBox(10, 10, 19, 19)  # 9x9 box, ratio 1 -> M = 9
         cfg = AttentionConfig(expand_ratio=1.0, out_size=9)
-        crop = crop_and_resize(features, box, cfg)
+        crop = crop_and_resize(_grid(features), box, cfg)
         win_y = slice(11, 20)  # window origin from round-half-up centering
         win_x = slice(11, 20)
         np.testing.assert_array_equal(crop.tensor[0], features[0][win_y, win_x])
@@ -151,13 +167,13 @@ class TestCropAndResize:
         features = rng.random((2, 20, 20))
         box = BBox(0, 0, 6, 6)  # expanded window sticks out of the frame
         cfg = AttentionConfig(expand_ratio=2.0, out_size=8)
-        crop = crop_and_resize(features, box, cfg)
+        crop = crop_and_resize(_grid(features), box, cfg)
 
         pad = 32
         padded = np.zeros((2, 20 + 2 * pad, 20 + 2 * pad))
         padded[:, pad : pad + 20, pad : pad + 20] = features
         shifted = BBox(box.x0 + pad, box.y0 + pad, box.x1 + pad, box.y1 + pad)
-        reference = crop_and_resize(padded, shifted, cfg)
+        reference = crop_and_resize(_grid(padded), shifted, cfg)
         np.testing.assert_allclose(crop.tensor, reference.tensor, atol=1e-12)
 
     def test_bilinear_matches_scalar_reference(self):
@@ -165,7 +181,7 @@ class TestCropAndResize:
         features = rng.random((1, 30, 30))
         box = BBox(8, 8, 18, 18)  # width 10 -> M = 10, window spans 9..18
         cfg = AttentionConfig(expand_ratio=1.0, out_size=5)
-        crop = crop_and_resize(features, box, cfg)
+        crop = crop_and_resize(_grid(features), box, cfg)
 
         m = 10
         win = features[0][9:19, 9:19]
@@ -188,14 +204,14 @@ class TestCropAndResize:
         features = np.zeros((3, 40, 40))
         box = BBox(10, 10, 20, 20)  # width 10 -> M = 10
         cfg = AttentionConfig(expand_ratio=1.0, out_size=10)
-        crop = crop_and_resize(features, box, cfg)
+        crop = crop_and_resize(_grid(features), box, cfg)
         attn = attention_map(box, cfg)
         np.testing.assert_allclose(crop.tensor[3], attn.values, atol=1e-12)
 
     def test_output_always_square_fixed_size(self):
         features = np.zeros((1, 60, 60))
         for box in (BBox(5, 5, 45, 12), BBox(5, 5, 12, 45), BBox(20, 20, 24, 24)):
-            crop = crop_and_resize(features, box, AttentionConfig(out_size=16))
+            crop = crop_and_resize(_grid(features), box, AttentionConfig(out_size=16))
             assert crop.tensor.shape == (2, 16, 16)
 
 
@@ -274,9 +290,7 @@ def _resize_square_reference(stack: np.ndarray, out_size: int) -> np.ndarray:
     return rows[:, :, lo] * (1.0 - frac)[None, None, :] + rows[:, :, hi] * frac[None, None, :]
 
 
-def _crop_and_resize_reference(
-    features: np.ndarray, b: BBox, cfg: AttentionConfig, frame_index: int = -1
-) -> CropFeature:
+def _crop_and_resize_reference(features: np.ndarray, b: BBox, cfg: AttentionConfig) -> CropFeature:
     """Expanded-window crop of the feature grid with its attention channel.
 
     The window is cut from the (D, H, W) grid with zero fill outside the
@@ -287,7 +301,7 @@ def _crop_and_resize_reference(
     window = _extract_window_reference(np.asarray(features, dtype=np.float64), attn.window)
     stack = np.concatenate([window, attn.values[None, :, :]], axis=0)
     resized = _resize_square_reference(stack, cfg.out_size)
-    return CropFeature(tensor=resized, source_box=b, frame_index=frame_index)
+    return CropFeature(resized)
 
 
 # Frames from 1x1 up, with sides below the largest scales, in C order, in
@@ -344,7 +358,7 @@ class TestAgainstDenseReference:
         grid = feature_stub(frame, cfg)
         reference = _feature_stub_reference(frame, cfg)
         assert grid.depth == len(reference) == cfg.depth
-        assert np.array_equal(np.asarray(grid), reference)
+        assert np.array_equal(_dense(grid), reference)
 
     @settings(max_examples=300, deadline=None)
     @given(_FRAMES, _STUBS, st.lists(_crops(), min_size=1, max_size=3))
@@ -356,7 +370,7 @@ class TestAgainstDenseReference:
             reference = _crop_and_resize_reference(dense, box, attention).tensor
             assert reference.shape == (cfg.depth + 1, attention.out_size, attention.out_size)
             assert np.array_equal(crop_and_resize(grid, box, attention).tensor, reference)
-            assert np.array_equal(crop_and_resize(dense, box, attention).tensor, reference)
+            assert np.array_equal(crop_and_resize(_grid(dense), box, attention).tensor, reference)
 
 
 def test_crops_equal_the_reference_crops_at_every_offset():

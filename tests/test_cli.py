@@ -88,6 +88,17 @@ class TestSynthAndPipeline:
         assert "primary_ap=1.000000" in out
         assert "secondary_ap=1.000000" in out
 
+    def test_eval_scores_an_unknown_action_in_no_class(self, tmp_path, capsys):
+        gt = tmp_path / "gt.txt"
+        gt.write_text("0 4 4 20 20 0 0 1\n0 40 10 56 30 1 1 1\n")
+        pred = tmp_path / "pred.txt"
+        pred.write_text("0 4 4 20 20 0 -1 1 0.9\n0 40 10 56 30 1 1 1 0.8\n")
+        assert main(["eval", "--pred", str(pred), "--gt", str(gt)]) == 0
+        out = capsys.readouterr().out
+        # Class 0 has no prediction (AP 0), class 1 is found (AP 1).
+        assert "ap=1.000000" in out
+        assert "primary_ap=0.500000" in out
+
     def test_pipeline_with_trained_model(self, tmp_path):
         model_path = tmp_path / "model.aero"
         assert main(["train", "--seed", "2", "--epochs", "2", "--out", str(model_path)]) == 0
@@ -119,6 +130,32 @@ class TestSynthAndPipeline:
         assert main(["synth", "--frames", "1", "--out", str(tmp_path / "s"), *flag]) == 1
         assert "usage error" in capsys.readouterr().err
         assert not (tmp_path / "s").exists()
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            ("detect", ["--seed", "1"]),
+            ("detect", ["--iou", "0.4"]),
+            ("detect", ["--addr", "h:1"]),
+            ("pipeline", ["--seed", "1"]),
+            ("bench", ["--addr", "h:1"]),
+        ],
+        ids=["detect-seed", "detect-iou", "detect-addr", "pipeline-seed", "bench-addr"],
+    )
+    def test_subcommands_reject_flags_they_ignore(self, tmp_path, capsys, command, flag):
+        out = str(tmp_path / "out")
+        if command == "detect":
+            save_maps(str(tmp_path / "maps.aero"), encode([BBox(8, 6, 30, 28)], (40, 36)))
+            args = ["--maps", str(tmp_path / "maps.aero"), "--out", out]
+        elif command == "pipeline":
+            main(["synth", "--frames", "1", "--out", str(tmp_path / "data")])
+            args = ["--manifest", str(tmp_path / "data" / "manifest.txt"), "--out", out]
+        else:
+            args = ["--frames", "1", "--boxes", "1"]
+        capsys.readouterr()
+        assert main([command, *args, *flag]) == 1
+        assert "usage error" in capsys.readouterr().err
+        assert not os.path.exists(out)
 
 
 class TestTrainBenchOverlay:
@@ -219,6 +256,13 @@ class TestExitCodes:
         manifest.write_text("seed 1\ngrid 64 48\n")
         assert main(["pipeline", "--manifest", str(manifest), "--out", str(tmp_path / "run")]) == 2
         assert "no frames" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["seed", "grid 640", "frame 5 annotations.txt"])
+    def test_truncated_manifest_line_is_data_error(self, tmp_path, capsys, line):
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text(f"{line}\n")
+        assert main(["pipeline", "--manifest", str(manifest), "--out", str(tmp_path / "run")]) == 2
+        assert f"line 1: truncated {line.split()[0]!r}" in capsys.readouterr().err
 
     def test_bad_grid_is_data_error(self, tmp_path):
         ann = tmp_path / "gt.txt"

@@ -4,7 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aeropipe.annotations import AnnotationRecord
-from aeropipe.evaluate import Detection, EvalConfig, _ap_from_flags, action_map, evaluate_map, nms
+from aeropipe.evaluate import (
+    Detection,
+    EvalConfig,
+    _ap_from_flags,
+    _interpolated_ap,
+    action_map,
+    evaluate_map,
+    nms,
+)
 from aeropipe.geometry import BBox, iou
 
 
@@ -370,3 +378,33 @@ def _scored_frames(draw):
 def test_action_map_equals_reference(inputs):
     preds, gt, cfg = inputs
     assert action_map(preds, gt, cfg) == _reference_action_map(preds, gt, cfg)
+
+
+# Verbatim copy of `_interpolated_ap` before it used np.maximum.accumulate.
+def _reference_interpolated_ap(recall: np.ndarray, precision: np.ndarray) -> float:
+    """Area under the all-point-interpolated precision envelope."""
+    r = np.concatenate([[0.0], recall, [1.0]])
+    p = np.concatenate([[0.0], precision, [0.0]])
+    for i in range(len(p) - 2, -1, -1):
+        p[i] = max(p[i], p[i + 1])
+    steps = np.nonzero(r[1:] != r[:-1])[0]
+    return float(((r[steps + 1] - r[steps]) * p[steps + 1]).sum())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.booleans(), max_size=40), st.integers(0, 45))
+def test_interpolated_ap_equals_reference(flags, extra_gt):
+    # Curves as _ap_from_flags builds them, repeated recalls included.
+    tp = np.array(flags, dtype=bool)
+    total_gt = max(int(tp.sum()) + extra_gt, 1)
+    recall = np.cumsum(tp) / total_gt
+    precision = np.cumsum(tp) / np.arange(1, len(tp) + 1)
+    assert _interpolated_ap(recall, precision) == _reference_interpolated_ap(recall, precision)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), max_size=30))
+def test_interpolated_ap_equals_reference_on_any_curve(points):
+    recall = np.sort(np.array([r for r, _ in points]))
+    precision = np.array([p for _, p in points])
+    assert _interpolated_ap(recall, precision) == _reference_interpolated_ap(recall, precision)

@@ -58,10 +58,19 @@ def _stub_reference(frame, scales, window):
     return np.stack(channels)
 
 
+def _dense(grid):
+    """The (D, H, W) tensor of a feature grid, each level upsampled."""
+    height, width = grid.shape
+    return np.concatenate([
+        np.repeat(np.repeat(array, scale, axis=1), scale, axis=2)[:, :height, :width]
+        for scale, array in grid.levels
+    ])
+
+
 class TestFeatureStub:
     def test_constant_frame(self):
         frame = np.full((24, 32), 0.4)
-        features = np.asarray(feature_stub(frame, StubConfig()))
+        features = _dense(feature_stub(frame, StubConfig()))
         assert features.shape == (9, 24, 32)
         for k in range(0, 9, 3):
             np.testing.assert_allclose(features[k], 0.4, atol=1e-12)      # intensity
@@ -71,7 +80,7 @@ class TestFeatureStub:
     def test_scale_one_intensity_is_input(self):
         rng = np.random.default_rng(0)
         frame = rng.random((20, 28))
-        features = np.asarray(feature_stub(frame, StubConfig()))
+        features = _dense(feature_stub(frame, StubConfig()))
         np.testing.assert_array_equal(features[0], frame)
 
     def test_matches_scalar_reference(self):
@@ -80,7 +89,7 @@ class TestFeatureStub:
         cfg = StubConfig(scales=(1, 2, 4), local_window=3)
         features = feature_stub(frame, cfg)
         reference = _stub_reference(frame, (1, 2, 4), 3)
-        np.testing.assert_allclose(features, reference, atol=1e-6)
+        np.testing.assert_allclose(_dense(features), reference, atol=1e-6)
 
     def test_depth_property(self):
         assert StubConfig().depth == 9

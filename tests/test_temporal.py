@@ -2,14 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from aeropipe.geometry import BBox
+from aeropipe.geometry import BBox, center
 from aeropipe.tensorio import TensorFormatError, load_named_tensors, save_named_tensors
 from aeropipe.temporal import (
     ActionVocabulary,
     ActivityModel,
     Adam,
     AdamConfig,
+    Association,
     BnLstmCell,
     LossBatch,
     Track,
@@ -173,6 +176,40 @@ def _track_at(track_id, box):
     return Track(track_id, np.zeros(4), np.zeros(4), box)
 
 
+# Verbatim copy of `associate` before it ordered pairs with np.lexsort.
+def _reference_associate(tracks: list[Track], detections: list[BBox], max_dist: float) -> Association:
+    """Repeatedly pair the globally closest (track, detection) by center
+    distance, never exceeding max_dist; each side is used at most once.
+
+    Distance ties break on (track index, detection index) for determinism.
+    """
+    if not tracks or not detections:
+        return Association([], list(range(len(tracks))), list(range(len(detections))))
+    t_centers = np.array([center(t.last_box) for t in tracks])
+    d_centers = np.array([center(d) for d in detections])
+    dist = np.sqrt(((t_centers[:, None, :] - d_centers[None, :, :]) ** 2).sum(axis=2))
+    pairs = sorted(
+        ((dist[ti, di], ti, di) for ti in range(len(tracks)) for di in range(len(detections))),
+        key=lambda p: (p[0], p[1], p[2]),
+    )
+    matches: list[tuple[int, int]] = []
+    used_t: set[int] = set()
+    used_d: set[int] = set()
+    for d, ti, di in pairs:
+        if d > max_dist:
+            break
+        if ti in used_t or di in used_d:
+            continue
+        matches.append((ti, di))
+        used_t.add(ti)
+        used_d.add(di)
+    return Association(
+        matches=matches,
+        unmatched_tracks=[i for i in range(len(tracks)) if i not in used_t],
+        unmatched_detections=[i for i in range(len(detections)) if i not in used_d],
+    )
+
+
 class TestAssociate:
     def test_identity_matching(self):
         boxes = [BBox(0, 0, 10, 10), BBox(30, 30, 44, 40)]
@@ -215,6 +252,18 @@ class TestAssociate:
             assert len(set(ts)) == len(ts) and len(set(ds)) == len(ds)
             for t, d in assoc.matches:
                 assert dist[t, d] <= 30
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(0, 60), st.integers(0, 60)), max_size=12),
+        st.lists(st.tuples(st.integers(0, 60), st.integers(0, 60)), max_size=12),
+        st.sampled_from([0.0, 5.0, 12.5, 30.0, 1e9]),
+    )
+    def test_equals_the_tuple_sort_reference(self, track_corners, det_corners, max_dist):
+        # Coarse corners and fixed sizes make equal distances, so ties occur.
+        tracks = [_track_at(i, BBox(x, y, x + 8, y + 6)) for i, (x, y) in enumerate(track_corners)]
+        dets = [BBox(x, y, x + 8, y + 6) for x, y in det_corners]
+        assert associate(tracks, dets, max_dist) == _reference_associate(tracks, dets, max_dist)
 
     def test_track_store_lifecycle(self):
         store = TrackStore(hidden_size=4, max_dist=20, max_age=2)
@@ -396,6 +445,17 @@ class TestModelPersistence:
         save_model(path, ActivityModel.build(input_size=12, hidden_size=6, seed=13))
         tensors = load_named_tensors(path)
         tensors[name] = np.full(shape, 0.5)
+        save_named_tensors(path, tensors)
+        with pytest.raises(TensorFormatError, match=name):
+            load_model(path)
+
+    @pytest.mark.parametrize("name", ["heads.w_primary", "heads.w_secondary"])
+    def test_load_rejects_a_one_label_head(self, tmp_path, name):
+        path = str(tmp_path / "model.aero")
+        save_model(path, ActivityModel.build(input_size=12, hidden_size=6, seed=13))
+        tensors = load_named_tensors(path)
+        tensors[name] = np.full((6, 1), 0.5)
+        tensors[name.replace("w_", "b_")] = np.full(1, 0.5)
         save_named_tensors(path, tensors)
         with pytest.raises(TensorFormatError, match=name):
             load_model(path)

@@ -11,6 +11,7 @@ omit it and readers default it to 1.0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -49,6 +50,8 @@ def parse_line(line: str) -> AnnotationRecord:
         raise ValueError(f"expected 8 or 9 fields, got {len(parts)}: {line!r}")
     ints = [int(p) for p in parts[:8]]
     conf = float(parts[8]) if len(parts) == 9 else 1.0
+    if not math.isfinite(conf):
+        raise ValueError(f"non-finite confidence: {line!r}")
     return AnnotationRecord(
         frame_id=ints[0],
         box=BBox(ints[1], ints[2], ints[3], ints[4]),

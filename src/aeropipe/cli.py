@@ -53,6 +53,13 @@ def _parse_grid(text: str) -> tuple[int, int]:
     return int(m.group(1)), int(m.group(2))
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {value}")
+    return value
+
+
 def _load_pipeline_config(args: argparse.Namespace) -> PipelineConfig:
     values = parse_config_file(args.config) if getattr(args, "config", None) else {}
     for key, flag in (("boxgen.delta", "delta"), ("nms.iou_threshold", "iou"), ("wire.address", "addr")):
@@ -347,7 +354,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("synth", help="generate synthetic fixtures")
     common(p, "--seed")
     p.add_argument("--kind", choices=("scene", "sequence", "crops"), default="sequence")
-    p.add_argument("--frames", type=int, default=10)
+    p.add_argument("--frames", type=_positive_int, default=10)
     p.add_argument("--noise", type=float, default=0.0, help="regression noise amplitude")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_synth)
@@ -368,14 +375,14 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("train", help="toy Adam training of the linear heads")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--epochs", type=int, default=500)
+    p.add_argument("--epochs", type=_positive_int, default=500)
     p.add_argument("--out", help="model parameter file")
     p.add_argument("--curve", help="write the loss curve CSV here")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("bench", help="per-stage latency statistics")
     common(p, "--config", "--seed", "--delta", "--iou")
-    p.add_argument("--frames", type=int, default=100)
+    p.add_argument("--frames", type=_positive_int, default=100)
     p.add_argument("--boxes", type=int, default=10)
     p.add_argument("--latest-only", action="store_true", help="drop frames that arrive mid-processing")
     p.add_argument("--out", help="also write the CSV here")

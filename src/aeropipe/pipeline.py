@@ -192,9 +192,20 @@ def _downsample(frame: np.ndarray, factor: int) -> np.ndarray:
     # the copy's layout, so the block means sum in the same order.
     if pad_h or pad_w or not frame.flags.c_contiguous:
         frame = np.pad(frame, ((0, pad_h), (0, pad_w)), mode="edge")
-    return frame.reshape(
-        (h + pad_h) // factor, factor, (w + pad_w) // factor, factor
-    ).mean(axis=(1, 3))
+    out_h, out_w = (h + pad_h) // factor, (w + pad_w) // factor
+    # The strided sum adds in the reshape-mean's order, so equals it bit for
+    # bit, except where numpy sums pairwise (from 8 terms) or in another
+    # order (one output column; a Fortran frame stays Fortran after np.pad).
+    if factor >= 8 or out_w < 2 or not frame.flags.c_contiguous:
+        return frame.reshape(out_h, factor, out_w, factor).mean(axis=(1, 3))
+    out = np.zeros((out_h, out_w))
+    for a in range(factor):
+        row = frame[a::factor, 0::factor].copy()
+        for b in range(1, factor):
+            row += frame[a::factor, b::factor]
+        out += row
+    out /= factor * factor
+    return out
 
 
 def feature_stub(intensity: np.ndarray, cfg: StubConfig) -> FeatureGrid:
@@ -210,9 +221,10 @@ def feature_stub(intensity: np.ndarray, cfg: StubConfig) -> FeatureGrid:
     for scale in cfg.scales:
         down = _downsample(frame, scale)
         level = np.empty((3, *down.shape))
-        level[0] = down
-        ndimage.uniform_filter(down, size=cfg.local_window, mode="nearest", output=level[1])
-        ndimage.uniform_filter(down * down, size=cfg.local_window, mode="nearest", output=level[2])
+        level[0] = level[1] = down
+        np.multiply(down, down, out=level[2])
+        # One call for both: scipy filters each line of the stack on its own.
+        ndimage.uniform_filter(level[1:], size=cfg.local_window, axes=(1, 2), mode="nearest", output=level[1:])
         level[2] -= level[1] * level[1]
         np.clip(level[2], 0.0, None, out=level[2])
         levels.append((scale, level))

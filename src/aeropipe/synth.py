@@ -247,6 +247,8 @@ def render_intensity(records: list[AnnotationRecord], grid: tuple[int, int]) -> 
     width, height = grid
     frame = np.full((height, width), 0.1, dtype=np.float64)
     for rec in records:
+        if not rec.box.within_grid(width, height):
+            raise ValueError(f"frame {rec.frame_id}: box {rec.box.as_tuple()} outside {width}x{height} grid")
         shade = 0.3 + 0.6 * ((rec.track_id * 0.6180339887498949) % 1.0)
         frame[rec.box.y0 : rec.box.y1 + 1, rec.box.x0 : rec.box.x1 + 1] = shade
     return frame

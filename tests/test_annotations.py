@@ -29,6 +29,12 @@ def test_malformed_line_rejected():
         parse_line("1 2 3")
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN"])
+def test_non_finite_confidence_rejected(value):
+    with pytest.raises(ValueError, match="non-finite confidence"):
+        parse_line(f"0 1 1 9 9 -1 -1 -1 {value}")
+
+
 def test_file_roundtrip_with_comments(tmp_path):
     path = str(tmp_path / "ann.txt")
     records = [

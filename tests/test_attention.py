@@ -17,7 +17,7 @@ from aeropipe.attention import (
     write_pgm,
 )
 from aeropipe.geometry import BBox, center
-from aeropipe.pipeline import StubConfig, feature_stub
+from aeropipe.pipeline import StubConfig, _downsample, feature_stub
 
 
 def _scalar_attention(box, cfg, ix, iy):
@@ -384,6 +384,93 @@ def test_crops_equal_the_reference_crops_at_every_offset():
             box = BBox(x0, y0, x0 + 9, y0 + 6)
             reference = _crop_and_resize_reference(dense, box, attention).tensor
             assert np.array_equal(crop_and_resize(grid, box, attention).tensor, reference)
+
+
+# ---------------------------------------------------------------------------
+# Verbatim copy of the reshape-mean `_downsample` that the strided block sum
+# replaced. The strided sum must equal it byte for byte, signed zeros
+# included, not only under `np.array_equal`.
+# ---------------------------------------------------------------------------
+
+
+def _reshape_mean_reference(frame: np.ndarray, factor: int) -> np.ndarray:
+    """Block-average by `factor`, edge-padding to a multiple first."""
+    if factor == 1:
+        return frame
+    h, w = frame.shape
+    pad_h = (-h) % factor
+    pad_w = (-w) % factor
+    # np.pad returns a copy; without padding a C-ordered frame already has
+    # the copy's layout, so the block means sum in the same order.
+    if pad_h or pad_w or not frame.flags.c_contiguous:
+        frame = np.pad(frame, ((0, pad_h), (0, pad_w)), mode="edge")
+    return frame.reshape(
+        (h + pad_h) // factor, factor, (w + pad_w) // factor, factor
+    ).mean(axis=(1, 3))
+
+
+@st.composite
+def _block_frames(draw):
+    """A frame of 1x1 to 60x60 px in C order, Fortran order or as a strided
+    view of either, and a scale of 1-12 (pairwise summation starts at 8).
+    Widths sit near the one-column fallback as often as anywhere. Values are
+    signed with magnitudes 1e-5 to 1e5, or plateaus, and some blocks hold
+    only -0.0 (the reshape-mean gives +0.0 for them)."""
+    factor = draw(st.integers(1, 12))
+    h = draw(st.integers(1, 60))
+    w = draw(st.one_of(st.integers(max(1, factor - 1), factor + 1), st.integers(1, 60)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        values = rng.uniform(-1.0, 1.0, (h, w)) * 10.0 ** rng.uniform(-5.0, 5.0, (h, w))
+    else:
+        values = rng.integers(-3, 4, size=(h, w)) * 0.1
+    if draw(st.booleans()):
+        coarse = rng.random((-(-h // factor), -(-w // factor))) < 0.5
+        blocks = np.repeat(np.repeat(coarse, factor, axis=0), factor, axis=1)[:h, :w]
+        values[blocks] = -0.0
+    layout = draw(st.sampled_from(["C", "F", "C-strided", "F-strided"]))
+    if layout == "F":
+        values = np.asfortranarray(values)
+    elif layout == "C-strided":
+        values = np.repeat(values, 2, axis=1)[:, ::2]
+    elif layout == "F-strided":
+        values = np.asfortranarray(np.repeat(values, 2, axis=0))[::2]
+    return values, factor
+
+
+def _assert_same_bytes(actual: np.ndarray, expected: np.ndarray) -> None:
+    assert actual.dtype == expected.dtype and actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_block_frames())
+def test_block_mean_is_the_reshape_mean_byte_for_byte(case):
+    frame, factor = case
+    _assert_same_bytes(_downsample(frame, factor), _reshape_mean_reference(frame, factor))
+
+
+def test_block_mean_on_a_full_frame_is_the_reshape_mean():
+    frame = np.random.default_rng(9).random((360, 640))
+    for factor in range(1, 13):
+        _assert_same_bytes(_downsample(frame, factor), _reshape_mean_reference(frame, factor))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_block_frames(), st.integers(1, 5))
+def test_stub_levels_are_the_two_call_levels_byte_for_byte(case, window):
+    """Each level equals the block mean filtered and squared-then-filtered
+    by two separate 2-D calls, as the stub did before one stacked call."""
+    frame, factor = case
+    grid = feature_stub(frame, StubConfig(scales=(factor,), local_window=window))
+    down = _reshape_mean_reference(np.asarray(frame, dtype=np.float64), factor)
+    mean = ndimage.uniform_filter(down, size=window, mode="nearest")
+    var = ndimage.uniform_filter(down * down, size=window, mode="nearest")
+    var -= mean * mean
+    np.clip(var, 0.0, None, out=var)
+    ((scale, level),) = grid.levels
+    assert scale == factor
+    _assert_same_bytes(level, np.stack([down, mean, var]))
 
 
 def test_write_pgm(tmp_path):

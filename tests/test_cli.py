@@ -270,6 +270,48 @@ class TestExitCodes:
         assert main(["encode", "--ann", str(ann), "--grid", "64by48", "--out", str(tmp_path / "m.aero")]) == 2
 
     @pytest.mark.parametrize(
+        "args",
+        [["train", "--epochs", "-1"], ["synth", "--frames", "-3"], ["bench", "--frames", "0"]],
+        ids=["train-epochs", "synth-frames", "bench-frames"],
+    )
+    def test_non_positive_count_is_usage_error(self, tmp_path, capsys, args):
+        out = tmp_path / "out"
+        if args[0] == "synth":
+            args = [*args, "--out", str(out)]
+        assert main(args) == 1
+        assert "expected an integer >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bench_takes_a_scene_without_boxes(self, capsys):
+        assert main(["bench", "--frames", "2", "--boxes", "0"]) == 0
+        assert capsys.readouterr().out.startswith("stage,mean_ms,p95_ms")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_confidence_is_data_error(self, tmp_path, capsys, value):
+        gt = tmp_path / "gt.txt"
+        _write_gt(gt, [BBox(4, 4, 20, 20)])
+        pred = tmp_path / "pred.txt"
+        pred.write_text(f"0 4 4 20 20 -1 0 1 {value}\n")
+        assert main(["eval", "--pred", str(pred), "--gt", str(gt)]) == 2
+        err = capsys.readouterr().err
+        assert "non-finite confidence" in err and f"0 4 4 20 20 -1 0 1 {value}" in err
+
+    def test_overlay_box_off_the_grid_is_data_error(self, tmp_path, capsys):
+        ann = tmp_path / "gt.txt"
+        _write_gt(ann, [BBox(4, 4, 20, 20), BBox(4, 4, 9010, 20)], frame_id=3)
+        args = ["overlay", "--ann", str(ann), "--grid", "64x48", "--frame-id", "3", "--out", str(tmp_path / "f.ppm")]
+        assert main(args) == 2
+        assert "frame 3: box (4, 4, 9010, 20) outside 64x48 grid" in capsys.readouterr().err
+
+    def test_pipeline_box_off_the_grid_is_data_error(self, tmp_path, capsys):
+        save_maps(str(tmp_path / "frame_000000.aero"), encode([BBox(8, 6, 30, 28)], (640, 360)))
+        _write_gt(tmp_path / "annotations.txt", [BBox(8, 6, 30, 28), BBox(4, 4, 9010, 20)])
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text("seed 1\ngrid 640 360\nframe 0 annotations.txt frame_000000.aero\n")
+        assert main(["pipeline", "--manifest", str(manifest), "--out", str(tmp_path / "run")]) == 2
+        assert "frame 0: box (4, 4, 9010, 20) outside 640x360 grid" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "flags, config",
         [
             (["--delta", "0"], None),

@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 internal error.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import re
 import socket
@@ -53,11 +54,17 @@ def _parse_grid(text: str) -> tuple[int, int]:
     return int(m.group(1)), int(m.group(2))
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {value}")
-    return value
+def _at_least(low: int, parse=int):
+    """An argparse type: `parse` the text and require a finite value >= `low`."""
+    def check(text: str):
+        value = parse(text)
+        if not low <= value < math.inf:
+            noun = "an integer" if parse is int else "a finite number"
+            raise argparse.ArgumentTypeError(f"expected {noun} >= {low}, got {value}")
+        return value
+
+    check.__name__ = parse.__name__  # argparse's "invalid int value" names the type
+    return check
 
 
 def _load_pipeline_config(args: argparse.Namespace) -> PipelineConfig:
@@ -354,8 +361,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("synth", help="generate synthetic fixtures")
     common(p, "--seed")
     p.add_argument("--kind", choices=("scene", "sequence", "crops"), default="sequence")
-    p.add_argument("--frames", type=_positive_int, default=10)
-    p.add_argument("--noise", type=float, default=0.0, help="regression noise amplitude")
+    p.add_argument("--frames", type=_at_least(1), default=10)
+    p.add_argument("--noise", type=_at_least(0, float), default=0.0, help="regression noise amplitude")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_synth)
 
@@ -375,15 +382,15 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("train", help="toy Adam training of the linear heads")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--epochs", type=_positive_int, default=500)
+    p.add_argument("--epochs", type=_at_least(1), default=500)
     p.add_argument("--out", help="model parameter file")
     p.add_argument("--curve", help="write the loss curve CSV here")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("bench", help="per-stage latency statistics")
     common(p, "--config", "--seed", "--delta", "--iou")
-    p.add_argument("--frames", type=_positive_int, default=100)
-    p.add_argument("--boxes", type=int, default=10)
+    p.add_argument("--frames", type=_at_least(1), default=100)
+    p.add_argument("--boxes", type=_at_least(0), default=10)
     p.add_argument("--latest-only", action="store_true", help="drop frames that arrive mid-processing")
     p.add_argument("--out", help="also write the CSV here")
     p.set_defaults(func=cmd_bench)

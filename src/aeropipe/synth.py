@@ -61,6 +61,8 @@ class SceneConfig:
             raise ValueError("roundtrip scenes need min gap >= 3")
         if not 0.0 <= self.flip_probability <= 1.0:
             raise ValueError("flip_probability must be in [0, 1]")
+        if not 0 <= self.box_count[0] <= self.box_count[1]:
+            raise ValueError(f"box_count {self.box_count} must be a range 0 <= low <= high")
 
 
 @dataclass

@@ -70,7 +70,7 @@ class BadCountError(WireError):
     """The header declares more entries than a report may carry."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ReportEntry:
     box: tuple[int, int, int, int]
     track_id: int
@@ -78,15 +78,27 @@ class ReportEntry:
     secondary_action: int
     confidence_q: int
 
-    def __post_init__(self) -> None:
-        for coord in self.box:
-            if not 0 <= coord <= 0xFFFF:
-                raise ValueError(f"box coordinate {coord} does not fit u16")
-        if not 0 <= self.track_id <= 0xFFFFFFFF:
-            raise ValueError(f"track id {self.track_id} does not fit u32")
-        for value in (self.primary_action, self.secondary_action, self.confidence_q):
-            if not 0 <= value <= 0xFF:
-                raise ValueError(f"byte field value {value} out of range")
+    def __init__(self, box, track_id, primary_action, secondary_action, confidence_q) -> None:
+        # Packing into the wire struct proves every field an integer in range.
+        # A value that does not pack gets the checks that name the bad field;
+        # one that passes them (a float, a box of 3 or 5 coordinates) is kept.
+        try:
+            _ENTRY.pack(*box, track_id, primary_action, secondary_action, confidence_q)
+        except struct.error:
+            for coord in box:
+                if not 0 <= coord <= 0xFFFF:
+                    raise ValueError(f"box coordinate {coord} does not fit u16") from None
+            if not 0 <= track_id <= 0xFFFFFFFF:
+                raise ValueError(f"track id {track_id} does not fit u32") from None
+            for value in (primary_action, secondary_action, confidence_q):
+                if not 0 <= value <= 0xFF:
+                    raise ValueError(f"byte field value {value} out of range") from None
+        d = self.__dict__
+        d["box"] = box
+        d["track_id"] = track_id
+        d["primary_action"] = primary_action
+        d["secondary_action"] = secondary_action
+        d["confidence_q"] = confidence_q
 
     @property
     def confidence(self) -> float:
@@ -155,12 +167,12 @@ def decode_message(data: bytes) -> ReportMessage:
     crc_actual = zlib.crc32(data[: expected - CRC_SIZE])
     if crc_stored != crc_actual:
         raise ChecksumError(f"crc 0x{crc_stored:08X} != computed 0x{crc_actual:08X}")
-    entries = []
-    for k in range(count):
-        x0, y0, x1, y1, track_id, primary, secondary, conf_q = _ENTRY.unpack_from(
-            data, HEADER_SIZE + k * ENTRY_SIZE
+    entries = [
+        ReportEntry((x0, y0, x1, y1), track_id, primary, secondary, conf_q)
+        for x0, y0, x1, y1, track_id, primary, secondary, conf_q in _ENTRY.iter_unpack(
+            data[HEADER_SIZE : expected - CRC_SIZE]
         )
-        entries.append(ReportEntry((x0, y0, x1, y1), track_id, primary, secondary, conf_q))
+    ]
     return ReportMessage(
         frame_id=frame_id,
         timestamp_ms=ts,

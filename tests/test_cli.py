@@ -1,9 +1,12 @@
 import os
 import socket
+import tempfile
 import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aeropipe.annotations import AnnotationRecord, read_annotations, write_annotations
 from aeropipe.cli import main
@@ -282,6 +285,28 @@ class TestExitCodes:
         assert "expected an integer >= 1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["bench", "--frames", "1", "--boxes", "-1"], "expected an integer >= 0, got -1"),
+            (["synth", "--noise", "-1"], "expected a finite number >= 0, got -1.0"),
+            (["synth", "--noise", "nan"], "expected a finite number >= 0, got nan"),
+            (["synth", "--noise", "inf"], "expected a finite number >= 0, got inf"),
+        ],
+        ids=["bench-boxes-neg", "synth-noise-neg", "synth-noise-nan", "synth-noise-inf"],
+    )
+    def test_out_of_range_flag_is_usage_error(self, tmp_path, capsys, args, message):
+        out = tmp_path / "out"
+        if args[0] == "synth":
+            args = [*args, "--frames", "1", "--out", str(out)]
+        assert main(args) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_synth_takes_zero_noise(self, tmp_path):
+        assert main(["synth", "--frames", "1", "--noise", "0", "--out", str(tmp_path / "s")]) == 0
+        assert (tmp_path / "s" / "frame_000000.aero").exists()
+
     def test_bench_takes_a_scene_without_boxes(self, capsys):
         assert main(["bench", "--frames", "2", "--boxes", "0"]) == 0
         assert capsys.readouterr().out.startswith("stage,mean_ms,p95_ms")
@@ -341,3 +366,55 @@ class TestExitCodes:
         args = ["detect", "--maps", str(tmp_path / "maps.aero"), "--out", str(tmp_path / "o.txt"), *flags]
         assert main(args) == 2
         assert "error:" in capsys.readouterr().err
+
+
+# Each numeric flag of the subcommands that take one, with the cap of its
+# large values: frames, epochs, boxes and grid are capped so that no case
+# runs long or allocates much.
+_NUMERIC_FLAGS = {
+    "synth": {"--seed": 2**70, "--frames": 3, "--noise": 1e300},
+    "bench": {"--seed": 2**70, "--frames": 3, "--boxes": 12, "--delta": 1e300, "--iou": 1e300},
+    "train": {"--seed": 2**70, "--epochs": 20},
+    "detect": {"--delta": 1e300, "--frame-id": 2**70},
+    "overlay": {"--frame-id": 2**70, "--grid": 200},
+}
+
+
+def _flag_value(flag, cap):
+    large = st.integers(1, cap) if isinstance(cap, int) else st.floats(0, cap)
+    value = st.one_of(
+        st.just("0"),
+        st.one_of(st.integers(-(2**70), -1), st.floats(max_value=-1e-300)).map(str),
+        st.one_of(st.sampled_from(["", "abc", "1.5x", "0x10", "1e", "--"]), st.text(max_size=4)),
+        st.sampled_from(["nan", "inf", "-inf"]),
+        large.map(str),
+    )
+    if flag == "--grid":
+        return st.tuples(value, value).map("x".join)
+    return value
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_NUMERIC_FLAGS)))
+    flags = _NUMERIC_FLAGS[command]
+    chosen = draw(st.lists(st.sampled_from(sorted(flags)), unique=True))
+    return command, [part for flag in chosen for part in (flag, draw(_flag_value(flag, flags[flag])))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_argv())
+def test_generated_argv_never_exits_with_an_internal_error(case):
+    command, flags = case
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "out")
+        required = {"synth": ["--out", out], "bench": [], "train": []}.get(command)
+        if command == "detect":
+            save_maps(os.path.join(tmp, "maps.aero"), encode([BBox(8, 6, 30, 28)], (40, 36)))
+            required = ["--maps", os.path.join(tmp, "maps.aero"), "--out", out]
+        elif command == "overlay":
+            _write_gt(os.path.join(tmp, "gt.txt"), [BBox(4, 4, 20, 20)])
+            required = ["--ann", os.path.join(tmp, "gt.txt"), "--out", out]
+            if "--grid" not in flags:
+                required += ["--grid", "64x48"]
+        assert main([command, *required, *flags]) in (0, 1, 2)

@@ -48,6 +48,11 @@ class TestGenerateScene:
         assert scene.records == []
         assert not scene.maps.seg.any()
 
+    @pytest.mark.parametrize("box_count", [(-1, -1), (-1, 3), (5, 2)])
+    def test_rejects_a_negative_or_inverted_box_count(self, box_count):
+        with pytest.raises(ValueError, match=r"box_count .* must be a range 0 <= low <= high"):
+            SceneConfig(box_count=box_count)
+
     def test_deterministic_per_seed(self):
         a = generate_scene(SceneConfig(), 99)
         b = generate_scene(SceneConfig(), 99)

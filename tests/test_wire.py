@@ -1,3 +1,5 @@
+import dataclasses
+import pickle
 import struct
 import zlib
 
@@ -5,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from aeropipe import wire
 from aeropipe.wire import (
@@ -465,3 +468,180 @@ def test_decode_message_raises_only_wire_error(data):
     except WireError:
         return
     assert encode_message(msg) == data
+
+
+# ---------------------------------------------------------------------------
+# Entries checked by their wire struct against the field-by-field checks
+# ---------------------------------------------------------------------------
+
+
+# The field checks and the decode that entries had before they were checked
+# by packing, copied verbatim: the references the struct-checked constructor
+# and the one-call unpack must equal on every input.
+def _reference_entry_checks(box, track_id, primary_action, secondary_action, confidence_q) -> None:
+    for coord in box:
+        if not 0 <= coord <= 0xFFFF:
+            raise ValueError(f"box coordinate {coord} does not fit u16")
+    if not 0 <= track_id <= 0xFFFFFFFF:
+        raise ValueError(f"track id {track_id} does not fit u32")
+    for value in (primary_action, secondary_action, confidence_q):
+        if not 0 <= value <= 0xFF:
+            raise ValueError(f"byte field value {value} out of range")
+
+
+ENTRY_SIZE = wire.ENTRY_SIZE
+_ENTRY = wire._ENTRY
+_HEADER = wire._HEADER
+MAGIC = wire.MAGIC
+VERSION = wire.VERSION
+
+
+def _reference_decode_message(data: bytes) -> ReportMessage:
+    """Strict decode: magic, version, entry count, exact length, then CRC."""
+    if len(data) < HEADER_SIZE + CRC_SIZE:
+        raise LengthMismatchError(f"{len(data)} bytes is shorter than any valid message")
+    magic, version, flags, frame_id, ts, lat, lon, alt, count = _HEADER.unpack_from(data, 0)
+    if magic != MAGIC:
+        raise BadMagicError(f"magic 0x{magic:04X} != 0x{MAGIC:04X}")
+    if version != VERSION:
+        raise BadVersionError(f"version {version} unsupported")
+    if count > MAX_ENTRIES:
+        raise BadCountError(f"count {count} exceeds the cap of {MAX_ENTRIES}")
+    expected = message_size(count)
+    if len(data) != expected:
+        raise LengthMismatchError(f"{len(data)} bytes but count {count} implies {expected}")
+    (crc_stored,) = struct.unpack_from("<I", data, expected - CRC_SIZE)
+    crc_actual = zlib.crc32(data[: expected - CRC_SIZE])
+    if crc_stored != crc_actual:
+        raise ChecksumError(f"crc 0x{crc_stored:08X} != computed 0x{crc_actual:08X}")
+    entries = []
+    for k in range(count):
+        x0, y0, x1, y1, track_id, primary, secondary, conf_q = _ENTRY.unpack_from(
+            data, HEADER_SIZE + k * ENTRY_SIZE
+        )
+        entries.append(ReportEntry((x0, y0, x1, y1), track_id, primary, secondary, conf_q))
+    return ReportMessage(
+        frame_id=frame_id,
+        timestamp_ms=ts,
+        drone_lat_e7=lat,
+        drone_lon_e7=lon,
+        drone_alt_dm=alt,
+        entries=tuple(entries),
+        flags=flags,
+    )
+
+
+def _outcome(fn, *args):
+    """What a call did: ("ok", result), or the exception class with the
+    message of a ValueError."""
+    try:
+        return "ok", fn(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    except Exception as exc:  # noqa: BLE001 - the class is the outcome
+        return type(exc), None
+
+
+_NP_INTS = st.sampled_from(
+    ["int8", "uint8", "int16", "uint16", "int32", "uint32", "int64", "uint64", "bool"]
+).flatmap(lambda name: hnp.from_dtype(np.dtype(name)))
+
+
+def _field(top):
+    """A field value for a field whose range is 0..top."""
+    return st.one_of(
+        st.sampled_from([-1, 0, top, top + 1]),
+        st.integers(),
+        st.booleans(),
+        _NP_INTS,
+        st.floats(),
+        st.sampled_from([float("nan"), -0.5, top + 0.5]),
+    )
+
+
+_BOXES = st.integers(3, 5).flatmap(lambda n: st.tuples(*[_field(0xFFFF)] * n)).flatmap(
+    lambda box: st.sampled_from([box, list(box)])
+)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_BOXES, _field(0xFFFFFFFF), _field(0xFF), _field(0xFF), _field(0xFF))
+@example((0, 0, 1, 1), 0, 0, 0, 0)
+@example((1.5, 0, 1, 1), 2**32, 0, 0, 0)
+@example((70000, 0, 1), 0, 0, 0, 0)
+@example((0, 0, 1, 1, 2), 0, 0, float("nan"), 0)
+def test_entry_accepts_exactly_what_the_field_checks_accept(box, track_id, primary, secondary, conf_q):
+    fields = (box, track_id, primary, secondary, conf_q)
+    expected = _outcome(_reference_entry_checks, *fields)
+    got = _outcome(ReportEntry, *fields)
+    if expected[0] == "ok":
+        assert got[0] == "ok"
+        entry = got[1]
+        stored = (entry.box, entry.track_id, entry.primary_action, entry.secondary_action, entry.confidence_q)
+        assert all(a is b for a, b in zip(stored, fields))
+    else:
+        assert got == expected
+
+
+_BOUNDARY_ENTRIES = st.builds(
+    ReportEntry,
+    st.tuples(*[st.one_of(st.sampled_from([0, 0xFFFF]), _u(0, 0xFFFF))] * 4),
+    st.one_of(st.sampled_from([0, 2**32 - 1]), _u(0, 2**32 - 1)),
+    *[st.one_of(st.sampled_from([0, 255]), _u(0, 255))] * 3,
+)
+_BOUNDARY_MESSAGES = st.builds(
+    ReportMessage,
+    frame_id=st.sampled_from([0, 2**32 - 1]),
+    timestamp_ms=st.sampled_from([0, 2**64 - 1]),
+    drone_lat_e7=st.sampled_from([-(2**31), 2**31 - 1]),
+    drone_lon_e7=st.sampled_from([-(2**31), 2**31 - 1]),
+    drone_alt_dm=st.sampled_from([0, 0xFFFF]),
+    entries=st.lists(_BOUNDARY_ENTRIES, max_size=MAX_ENTRIES).map(tuple),
+    flags=st.sampled_from([0, 255]),
+)
+
+
+def _edit(data: bytes, kind: str, amount: int) -> bytes:
+    """Cut `amount` bytes off the end, append `amount` zero bytes, or flip
+    the byte at `amount` (modulo the length)."""
+    if kind == "cut":
+        return data[:-amount]
+    if kind == "pad":
+        return data + bytes(amount)
+    out = bytearray(data)
+    out[amount % len(out)] ^= 0x5A
+    return bytes(out)
+
+
+@_SETTINGS
+@given(
+    st.one_of(
+        st.binary(max_size=600),
+        _BOUNDARY_MESSAGES.map(encode_message),
+        st.builds(
+            _edit,
+            _BOUNDARY_MESSAGES.map(encode_message),
+            st.sampled_from(["cut", "pad", "flip"]),
+            _u(1, 2 * ENTRY_SIZE),
+        ),
+    )
+)
+def test_decode_matches_reference_decode(data):
+    assert _outcome(decode_message, data) == _outcome(_reference_decode_message, data)
+
+
+def test_entry_keeps_its_dataclass_behaviour():
+    entry = ReportEntry((1, 2, 3, 4), 5, 6, 7, 8)
+    same = ReportEntry(box=(1, 2, 3, 4), track_id=5, primary_action=6, secondary_action=7, confidence_q=8)
+    assert entry == same and hash(entry) == hash(same)
+    assert entry != ReportEntry((1, 2, 3, 4), 5, 6, 7, 9)
+    assert repr(entry) == (
+        "ReportEntry(box=(1, 2, 3, 4), track_id=5, primary_action=6, secondary_action=7, confidence_q=8)"
+    )
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        entry.track_id = 9
+    assert dataclasses.replace(entry, track_id=9) == ReportEntry((1, 2, 3, 4), 9, 6, 7, 8)
+    with pytest.raises(ValueError, match="track id 4294967296 does not fit u32"):
+        dataclasses.replace(entry, track_id=2**32)
+    assert pickle.loads(pickle.dumps(entry)) == entry
+    assert entry.confidence == 8 / 255.0

@@ -12,7 +12,7 @@ from .attention import AttentionConfig, AttentionMap, CropFeature, FeatureGrid, 
 from .boxgen import BoxGeneratorConfig, CornerCandidates, box_generator, find_peaks, generate_boxes, mask_maps, remove_noise
 from .densemaps import DenseMaps, decode_pixel, encode, load_maps, save_maps
 from .evaluate import Detection, EvalConfig, action_map, evaluate_map, nms
-from .geometry import BBox, PixelCoord, center, diagonal_params, iou
+from .geometry import BBox, PixelCoord, center, iou
 from .pipeline import FrameRecord, Pipeline, PipelineConfig, StubConfig, bench_frames, feature_stub
 from .rng import SplitMix64
 from .synth import SceneConfig, corrupt_maps, crop_dataset, generate_scene, generate_sequence

@@ -44,6 +44,13 @@ class AnnotationRecord:
         return line
 
 
+def check_frame_id(frame_id: int, where: str) -> int:
+    """`frame_id` if it fits the report header's u32, else ValueError naming `where`."""
+    if not 0 <= frame_id <= 0xFFFFFFFF:
+        raise ValueError(f"frame id {frame_id} outside 0..{0xFFFFFFFF}: {where}")
+    return frame_id
+
+
 def parse_line(line: str) -> AnnotationRecord:
     parts = line.split()
     if len(parts) not in (8, 9):
@@ -53,7 +60,7 @@ def parse_line(line: str) -> AnnotationRecord:
     if not math.isfinite(conf):
         raise ValueError(f"non-finite confidence: {line!r}")
     return AnnotationRecord(
-        frame_id=ints[0],
+        frame_id=check_frame_id(ints[0], repr(line)),
         box=BBox(ints[1], ints[2], ints[3], ints[4]),
         track_id=ints[5],
         primary_action=ints[6],

@@ -67,9 +67,14 @@ def _at_least(low: int, parse=int):
     return check
 
 
+# One map file per frame: `encode DIR` and `synth` write it, `detect DIR` reads it.
+_MAPS_NAME = "frame_{:06d}.aero"
+_MAPS_NAME_RE = re.compile(re.escape(_MAPS_NAME).replace(re.escape("{:06d}"), r"(\d+)"))
+
+
 def _load_pipeline_config(args: argparse.Namespace) -> PipelineConfig:
     values = parse_config_file(args.config) if getattr(args, "config", None) else {}
-    for key, flag in (("boxgen.delta", "delta"), ("nms.iou_threshold", "iou"), ("wire.address", "addr")):
+    for key, flag in (("boxgen.delta", "delta"), ("nms.iou_threshold", "iou")):
         if getattr(args, flag, None) is not None:
             values[key] = str(getattr(args, flag))
     return config_from_mapping(values)
@@ -95,7 +100,7 @@ def cmd_encode(args: argparse.Namespace) -> int:
     os.makedirs(args.out, exist_ok=True)
     for fid in sorted(frames):
         maps = encode([r.box for r in frames[fid]], grid)
-        save_maps(os.path.join(args.out, f"frame_{fid:06d}.aero"), maps)
+        save_maps(os.path.join(args.out, _MAPS_NAME.format(fid)), maps)
     return 0
 
 
@@ -103,7 +108,7 @@ def _maps_inputs(path: str) -> list[tuple[int, str]]:
     if os.path.isdir(path):
         entries = []
         for name in sorted(os.listdir(path)):
-            m = re.fullmatch(r"frame_(\d+)\.aero", name)
+            m = _MAPS_NAME_RE.fullmatch(name)
             if m:
                 entries.append((int(m.group(1)), os.path.join(path, name)))
         if not entries:
@@ -153,7 +158,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         maps = scene.maps
         if args.noise > 0.0:
             maps = corrupt_maps(maps, args.noise, scene_cfg.flip_probability, args.seed + 1000 + k)
-        maps_name = f"frame_{scene.frame_id:06d}.aero"
+        maps_name = _MAPS_NAME.format(scene.frame_id)
         save_maps(os.path.join(args.out, maps_name), maps)
         all_records.extend(scene.records)
         entries.append((scene.frame_id, "annotations.txt", maps_name))
@@ -169,17 +174,19 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     if not entries:
         raise ValueError(f"manifest {args.manifest} lists no frames")
     base = os.path.dirname(os.path.abspath(args.manifest))
-    ann_records = read_annotations(os.path.join(base, entries[0][1]))
-    by_frame = group_by_frame(ann_records)
+    by_file = {
+        name: group_by_frame(read_annotations(os.path.join(base, name)))
+        for name in dict.fromkeys(ann_name for _, ann_name, _ in entries)
+    }
 
     os.makedirs(args.out, exist_ok=True)
     model = load_model(args.model) if args.model else None
     pipeline = Pipeline(cfg, model=model)
     predictions: list[AnnotationRecord] = []
     messages = []
-    for fid, _, maps_name in entries:
+    for fid, ann_name, maps_name in entries:
         maps = load_maps(os.path.join(base, maps_name))
-        intensity = render_intensity(by_frame.get(fid, []), (maps.width, maps.height))
+        intensity = render_intensity(by_file[ann_name].get(fid, []), (maps.width, maps.height))
         result = pipeline.run_frame(FrameRecord(frame_id=fid, maps=maps, intensity=intensity))
         predictions.extend(detections_to_records(result.detections))
         messages.append(result.message)
@@ -191,16 +198,10 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         )
     pred_path = os.path.join(args.out, "predictions.txt")
     write_annotations(pred_path, predictions, with_confidence=True)
-    stream = wire.frame_stream(messages)
     reports_path = os.path.join(args.out, "reports.bin")
     with open(reports_path, "wb") as fh:
-        fh.write(stream)
+        fh.write(wire.frame_stream(messages))
     print(f"wrote {pred_path} and {reports_path}")
-    if cfg.wire.address:
-        host, port = wire.parse_address(cfg.wire.address)
-        with socket.create_connection((host, port)) as sock:
-            sock.sendall(stream)
-        print(f"sent {len(stream)} bytes to {cfg.wire.address}")
     return 0
 
 
@@ -292,7 +293,7 @@ def cmd_recv(args: argparse.Namespace) -> int:
         print(f"listening on {host}:{port}", file=sys.stderr)
         conn, peer = server.accept()
         with conn:
-            messages, skipped = wire.receive_stream(conn.makefile("rb"))
+            messages, skipped = wire.unframe_stream(conn.makefile("rb").read())
     lines = [
         f"frame={m.frame_id} entries={len(m.entries)} size={m.encoded_size}"
         for m in messages
@@ -338,7 +339,6 @@ def build_parser() -> _Parser:
         "--seed": {"type": int, "default": 0, "help": "pseudorandom seed"},
         "--delta": {"type": float, "help": "override decode delta fraction"},
         "--iou": {"type": float, "help": "override IoU threshold"},
-        "--addr": {"help": "host:port wire endpoint"},
     }
 
     def common(p: _Parser, *flags: str) -> None:
@@ -354,7 +354,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("detect", help="decode boxes from map tensors")
     common(p, "--config", "--delta")
     p.add_argument("--maps", required=True, help=".aero file or directory of frame_*.aero")
-    p.add_argument("--frame-id", type=int, help="frame id for single-file input")
+    p.add_argument("--frame-id", type=_at_least(0), help="frame id for single-file input")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_detect)
 
@@ -367,7 +367,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("pipeline", help="run the full per-frame loop on a manifest")
-    common(p, "--config", "--delta", "--iou", "--addr")
+    common(p, "--config", "--delta", "--iou")
     p.add_argument("--manifest", required=True)
     p.add_argument("--model", help="trained model parameter file")
     p.add_argument("--out", required=True, help="output directory")
@@ -408,7 +408,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("overlay", help="render annotated boxes into a PPM image")
     p.add_argument("--ann", required=True)
     p.add_argument("--grid", required=True, help="WIDTHxHEIGHT")
-    p.add_argument("--frame-id", type=int, default=0)
+    p.add_argument("--frame-id", type=_at_least(0), default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_overlay)
 

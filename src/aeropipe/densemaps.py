@@ -58,9 +58,6 @@ class DenseMaps:
     def grid(self) -> tuple[int, int]:
         return (self.width, self.height)
 
-    def copy(self) -> "DenseMaps":
-        return DenseMaps(self.seg.copy(), self.reg.copy(), self.width, self.height)
-
     def validate(self) -> None:
         """Check the clean-encoding invariants; raises ValueError on breach."""
         if self.seg.shape != (self.height, self.width):
@@ -88,9 +85,10 @@ def zero_maps(grid: tuple[int, int]) -> DenseMaps:
 def encode(boxes: Sequence[BBox], grid: tuple[int, int]) -> DenseMaps:
     """Rasterize ground-truth boxes into dense maps.
 
-    Every box must lie fully inside the grid. Overlap ownership is resolved
-    per pixel before any regression value is written, so the result does not
-    depend on evaluation order.
+    Every box must lie fully inside the grid. Boxes are visited in input
+    order; a box takes a pixel, and writes its projections there, when its
+    center is nearer than the holder's (ties: smaller area), so the last
+    box to take a pixel is its owner.
     """
     width, height = grid
     for b in boxes:
@@ -98,43 +96,28 @@ def encode(boxes: Sequence[BBox], grid: tuple[int, int]) -> DenseMaps:
             raise ValueError(f"box {b.as_tuple()} outside {width}x{height} grid")
 
     maps = zero_maps(grid)
-    if not boxes:
-        return maps
-
-    # Assignment pass: nearest box center wins each contested pixel.
-    owner = np.full((height, width), -1, dtype=np.int32)
     best_d2 = np.full((height, width), np.inf, dtype=np.float64)
     best_area = np.full((height, width), np.inf, dtype=np.float64)
-    for k, b in enumerate(boxes):
+    for b in boxes:
         ys = np.arange(b.y0, b.y1 + 1, dtype=np.float64)
         xs = np.arange(b.x0, b.x1 + 1, dtype=np.float64)
         cx = (b.x0 + b.x1) / 2.0
         cy = (b.y0 + b.y1) / 2.0
         d2 = (ys[:, None] - cy) ** 2 + (xs[None, :] - cx) ** 2
         win = (slice(b.y0, b.y1 + 1), slice(b.x0, b.x1 + 1))
-        closer = d2 < best_d2[win]
-        tie_smaller = (d2 == best_d2[win]) & (b.area < best_area[win])
-        take = closer | tie_smaller
-        owner[win][take] = k
+        take = (d2 < best_d2[win]) | ((d2 == best_d2[win]) & (b.area < best_area[win]))
         best_d2[win][take] = d2[take]
         best_area[win][take] = b.area
-
-    # Fill pass: write each box's projections on the pixels it owns.
-    # cos(theta) = W / alpha and sin(theta) = H / alpha, so each channel is
-    # an integer numerator over the integer W^2 + H^2: corner peaks come
-    # out exactly 1.0 and values never leave [0, 1].
-    for k, b in enumerate(boxes):
+        # cos(theta) = W / alpha and sin(theta) = H / alpha, so each channel
+        # is an integer numerator over the integer W^2 + H^2: corner peaks
+        # come out exactly 1.0 and values never leave [0, 1].
         alpha_sq = float(b.width**2 + b.height**2)
-        ys = np.arange(b.y0, b.y1 + 1, dtype=np.float64)
-        xs = np.arange(b.x0, b.x1 + 1, dtype=np.float64)
         r0 = ((b.x1 - xs)[None, :] * b.width + (b.y1 - ys)[:, None] * b.height) / alpha_sq
         r1 = ((xs - b.x0)[None, :] * b.width + (ys - b.y0)[:, None] * b.height) / alpha_sq
-        win = (slice(b.y0, b.y1 + 1), slice(b.x0, b.x1 + 1))
-        mine = owner[win] == k
-        maps.reg[0][win][mine] = r0[mine]
-        maps.reg[1][win][mine] = r1[mine]
+        maps.reg[0][win][take] = r0[take]
+        maps.reg[1][win][take] = r1[take]
 
-    maps.seg[owner >= 0] = 1.0
+    maps.seg[best_d2 < np.inf] = 1.0
     return maps
 
 

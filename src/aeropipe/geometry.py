@@ -9,7 +9,6 @@ comparable with standard detection tooling.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 # Pixel location (i_x, i_y): column then row, both zero-based.
@@ -64,18 +63,6 @@ def iou(a: BBox, b: BBox) -> float:
     inter = float(ix * iy)
     union = a.area + b.area - inter
     return inter / union
-
-
-def diagonal_params(b: BBox) -> tuple[float, float]:
-    """Angle and length of the box's main diagonal.
-
-    Returns (theta, alpha) with theta = arctan(height / width) in (0, pi/2)
-    and alpha = sqrt(width^2 + height^2); alpha normalizes the diagonal
-    projections of the regression encoding into [0, 1].
-    """
-    theta = math.atan2(b.height, b.width)
-    alpha = math.hypot(b.width, b.height)
-    return theta, alpha
 
 
 def center(b: BBox) -> tuple[float, float]:

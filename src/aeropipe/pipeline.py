@@ -28,7 +28,7 @@ from .temporal import ActivityModel, TrackStore, predict
 from .wire import ReportMessage, build_report, encode_message
 
 STAGES = ("features", "decode", "attention", "temporal", "nms", "wire")
-BUDGET_STAGES = ("decode", "attention", "temporal", "nms", "wire")
+BUDGET_STAGES = STAGES[1:]
 
 
 @dataclass
@@ -80,11 +80,6 @@ class TemporalConfig:
 
 
 @dataclass
-class WireConfig:
-    address: str | None = None
-
-
-@dataclass
 class LoopConfig:
     """Nominal frame spacing: report timestamps of frames without one, and
     arrival times in the latest-only benchmark."""
@@ -107,7 +102,6 @@ class PipelineConfig:
     nms: NmsConfig = field(default_factory=NmsConfig)
     associate: AssociateConfig = field(default_factory=AssociateConfig)
     temporal: TemporalConfig = field(default_factory=TemporalConfig)
-    wire: WireConfig = field(default_factory=WireConfig)
     pipeline: LoopConfig = field(default_factory=LoopConfig)
 
     @property

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .annotations import AnnotationRecord
+from .annotations import AnnotationRecord, check_frame_id
 from .densemaps import DenseMaps, encode
 from .geometry import BBox, separation
 from .rng import SplitMix64
@@ -49,7 +49,6 @@ class SceneConfig:
     aspect_range: tuple[float, float] = (0.6, 1.6)
     min_gap: int = 3
     velocity_range: tuple[float, float] = (-3.0, 3.0)
-    noise_amplitude: float = 0.05
     flip_probability: float = 0.01
     max_cross_fill: float = 0.85
     max_attempts: int = 10_000
@@ -329,7 +328,8 @@ def write_manifest(path: str, seed: int, grid: tuple[int, int], entries: list[tu
 
 
 def read_manifest(path: str) -> tuple[int, tuple[int, int], list[tuple[int, str, str]]]:
-    """Seed, grid and frame entries; a truncated line raises ValueError."""
+    """Seed, grid and frame entries; a truncated line or a frame id outside
+    the report's u32 raises ValueError."""
     seed = 0
     grid = (0, 0)
     entries: list[tuple[int, str, str]] = []
@@ -345,5 +345,6 @@ def read_manifest(path: str) -> tuple[int, tuple[int, int], list[tuple[int, str,
             elif parts[0] == "grid":
                 grid = (int(parts[1]), int(parts[2]))
             elif parts[0] == "frame":
-                entries.append((int(parts[1]), parts[2], parts[3]))
+                fid = check_frame_id(int(parts[1]), f"{path} line {lineno}")
+                entries.append((fid, parts[2], parts[3]))
     return seed, grid, entries

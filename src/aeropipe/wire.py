@@ -32,17 +32,18 @@ from __future__ import annotations
 import struct
 import zlib
 from dataclasses import dataclass, field
-from typing import BinaryIO, Iterable
+from typing import Iterable
 
 MAGIC = 0xAE70
 VERSION = 1
 MAX_ENTRIES = 31
-HEADER_SIZE = 27
-ENTRY_SIZE = 15
-CRC_SIZE = 4
 
 _HEADER = struct.Struct("<HBBIQiiHB")
 _ENTRY = struct.Struct("<4HIBBB")
+_CRC = struct.Struct("<I")
+HEADER_SIZE = _HEADER.size
+ENTRY_SIZE = _ENTRY.size
+CRC_SIZE = _CRC.size
 _MAGIC_BYTES = struct.pack("<H", MAGIC)
 
 
@@ -145,7 +146,7 @@ def encode_message(msg: ReportMessage) -> bytes:
     )
     for e in msg.entries:
         body += _ENTRY.pack(*e.box, e.track_id, e.primary_action, e.secondary_action, e.confidence_q)
-    body += struct.pack("<I", zlib.crc32(bytes(body)))
+    body += _CRC.pack(zlib.crc32(bytes(body)))
     return bytes(body)
 
 
@@ -163,7 +164,7 @@ def decode_message(data: bytes) -> ReportMessage:
     expected = message_size(count)
     if len(data) != expected:
         raise LengthMismatchError(f"{len(data)} bytes but count {count} implies {expected}")
-    (crc_stored,) = struct.unpack_from("<I", data, expected - CRC_SIZE)
+    (crc_stored,) = _CRC.unpack_from(data, expected - CRC_SIZE)
     crc_actual = zlib.crc32(data[: expected - CRC_SIZE])
     if crc_stored != crc_actual:
         raise ChecksumError(f"crc 0x{crc_stored:08X} != computed 0x{crc_actual:08X}")
@@ -267,24 +268,6 @@ def unframe_stream(data: bytes) -> tuple[list[ReportMessage], int]:
         messages.append(msg)
         pos = scan = end
     return messages, skipped + n - pos
-
-
-# ---------------------------------------------------------------------------
-# Byte-stream endpoints
-# ---------------------------------------------------------------------------
-
-
-def send_stream(writer: BinaryIO, messages: Iterable[ReportMessage]) -> int:
-    """Write framed messages to a reliable ordered byte stream."""
-    payload = frame_stream(messages)
-    writer.write(payload)
-    writer.flush()
-    return len(payload)
-
-
-def receive_stream(reader: BinaryIO) -> tuple[list[ReportMessage], int]:
-    """Drain a byte stream until EOF and unframe everything received."""
-    return unframe_stream(reader.read())
 
 
 def parse_address(addr: str) -> tuple[str, int]:

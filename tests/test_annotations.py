@@ -35,6 +35,18 @@ def test_non_finite_confidence_rejected(value):
         parse_line(f"0 1 1 9 9 -1 -1 -1 {value}")
 
 
+@pytest.mark.parametrize("frame_id", [-1, -7, 2**32, 2**70])
+def test_frame_id_outside_u32_rejected(frame_id):
+    line = f"{frame_id} 1 1 9 9 -1 -1 -1"
+    with pytest.raises(ValueError, match=f"frame id {frame_id} outside 0..4294967295: '{line}'"):
+        parse_line(line)
+
+
+def test_frame_id_u32_bounds_accepted():
+    assert parse_line("0 1 1 9 9 -1 -1 -1").frame_id == 0
+    assert parse_line(f"{2**32 - 1} 1 1 9 9 -1 -1 -1").frame_id == 2**32 - 1
+
+
 def test_file_roundtrip_with_comments(tmp_path):
     path = str(tmp_path / "ann.txt")
     records = [

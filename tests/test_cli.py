@@ -1,4 +1,5 @@
 import os
+import re
 import socket
 import tempfile
 import threading
@@ -8,10 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aeropipe import cli
 from aeropipe.annotations import AnnotationRecord, read_annotations, write_annotations
-from aeropipe.cli import main
+from aeropipe.cli import build_parser, main
 from aeropipe.densemaps import encode, load_maps, save_maps
 from aeropipe.geometry import BBox
+from aeropipe.synth import render_intensity
 from aeropipe.wire import unframe_stream
 
 
@@ -116,6 +119,25 @@ class TestSynthAndPipeline:
         preds = read_annotations(str(run / "predictions.txt"))
         assert preds and all(0.0 <= p.confidence <= 1.0 for p in preds)
 
+    def test_pipeline_reads_each_lines_annotation_file(self, tmp_path, monkeypatch):
+        grid = (64, 48)
+        for fid in (0, 1):
+            save_maps(str(tmp_path / f"m{fid}.aero"), encode([BBox(8, 6, 30, 28)], grid))
+        _write_gt(tmp_path / "a0.txt", [BBox(4, 4, 20, 20)], frame_id=0)
+        boxes = [BBox(2 + 10 * k, 2 + 20 * (k % 2), 8 + 10 * k, 12 + 20 * (k % 2)) for k in range(6)]
+        _write_gt(tmp_path / "a1.txt", boxes, frame_id=1)
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text("seed 1\ngrid 64 48\nframe 0 a0.txt m0.aero\nframe 1 a1.txt m1.aero\n")
+        rendered = []
+
+        def spy(records, size):
+            rendered.append([r.box for r in records])
+            return render_intensity(records, size)
+
+        monkeypatch.setattr(cli, "render_intensity", spy)
+        assert main(["pipeline", "--manifest", str(manifest), "--out", str(tmp_path / "run")]) == 0
+        assert rendered == [[BBox(4, 4, 20, 20)], boxes]
+
     def test_synth_crops(self, tmp_path):
         out = tmp_path / "crops"
         assert main(["synth", "--kind", "crops", "--seed", "3", "--out", str(out)]) == 0
@@ -141,9 +163,10 @@ class TestSynthAndPipeline:
             ("detect", ["--iou", "0.4"]),
             ("detect", ["--addr", "h:1"]),
             ("pipeline", ["--seed", "1"]),
+            ("pipeline", ["--addr", "h:1"]),
             ("bench", ["--addr", "h:1"]),
         ],
-        ids=["detect-seed", "detect-iou", "detect-addr", "pipeline-seed", "bench-addr"],
+        ids=["detect-seed", "detect-iou", "detect-addr", "pipeline-seed", "pipeline-addr", "bench-addr"],
     )
     def test_subcommands_reject_flags_they_ignore(self, tmp_path, capsys, command, flag):
         out = str(tmp_path / "out")
@@ -266,6 +289,35 @@ class TestExitCodes:
         manifest.write_text(f"{line}\n")
         assert main(["pipeline", "--manifest", str(manifest), "--out", str(tmp_path / "run")]) == 2
         assert f"line 1: truncated {line.split()[0]!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("frame_id", [-7, 2**32])
+    def test_manifest_frame_id_outside_u32_is_data_error(self, tmp_path, capsys, frame_id):
+        main(["synth", "--frames", "1", "--out", str(tmp_path / "data")])
+        manifest = tmp_path / "data" / "manifest.txt"
+        manifest.write_text(manifest.read_text().replace("frame 0 ", f"frame {frame_id} "))
+        assert main(["pipeline", "--manifest", str(manifest), "--out", str(tmp_path / "run")]) == 2
+        assert f"frame id {frame_id} outside 0..4294967295" in capsys.readouterr().err
+
+    def test_annotation_frame_id_outside_u32_is_data_error(self, tmp_path, capsys):
+        ann = tmp_path / "gt.txt"
+        ann.write_text("-5 10 10 40 36 -1 -1 -1\n")
+        out = tmp_path / "maps"
+        assert main(["encode", "--ann", str(ann), "--grid", "80x48", "--out", str(out)]) == 2
+        assert "frame id -5 outside 0..4294967295: '-5 10 10 40 36 -1 -1 -1'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["detect", "overlay"])
+    def test_negative_frame_id_flag_is_usage_error(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        if command == "detect":
+            save_maps(str(tmp_path / "maps.aero"), encode([BBox(8, 6, 30, 28)], (80, 48)))
+            args = ["detect", "--maps", str(tmp_path / "maps.aero")]
+        else:
+            _write_gt(tmp_path / "gt.txt", [BBox(4, 4, 20, 20)])
+            args = ["overlay", "--ann", str(tmp_path / "gt.txt"), "--grid", "64x48"]
+        assert main([*args, "--frame-id", "-5", "--out", str(out)]) == 1
+        assert "expected an integer >= 0, got -5" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_grid_is_data_error(self, tmp_path):
         ann = tmp_path / "gt.txt"
@@ -418,3 +470,108 @@ def test_generated_argv_never_exits_with_an_internal_error(case):
             if "--grid" not in flags:
                 required += ["--grid", "64x48"]
         assert main([command, *required, *flags]) in (0, 1, 2)
+
+
+_README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+
+
+def _readme_commands():
+    """Each `aeropipe ...` line of README.md's command-line block, without
+    its comment and a trailing `&`."""
+    text = open(_README, encoding="utf-8").read()
+    block = re.search(r"## Command line\n.*?```bash\n(.*?)```", text, re.S).group(1)
+    lines = [line.split("#")[0].strip().removesuffix("&").split() for line in block.splitlines()]
+    return [line[1:] for line in lines if line[:1] == ["aeropipe"]]
+
+
+def test_readme_commands_parse():
+    commands = _readme_commands()
+    assert len(commands) >= 10
+    parser = build_parser()
+    for argv in commands:
+        args = parser.parse_args(argv)
+        assert args.command == argv[0]
+
+
+# Manifest and annotation text for the input-boundary property: lines that
+# are mostly well formed on a 64x48 grid, with boxes that may run off it,
+# and some with one field replaced by a bad value or cut short.
+_BAD_FIELDS = st.sampled_from(
+    ["-1", "-7", str(2**32 - 1), str(2**32), str(2**70), "1e400", "nan", "inf", "1.5", "abc", "", "0x10"]
+)
+
+
+def _damaged(draw, fields, clean):
+    fields = [str(f) for f in fields]
+    if clean:
+        return " ".join(fields)
+    if draw(st.integers(0, 7)) == 0:
+        fields[draw(st.integers(0, len(fields) - 1))] = draw(_BAD_FIELDS)
+    if draw(st.integers(0, 15)) == 0:
+        fields = fields[: draw(st.integers(0, len(fields) - 1))]
+    return " ".join(fields)
+
+
+@st.composite
+def _annotation_text(draw):
+    lines, clean = [], draw(st.booleans())
+    for _ in range(draw(st.integers(0, 6))):
+        x0, y0 = draw(st.integers(0, 58)), draw(st.integers(0, 42))
+        fields = [
+            draw(st.integers(0, 3)),
+            x0,
+            y0,
+            x0 + draw(st.integers(2, 8)),
+            y0 + draw(st.integers(2, 8)),
+            *draw(st.lists(st.integers(-1, 4), min_size=3, max_size=3)),
+        ]
+        if draw(st.booleans()):
+            fields.append(draw(st.floats(-0.5, 1.5)))
+        lines.append(_damaged(draw, fields, clean))
+    return "".join(line + "\n" for line in lines)
+
+
+@st.composite
+def _manifest_text(draw):
+    """Frame ids mostly increase; annotation and map names may be missing
+    files, and `m1.aero` is a 40x36 grid that some boxes fall outside."""
+    clean = draw(st.booleans())
+    lines = [_damaged(draw, ["seed", draw(st.integers(0, 99))], clean), _damaged(draw, ["grid", 64, 48], clean)]
+    fid = draw(st.integers(0, 1))
+    for _ in range(draw(st.integers(1, 4))):
+        ann = draw(st.sampled_from(["a0.txt", "a1.txt"] * 4 + ["missing.txt"]))
+        maps = draw(st.sampled_from(["m0.aero"] * 6 + ["m1.aero", "bad.aero", "missing.aero"]))
+        lines.append(_damaged(draw, ["frame", fid, ann, maps], clean))
+        fid += draw(st.sampled_from([1, 1, 1, 0, 2]))
+    return "".join(line + "\n" for line in lines)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    manifest=_manifest_text(),
+    annotations=st.tuples(_annotation_text(), _annotation_text()),
+    frame_id=st.integers(0, 4),
+)
+def test_generated_manifests_and_annotations_never_exit_with_an_internal_error(manifest, annotations, frame_id):
+    with tempfile.TemporaryDirectory() as tmp:
+        def path(name):
+            return os.path.join(tmp, name)
+
+        save_maps(path("m0.aero"), encode([BBox(8, 6, 30, 28)], (64, 48)))
+        save_maps(path("m1.aero"), encode([BBox(4, 4, 20, 20)], (40, 36)))
+        with open(path("bad.aero"), "wb") as fh:
+            fh.write(b"AERO\x01\x00\x03garbage")
+        with open(path("manifest.txt"), "w") as fh:
+            fh.write(manifest)
+        for name, text in zip(("a0.txt", "a1.txt"), annotations):
+            with open(path(name), "w") as fh:
+                fh.write(text)
+        runs = [
+            ["pipeline", "--manifest", path("manifest.txt"), "--out", path("run")],
+            ["eval", "--pred", path("a0.txt"), "--gt", path("a1.txt")],
+            ["encode", "--ann", path("a0.txt"), "--grid", "64x48", "--out", path("maps")],
+            ["encode", "--ann", path("a1.txt"), "--grid", "64x48", "--out", path("one.aero")],
+            ["overlay", "--ann", path("a0.txt"), "--grid", "64x48", "--frame-id", str(frame_id), "--out", path("f.ppm")],
+        ]
+        for argv in runs:
+            assert main(argv) in (0, 1, 2), argv

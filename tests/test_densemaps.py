@@ -2,7 +2,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -241,6 +241,88 @@ def test_load_maps_equals_reference_loader(tmp_path_factory, tensor):
         assert got.dtype == want.dtype == np.float64 and got.shape == want.shape
         assert got.flags.c_contiguous
         assert got.tobytes() == want.tobytes()
+
+
+def _encode_two_pass(boxes, grid):
+    """The two-pass `encode` (assign every pixel, then fill), kept verbatim
+    as the reference for the one-pass version."""
+    width, height = grid
+    for b in boxes:
+        if not b.within_grid(width, height):
+            raise ValueError(f"box {b.as_tuple()} outside {width}x{height} grid")
+
+    maps = zero_maps(grid)
+    if not boxes:
+        return maps
+
+    # Assignment pass: nearest box center wins each contested pixel.
+    owner = np.full((height, width), -1, dtype=np.int32)
+    best_d2 = np.full((height, width), np.inf, dtype=np.float64)
+    best_area = np.full((height, width), np.inf, dtype=np.float64)
+    for k, b in enumerate(boxes):
+        ys = np.arange(b.y0, b.y1 + 1, dtype=np.float64)
+        xs = np.arange(b.x0, b.x1 + 1, dtype=np.float64)
+        cx = (b.x0 + b.x1) / 2.0
+        cy = (b.y0 + b.y1) / 2.0
+        d2 = (ys[:, None] - cy) ** 2 + (xs[None, :] - cx) ** 2
+        win = (slice(b.y0, b.y1 + 1), slice(b.x0, b.x1 + 1))
+        closer = d2 < best_d2[win]
+        tie_smaller = (d2 == best_d2[win]) & (b.area < best_area[win])
+        take = closer | tie_smaller
+        owner[win][take] = k
+        best_d2[win][take] = d2[take]
+        best_area[win][take] = b.area
+
+    # Fill pass: write each box's projections on the pixels it owns.
+    # cos(theta) = W / alpha and sin(theta) = H / alpha, so each channel is
+    # an integer numerator over the integer W^2 + H^2: corner peaks come
+    # out exactly 1.0 and values never leave [0, 1].
+    for k, b in enumerate(boxes):
+        alpha_sq = float(b.width**2 + b.height**2)
+        ys = np.arange(b.y0, b.y1 + 1, dtype=np.float64)
+        xs = np.arange(b.x0, b.x1 + 1, dtype=np.float64)
+        r0 = ((b.x1 - xs)[None, :] * b.width + (b.y1 - ys)[:, None] * b.height) / alpha_sq
+        r1 = ((xs - b.x0)[None, :] * b.width + (ys - b.y0)[:, None] * b.height) / alpha_sq
+        win = (slice(b.y0, b.y1 + 1), slice(b.x0, b.x1 + 1))
+        mine = owner[win] == k
+        maps.reg[0][win][mine] = r0[mine]
+        maps.reg[1][win][mine] = r1[mine]
+
+    maps.seg[owner >= 0] = 1.0
+    return maps
+
+
+@st.composite
+def _box_scenes(draw):
+    """0-12 boxes on a small grid, so most overlap. Sides come from a short
+    range, so equal areas and equidistant centers are common; positions
+    reach both grid edges."""
+    width, height = draw(st.integers(3, 24)), draw(st.integers(3, 24))
+    boxes = []
+    for _ in range(draw(st.integers(0, 12))):
+        w = draw(st.integers(2, min(width - 1, 8)))
+        h = draw(st.integers(2, min(height - 1, 8)))
+        x0 = draw(st.integers(0, width - 1 - w))
+        y0 = draw(st.integers(0, height - 1 - h))
+        boxes.append(BBox(x0, y0, x0 + w, y0 + h))
+    return boxes, (width, height)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_box_scenes())
+# Equidistant pixels between a larger and a smaller box, in both orders.
+@example(([BBox(0, 0, 12, 12), BBox(8, 2, 16, 10)], (24, 24)))
+@example(([BBox(8, 2, 16, 10), BBox(0, 0, 12, 12)], (24, 24)))
+# Equal areas with equidistant pixels: input order decides.
+@example(([BBox(0, 0, 10, 10), BBox(6, 0, 16, 10)], (20, 20)))
+# The same box three times, and boxes on all four grid edges.
+@example(([BBox(2, 2, 6, 6)] * 3, (9, 9)))
+@example(([BBox(0, 0, 5, 8), BBox(3, 0, 8, 8), BBox(0, 4, 8, 8)], (9, 9)))
+def test_one_pass_encode_equals_two_pass(scene):
+    boxes, grid = scene
+    got, want = encode(boxes, grid), _encode_two_pass(boxes, grid)
+    assert got.seg.tobytes() == want.seg.tobytes()
+    assert got.reg.tobytes() == want.reg.tobytes()
 
 
 def test_validate_rejects_mask_breach():

@@ -1,9 +1,7 @@
-import math
-
 import numpy as np
 import pytest
 
-from aeropipe.geometry import BBox, center, diagonal_params, iou, separation
+from aeropipe.geometry import BBox, center, iou, separation
 
 
 class TestBBox:
@@ -51,34 +49,6 @@ class TestIou:
             v = iou(a, b)
             assert v == iou(b, a)
             assert 0.0 <= v <= 1.0
-
-
-class TestDiagonalParams:
-    def test_square_box(self):
-        theta, alpha = diagonal_params(BBox(0, 0, 10, 10))
-        assert theta == pytest.approx(math.pi / 4, abs=1e-15)
-        assert alpha == pytest.approx(math.sqrt(200), rel=1e-15)
-
-    def test_wide_box(self):
-        theta, alpha = diagonal_params(BBox(0, 0, 10, 5))
-        assert theta == pytest.approx(math.atan(0.5), abs=1e-15)
-        assert alpha == pytest.approx(math.sqrt(125), rel=1e-15)
-
-    def test_any_square_is_diagonal_pi_over_4(self):
-        for side in (2, 7, 33, 100):
-            theta, _ = diagonal_params(BBox(5, 9, 5 + side, 9 + side))
-            assert theta == pytest.approx(math.pi / 4, abs=1e-15)
-
-    def test_alpha_squared_identity_random(self):
-        rng = np.random.default_rng(7)
-        for _ in range(200):
-            w, h = rng.integers(2, 500, size=2)
-            _, alpha = diagonal_params(BBox(0, 0, int(w), int(h)))
-            assert alpha**2 == pytest.approx(w**2 + h**2, rel=1e-12)
-
-    def test_range_open_interval(self):
-        theta, _ = diagonal_params(BBox(0, 0, 1000, 2))
-        assert 0.0 < theta < math.pi / 2
 
 
 class TestCenter:

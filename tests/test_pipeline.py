@@ -228,7 +228,6 @@ class TestConfigFile:
             "associate.max_age",
             "temporal.hidden_size",
             "temporal.model_seed",
-            "wire.address",
             "pipeline.frame_period_ms",
         ])
 
@@ -249,10 +248,8 @@ class TestConfigFile:
         assert checked == 15
 
     def test_optional_keys_parse_as_their_type(self):
-        cfg = config_from_mapping(
-            {"boxgen.max_box_diag": "30", "temporal.model_seed": "3", "wire.address": "h:9"}
-        )
-        assert (cfg.boxgen.max_box_diag, cfg.temporal.model_seed, cfg.wire.address) == (30.0, 3, "h:9")
+        cfg = config_from_mapping({"boxgen.max_box_diag": "30", "temporal.model_seed": "3"})
+        assert (cfg.boxgen.max_box_diag, cfg.temporal.model_seed) == (30.0, 3)
         assert type(cfg.boxgen.max_box_diag) is float and type(cfg.temporal.model_seed) is int
 
     def test_unknown_key_rejected(self):

@@ -210,3 +210,15 @@ class TestRenderAndManifest:
         write_manifest(path, 42, (640, 360), entries)
         seed, grid, back = read_manifest(path)
         assert (seed, grid, back) == (42, (640, 360), entries)
+
+    @pytest.mark.parametrize("frame_id", [-7, 2**32])
+    def test_manifest_frame_id_outside_u32_rejected(self, tmp_path, frame_id):
+        path = tmp_path / "manifest.txt"
+        path.write_text(f"seed 1\nframe 0 a.txt f0.aero\nframe {frame_id} a.txt f1.aero\n")
+        with pytest.raises(ValueError, match=f"frame id {frame_id} outside 0..4294967295: .* line 3"):
+            read_manifest(str(path))
+
+    def test_manifest_takes_the_largest_u32_frame_id(self, tmp_path):
+        path = str(tmp_path / "manifest.txt")
+        write_manifest(path, 1, (64, 48), [(2**32 - 1, "a.txt", "f.aero")])
+        assert read_manifest(path)[2] == [(2**32 - 1, "a.txt", "f.aero")]

@@ -237,21 +237,6 @@ class TestFraming:
 
 
 class TestStreamEndpoints:
-    def test_send_receive_over_socketpair(self):
-        import socket
-
-        rng = np.random.default_rng(9)
-        msgs = [_random_message(rng) for _ in range(5)]
-        a, b = socket.socketpair()
-        with a, b:
-            writer = a.makefile("wb")
-            wire.send_stream(writer, msgs)
-            writer.close()
-            a.shutdown(socket.SHUT_WR)
-            back, skipped = wire.receive_stream(b.makefile("rb"))
-        assert back == msgs
-        assert skipped == 0
-
     def test_parse_address(self):
         assert parse_address("127.0.0.1:8080") == ("127.0.0.1", 8080)
         with pytest.raises(ValueError):

@@ -22,7 +22,7 @@ import traceback
 import numpy as np
 
 from . import synth, tensorio, wire
-from .annotations import AnnotationRecord, group_by_frame, read_annotations, write_annotations
+from .annotations import AnnotationRecord, check_frame_id, group_by_frame, read_annotations, write_annotations
 from .boxgen import box_generator
 from .densemaps import encode, load_maps, save_maps
 from .evaluate import EvalConfig, action_map, detections_to_records, evaluate_map
@@ -65,6 +65,18 @@ def _at_least(low: int, parse=int):
 
     check.__name__ = parse.__name__  # argparse's "invalid int value" names the type
     return check
+
+
+def _frame_id(text: str) -> int:
+    """An argparse type: an integer >= 0 that fits the report's u32 frame id."""
+    value = _at_least(0)(text)
+    try:
+        return check_frame_id(value, "--frame-id")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+_frame_id.__name__ = "int"
 
 
 # One map file per frame: `encode DIR` and `synth` write it, `detect DIR` reads it.
@@ -354,7 +366,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("detect", help="decode boxes from map tensors")
     common(p, "--config", "--delta")
     p.add_argument("--maps", required=True, help=".aero file or directory of frame_*.aero")
-    p.add_argument("--frame-id", type=_at_least(0), help="frame id for single-file input")
+    p.add_argument("--frame-id", type=_frame_id, help="frame id for single-file input")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_detect)
 
@@ -408,7 +420,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("overlay", help="render annotated boxes into a PPM image")
     p.add_argument("--ann", required=True)
     p.add_argument("--grid", required=True, help="WIDTHxHEIGHT")
-    p.add_argument("--frame-id", type=_at_least(0), default=0)
+    p.add_argument("--frame-id", type=_frame_id, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_overlay)
 

@@ -87,8 +87,10 @@ class LoopConfig:
     frame_period_ms: int = 100
 
     def __post_init__(self) -> None:
-        if self.frame_period_ms < 0:
-            raise ValueError(f"frame_period_ms must be >= 0, got {self.frame_period_ms}")
+        # A report's timestamp, frame id (u32) times the period, must fit its u64.
+        top = (2**64 - 1) // (2**32 - 1)
+        if not 0 <= self.frame_period_ms <= top:
+            raise ValueError(f"pipeline.frame_period_ms must be in 0..{top}, got {self.frame_period_ms}")
 
 
 @dataclass

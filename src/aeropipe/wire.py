@@ -94,16 +94,22 @@ class ReportEntry:
             for value in (primary_action, secondary_action, confidence_q):
                 if not 0 <= value <= 0xFF:
                     raise ValueError(f"byte field value {value} out of range") from None
-        d = self.__dict__
-        d["box"] = box
-        d["track_id"] = track_id
-        d["primary_action"] = primary_action
-        d["secondary_action"] = secondary_action
-        d["confidence_q"] = confidence_q
+        _store(self, box, track_id, primary_action, secondary_action, confidence_q)
 
     @property
     def confidence(self) -> float:
         return self.confidence_q / 255.0
+
+
+def _store(entry, box, track_id, primary_action, secondary_action, confidence_q):
+    """Write an entry's fields past the frozen dataclass's __setattr__."""
+    d = entry.__dict__
+    d["box"] = box
+    d["track_id"] = track_id
+    d["primary_action"] = primary_action
+    d["secondary_action"] = secondary_action
+    d["confidence_q"] = confidence_q
+    return entry
 
 
 @dataclass(frozen=True)
@@ -168,8 +174,11 @@ def decode_message(data: bytes) -> ReportMessage:
     crc_actual = zlib.crc32(data[: expected - CRC_SIZE])
     if crc_stored != crc_actual:
         raise ChecksumError(f"crc 0x{crc_stored:08X} != computed 0x{crc_actual:08X}")
+    # An _ENTRY row holds ints in exactly the ranges _ENTRY.pack accepts, so
+    # the check in ReportEntry.__init__ cannot fail here and is not run.
+    new = object.__new__
     entries = [
-        ReportEntry((x0, y0, x1, y1), track_id, primary, secondary, conf_q)
+        _store(new(ReportEntry), (x0, y0, x1, y1), track_id, primary, secondary, conf_q)
         for x0, y0, x1, y1, track_id, primary, secondary, conf_q in _ENTRY.iter_unpack(
             data[HEADER_SIZE : expected - CRC_SIZE]
         )

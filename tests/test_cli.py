@@ -319,6 +319,27 @@ class TestExitCodes:
         assert "expected an integer >= 0, got -5" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["detect", "overlay"])
+    def test_frame_id_flag_beyond_u32_is_usage_error(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        if command == "detect":
+            save_maps(str(tmp_path / "frame_000000.aero"), encode([BBox(8, 6, 30, 28)], (80, 48)))
+            args = ["detect", "--maps", str(tmp_path / "frame_000000.aero")]
+        else:
+            _write_gt(tmp_path / "gt.txt", [BBox(4, 4, 20, 20)])
+            args = ["overlay", "--ann", str(tmp_path / "gt.txt"), "--grid", "64x48"]
+        assert main([*args, "--frame-id", str(2**32), "--out", str(out)]) == 1
+        assert "frame id 4294967296 outside 0..4294967295" in capsys.readouterr().err
+        assert not out.exists()
+        assert main([*args, "--frame-id", str(2**32 - 1), "--out", str(out)]) == 0
+
+    def test_frame_period_overflowing_the_timestamp_is_data_error(self, tmp_path, capsys):
+        main(["synth", "--frames", "2", "--out", str(tmp_path / "data")])
+        (tmp_path / "cfg.txt").write_text("pipeline.frame_period_ms = 100000000000000000000\n")
+        args = ["pipeline", "--manifest", str(tmp_path / "data" / "manifest.txt"), "--out", str(tmp_path / "run")]
+        assert main([*args, "--config", str(tmp_path / "cfg.txt")]) == 2
+        assert "pipeline.frame_period_ms must be in 0..4294967297" in capsys.readouterr().err
+
     def test_bad_grid_is_data_error(self, tmp_path):
         ann = tmp_path / "gt.txt"
         _write_gt(ann, [BBox(4, 4, 20, 20)])

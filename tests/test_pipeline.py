@@ -256,6 +256,14 @@ class TestConfigFile:
         with pytest.raises(ValueError, match="unknown config key"):
             config_from_mapping({"nope.nope": "1"})
 
+    def test_frame_period_keeps_every_u32_frame_timestamp_in_u64(self):
+        top = config_from_mapping({"pipeline.frame_period_ms": "4294967297"})
+        pipeline = Pipeline(top)
+        result = pipeline.run_frame(FrameRecord(frame_id=2**32 - 1, maps=zero_maps((32, 32))))
+        assert decode_message(result.payload).timestamp_ms == (2**32 - 1) * 4294967297 == 2**64 - 1
+        with pytest.raises(ValueError, match="pipeline.frame_period_ms must be in 0..4294967297"):
+            config_from_mapping({"pipeline.frame_period_ms": "4294967298"})
+
     def test_malformed_line_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("boxgen.delta 0.8\n")

@@ -630,3 +630,50 @@ def test_entry_keeps_its_dataclass_behaviour():
         dataclasses.replace(entry, track_id=2**32)
     assert pickle.loads(pickle.dumps(entry)) == entry
     assert entry.confidence == 8 / 255.0
+
+
+def test_decode_builds_entries_without_the_checked_constructor(monkeypatch):
+    rng = np.random.default_rng(12)
+    msgs = [_random_message(rng, count=count) for count in (0, 1, MAX_ENTRIES)]
+    stream = frame_stream(msgs)
+    calls = []
+    checked_init = ReportEntry.__init__
+
+    def spy(self, *args, **kwargs):
+        calls.append(args)
+        checked_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ReportEntry, "__init__", spy)
+    assert unframe_stream(stream) == (msgs, 0)
+    assert [decode_message(encode_message(m)) for m in msgs] == msgs
+    assert calls == []
+    ReportEntry((1, 2, 3, 4), 5, 6, 7, 8)
+    assert len(calls) == 1
+
+
+def _edge_or_any(top):
+    return st.one_of(st.sampled_from([0, top]), _u(0, top))
+
+
+_ENTRY_FIELDS = st.tuples(
+    st.tuples(*[_edge_or_any(0xFFFF)] * 4),
+    _edge_or_any(2**32 - 1),
+    *[_edge_or_any(0xFF)] * 3,
+)
+
+
+@_SETTINGS
+@given(st.lists(_ENTRY_FIELDS, max_size=MAX_ENTRIES))
+def test_decoded_entries_equal_checked_entries(rows):
+    data = encode_message(ReportMessage(1, 2, 3, 4, 5, entries=tuple(ReportEntry(*f) for f in rows)))
+    decoded = decode_message(data).entries
+    assert len(decoded) == len(rows)
+    for k, (entry, fields) in enumerate(zip(decoded, rows)):
+        checked = ReportEntry(*fields)
+        assert entry == checked and hash(entry) == hash(checked) and repr(entry) == repr(checked)
+        assert pickle.loads(pickle.dumps(entry)) == checked
+        assert type(entry.box) is tuple
+        stored = (*entry.box, entry.track_id, entry.primary_action, entry.secondary_action, entry.confidence_q)
+        assert all(type(value) is int for value in stored)
+        offset = HEADER_SIZE + k * ENTRY_SIZE
+        assert _ENTRY.pack(*stored) == data[offset : offset + ENTRY_SIZE]

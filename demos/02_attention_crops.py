@@ -10,7 +10,6 @@ on the box itself and decays as an unnormalized Gaussian outside.
 import numpy as np
 
 from aeropipe import AttentionConfig, BBox, FeatureGrid, attention_map, crop_and_resize, expanded_window
-from aeropipe.attention import write_pgm
 
 box = BBox(20, 14, 40, 30)  # 20 x 16 detection
 cfg = AttentionConfig(expand_ratio=1.5, sigma_scale=0.5, out_size=16)
@@ -23,9 +22,6 @@ print("attention is exactly 1 on the box:", float(attn.values[attn.box_window[1]
 print("value one pixel outside the left edge:",
       round(float(attn.values[attn.box_window[1] + 2, attn.box_window[0] - 1]), 4))
 print("corner of the expanded window:", round(float(attn.values[0, 0]), 4))
-
-write_pgm("attention.pgm", attn.values)
-print("wrote attention.pgm (portable graymap, white = weight 1)")
 
 # a crop from a synthetic one-level, scale-1 feature grid: 3 channels + 1 attention channel
 rng = np.random.default_rng(0)

@@ -180,11 +180,3 @@ def crop_and_resize(features: FeatureGrid, b: BBox, cfg: AttentionConfig) -> Cro
         stack = rows[:, :, :n] * (1.0 - frac)[None, None, :] + rows[:, :, n:] * frac[None, None, :]
     return CropFeature(stack)
 
-
-def write_pgm(path: str, values: np.ndarray) -> None:
-    """Dump a unit-interval grid as a binary portable graymap for inspection."""
-    levels = np.clip(np.rint(np.asarray(values, dtype=np.float64) * 255.0), 0, 255)
-    data = levels.astype(np.uint8)
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{data.shape[1]} {data.shape[0]}\n255\n".encode("ascii"))
-        fh.write(data.tobytes())

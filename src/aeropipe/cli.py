@@ -219,16 +219,20 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     cfg = EvalConfig(iou_threshold=args.iou if args.iou is not None else 0.5)
-    gt = group_by_frame(read_annotations(args.gt))
+    gt_records = read_annotations(args.gt)
+    gt = group_by_frame(gt_records)
     pred_records = read_annotations(args.pred)
     preds = group_by_frame(pred_records)
     ap, curve = evaluate_map(preds, gt, cfg)
     print(f"ap={ap:.6f}")
     has_actions = any(r.primary_action >= 0 for r in pred_records)
     if has_actions:
-        primary_ap, secondary_ap = action_map(preds, gt, cfg)
-        print(f"primary_ap={primary_ap:.6f}")
-        print(f"secondary_ap={secondary_ap:.6f}")
+        for head, head_ap in zip(("primary", "secondary"), action_map(preds, gt, cfg)):
+            if any(getattr(r, f"{head}_action") >= 0 for r in gt_records):
+                print(f"{head}_ap={head_ap:.6f}")
+            else:
+                print(f"{head}_ap=n/a")
+                print(f"note: {args.gt} holds no {head} action label; {head}_ap is undefined", file=sys.stderr)
     if args.curve:
         curve.write_csv(args.curve)
     return 0

@@ -51,25 +51,14 @@ class DenseMaps:
 
     seg: np.ndarray
     reg: np.ndarray
-    width: int
-    height: int
 
     @property
-    def grid(self) -> tuple[int, int]:
-        return (self.width, self.height)
+    def width(self) -> int:
+        return self.seg.shape[1]
 
-    def validate(self) -> None:
-        """Check the clean-encoding invariants; raises ValueError on breach."""
-        if self.seg.shape != (self.height, self.width):
-            raise ValueError(f"seg shape {self.seg.shape} != (H, W)")
-        if self.reg.shape != (2, self.height, self.width):
-            raise ValueError(f"reg shape {self.reg.shape} != (2, H, W)")
-        if not np.all((self.seg == 0) | (self.seg == 1)):
-            raise ValueError("seg values outside {0, 1}")
-        if self.reg.min() < 0.0 or self.reg.max() > 1.0:
-            raise ValueError("reg values outside [0, 1]")
-        if np.any(self.reg[:, self.seg == 0] != 0):
-            raise ValueError("nonzero regression outside segmentation")
+    @property
+    def height(self) -> int:
+        return self.seg.shape[0]
 
 
 def zero_maps(grid: tuple[int, int]) -> DenseMaps:
@@ -77,8 +66,6 @@ def zero_maps(grid: tuple[int, int]) -> DenseMaps:
     return DenseMaps(
         seg=np.zeros((height, width), dtype=np.float64),
         reg=np.zeros((2, height, width), dtype=np.float64),
-        width=width,
-        height=height,
     )
 
 
@@ -143,12 +130,11 @@ def load_maps(path: str) -> DenseMaps:
     tensor = tensorio.load_tensor(path)
     if tensor.ndim != 3 or tensor.shape[0] != 3:
         raise tensorio.TensorFormatError(f"expected dims (3, W, H), got {tensor.shape}")
-    _, width, height = tensor.shape
+    if 0 in tensor.shape:
+        raise tensorio.TensorFormatError(f"map grid {tensor.shape[1]}x{tensor.shape[2]} has a zero dimension")
     return DenseMaps(
         seg=np.ascontiguousarray(tensor[SEG_CHANNEL].T, dtype=np.float64),
         reg=np.ascontiguousarray(
             tensor[REG0_CHANNEL : REG1_CHANNEL + 1].transpose(0, 2, 1), dtype=np.float64
         ),
-        width=width,
-        height=height,
     )

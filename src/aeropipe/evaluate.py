@@ -10,7 +10,7 @@ interpolated precision-recall curve.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,22 +20,14 @@ from .geometry import BBox, iou
 
 @dataclass
 class Detection:
-    """One decoded box with its per-track prediction bundle."""
+    """One decoded box with its track's predicted actions; -1 is unknown."""
 
     box: BBox
     confidence: float
-    primary_dist: np.ndarray = field(default_factory=lambda: np.array([1.0]))
-    secondary_dist: np.ndarray = field(default_factory=lambda: np.array([1.0]))
+    primary_action: int = -1
+    secondary_action: int = -1
     track_id: int = -1
     frame_id: int = 0
-
-    @property
-    def primary_action(self) -> int:
-        return int(np.argmax(self.primary_dist))
-
-    @property
-    def secondary_action(self) -> int:
-        return int(np.argmax(self.secondary_dist))
 
 
 # What scoring reads: box, confidence and the two actions.
@@ -192,8 +184,8 @@ def detections_to_records(detections: list[Detection]) -> list[AnnotationRecord]
             frame_id=d.frame_id,
             box=d.box,
             track_id=d.track_id,
-            primary_action=d.primary_action if d.primary_dist.size > 1 else -1,
-            secondary_action=d.secondary_action if d.secondary_dist.size > 1 else -1,
+            primary_action=d.primary_action,
+            secondary_action=d.secondary_action,
             confidence=d.confidence,
         )
         for d in detections

@@ -318,6 +318,7 @@ class Pipeline:
         h_prev = np.stack([t.h for t in tracks])
         c_prev = np.stack([t.c for t in tracks])
         a_primary, a_secondary, conf, h, c_state = predict(self.model, x, h_prev, c_prev)
+        primary, secondary = a_primary.argmax(axis=1).tolist(), a_secondary.argmax(axis=1).tolist()
         detections = []
         for i, track in enumerate(tracks):
             track.h = h[i]
@@ -326,8 +327,8 @@ class Pipeline:
                 Detection(
                     box=boxes[i],
                     confidence=float(conf[i]),
-                    primary_dist=a_primary[i],
-                    secondary_dist=a_secondary[i],
+                    primary_action=primary[i],
+                    secondary_action=secondary[i],
                     track_id=track.track_id,
                     frame_id=frame_id,
                 )

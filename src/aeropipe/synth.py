@@ -29,7 +29,7 @@ from .temporal import ActionVocabulary
 _VOCAB = ActionVocabulary()
 
 
-class SceneGenerationError(RuntimeError):
+class SceneGenerationError(ValueError):
     """Packing failed within the attempt budget."""
 
 
@@ -240,7 +240,7 @@ def corrupt_maps(maps: DenseMaps, amplitude: float, flip_probability: float, see
     flips = rng.random_array((maps.height, maps.width)) < flip_probability
     seg = maps.seg.copy()
     seg[flips] = 1.0 - seg[flips]
-    return DenseMaps(seg=seg, reg=reg, width=maps.width, height=maps.height)
+    return DenseMaps(seg=seg, reg=reg)
 
 
 def render_intensity(records: list[AnnotationRecord], grid: tuple[int, int]) -> np.ndarray:

@@ -326,29 +326,6 @@ class LossBatch:
     def frames(self) -> int:
         return len(self.primary_pred)
 
-    def validate(self) -> None:
-        if not (
-            self.frames
-            == len(self.secondary_pred)
-            == len(self.primary_target)
-            == len(self.secondary_target)
-        ):
-            raise ValueError("frame counts differ across fields")
-        for preds, targets in (
-            (self.primary_pred, self.primary_target),
-            (self.secondary_pred, self.secondary_target),
-        ):
-            for p, t in zip(preds, targets):
-                if p.shape != t.shape:
-                    raise ValueError(f"prediction/target shape mismatch {p.shape} vs {t.shape}")
-                if not np.allclose(p.sum(axis=1), 1.0, atol=1e-6):
-                    raise ValueError("prediction rows must lie on the simplex")
-                if np.any(p < 0):
-                    raise ValueError("negative prediction probability")
-                row_ones = (t == 1.0).sum(axis=1)
-                if np.any(row_ones != 1) or np.any((t != 0) & (t != 1)):
-                    raise ValueError("targets must be one-hot")
-
 
 def _cross_entropy(target: np.ndarray, pred: np.ndarray) -> np.ndarray:
     return -(target * np.log(np.maximum(pred, LOG_FLOOR))).sum(axis=1)

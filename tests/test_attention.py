@@ -14,7 +14,6 @@ from aeropipe.attention import (
     attention_map,
     crop_and_resize,
     expanded_window,
-    write_pgm,
 )
 from aeropipe.geometry import BBox, center
 from aeropipe.pipeline import StubConfig, _downsample, feature_stub
@@ -471,11 +470,3 @@ def test_stub_levels_are_the_two_call_levels_byte_for_byte(case, window):
     ((scale, level),) = grid.levels
     assert scale == factor
     _assert_same_bytes(level, np.stack([down, mean, var]))
-
-
-def test_write_pgm(tmp_path):
-    path = str(tmp_path / "attn.pgm")
-    write_pgm(path, np.array([[0.0, 0.5], [1.0, 0.25]]))
-    raw = open(path, "rb").read()
-    assert raw.startswith(b"P5\n2 2\n255\n")
-    assert raw[-4:] == bytes([0, 128, 255, 64])

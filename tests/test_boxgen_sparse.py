@@ -194,7 +194,7 @@ def _decode_inputs(draw):
         min_patch_area=draw(st.sampled_from([1, 9])),
         peak_floor=draw(st.sampled_from([0.0, 0.3, 0.5])),
     )
-    return DenseMaps(seg=seg, reg=reg, width=width, height=height), cfg
+    return DenseMaps(seg=seg, reg=reg), cfg
 
 
 _EMPTY = (encode([], (20, 12)), BoxGeneratorConfig())

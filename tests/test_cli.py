@@ -9,12 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aeropipe import cli
+from aeropipe import cli, pipeline
 from aeropipe.annotations import AnnotationRecord, read_annotations, write_annotations
 from aeropipe.cli import build_parser, main
 from aeropipe.densemaps import encode, load_maps, save_maps
 from aeropipe.geometry import BBox
-from aeropipe.synth import render_intensity
+from aeropipe.synth import SceneGenerationError, render_intensity
 from aeropipe.wire import unframe_stream
 
 
@@ -104,6 +104,17 @@ class TestSynthAndPipeline:
         # Class 0 has no prediction (AP 0), class 1 is found (AP 1).
         assert "ap=1.000000" in out
         assert "primary_ap=0.500000" in out
+
+    def test_eval_reports_n_a_for_a_head_without_labels(self, tmp_path, capsys):
+        gt = tmp_path / "gt.txt"
+        gt.write_text("0 4 4 20 20 0 -1 1\n0 40 10 56 30 1 -1 0\n")
+        pred = tmp_path / "pred.txt"
+        pred.write_text("0 4 4 20 20 0 0 1 0.9\n0 40 10 56 30 1 1 0 0.8\n")
+        assert main(["eval", "--pred", str(pred), "--gt", str(gt)]) == 0
+        captured = capsys.readouterr()
+        assert "primary_ap=n/a" in captured.out.splitlines()
+        assert "secondary_ap=1.000000" in captured.out.splitlines()
+        assert "no primary action label" in captured.err
 
     def test_pipeline_with_trained_model(self, tmp_path):
         model_path = tmp_path / "model.aero"
@@ -379,6 +390,14 @@ class TestExitCodes:
     def test_synth_takes_zero_noise(self, tmp_path):
         assert main(["synth", "--frames", "1", "--noise", "0", "--out", str(tmp_path / "s")]) == 0
         assert (tmp_path / "s" / "frame_000000.aero").exists()
+
+    def test_bench_packing_failure_is_data_error(self, capsys, monkeypatch):
+        def give_up(*args, **kwargs):
+            raise SceneGenerationError("failed to pack 400 boxes on 640x360 after 2000 attempts")
+
+        monkeypatch.setattr(pipeline, "generate_sequence", give_up)
+        assert main(["bench", "--frames", "1", "--boxes", "400"]) == 2
+        assert "failed to pack" in capsys.readouterr().err
 
     def test_bench_takes_a_scene_without_boxes(self, capsys):
         assert main(["bench", "--frames", "2", "--boxes", "0"]) == 0

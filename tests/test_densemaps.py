@@ -70,7 +70,10 @@ class TestEncode:
     def test_validate_passes_on_clean_encoding(self):
         rng = np.random.default_rng(0)
         maps = encode([_random_box(rng) for _ in range(4)], (64, 64))
-        maps.validate()
+        assert maps.seg.shape == (64, 64) and maps.reg.shape == (2, 64, 64)
+        assert np.all((maps.seg == 0) | (maps.seg == 1))
+        assert maps.reg.min() >= 0.0 and maps.reg.max() <= 1.0
+        assert not np.any(maps.reg[:, maps.seg == 0])
 
 
 class TestRegressionIdentities:
@@ -198,6 +201,20 @@ class TestMapsFile:
         with pytest.raises(tensorio.TensorFormatError):
             load_maps(path)
 
+    def test_size_follows_the_w_h_dims(self, tmp_path):
+        path = str(tmp_path / "maps.aero")
+        tensorio.save_tensor(path, np.zeros((3, 7, 4), dtype=np.float32))
+        maps = load_maps(path)
+        assert (maps.width, maps.height) == (7, 4)
+        assert maps.seg.shape == (4, 7) and maps.reg.shape == (2, 4, 7)
+
+    @pytest.mark.parametrize("dims", [(3, 0, 5), (3, 5, 0), (3, 0, 0)])
+    def test_rejects_a_zero_grid_dimension(self, tmp_path, dims):
+        path = str(tmp_path / "empty.aero")
+        tensorio.save_tensor(path, np.zeros(dims, dtype=np.float32))
+        with pytest.raises(tensorio.TensorFormatError, match=f"map grid {dims[1]}x{dims[2]} has a zero dimension"):
+            load_maps(path)
+
 
 def _load_tensor_reference(path: str) -> np.ndarray:
     """A well-formed single-tensor file decoded from its bytes in one piece."""
@@ -213,13 +230,10 @@ def _load_maps_reference(path: str) -> DenseMaps:
     tensor = _load_tensor_reference(path)
     if tensor.ndim != 3 or tensor.shape[0] != 3:
         raise tensorio.TensorFormatError(f"expected dims (3, W, H), got {tensor.shape}")
-    _, width, height = tensor.shape
     grids = tensor.transpose(0, 2, 1).astype(np.float64)
     return DenseMaps(
         seg=np.ascontiguousarray(grids[SEG_CHANNEL]),
         reg=np.ascontiguousarray(grids[[REG0_CHANNEL, REG1_CHANNEL]]),
-        width=width,
-        height=height,
     )
 
 
@@ -236,7 +250,7 @@ def test_load_maps_equals_reference_loader(tmp_path_factory, tensor):
     path = str(tmp_path_factory.getbasetemp() / "generated_maps.aero")
     tensorio.save_tensor(path, tensor)
     maps, reference = load_maps(path), _load_maps_reference(path)
-    assert (maps.width, maps.height) == (reference.width, reference.height)
+    assert (maps.width, maps.height) == tensor.shape[1:]
     for got, want in ((maps.seg, reference.seg), (maps.reg, reference.reg)):
         assert got.dtype == want.dtype == np.float64 and got.shape == want.shape
         assert got.flags.c_contiguous
@@ -323,10 +337,3 @@ def test_one_pass_encode_equals_two_pass(scene):
     got, want = encode(boxes, grid), _encode_two_pass(boxes, grid)
     assert got.seg.tobytes() == want.seg.tobytes()
     assert got.reg.tobytes() == want.reg.tobytes()
-
-
-def test_validate_rejects_mask_breach():
-    maps = zero_maps((8, 8))
-    maps.reg[0, 2, 2] = 0.5
-    with pytest.raises(ValueError, match="outside segmentation"):
-        maps.validate()

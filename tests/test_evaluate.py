@@ -19,9 +19,9 @@ from aeropipe.geometry import BBox, iou
 def _det(x0, y0, x1, y1, conf, primary=None, secondary=None, frame=0, track=-1):
     d = Detection(box=BBox(x0, y0, x1, y1), confidence=conf, track_id=track, frame_id=frame)
     if primary is not None:
-        d.primary_dist = np.array(primary)
+        d.primary_action = int(np.argmax(primary))
     if secondary is not None:
-        d.secondary_dist = np.array(secondary)
+        d.secondary_action = int(np.argmax(secondary))
     return d
 
 
@@ -196,6 +196,11 @@ class TestActionMap:
         primary_ap, _ = action_map(preds, gt)
         assert primary_ap == 0.0
 
+    def test_detection_without_actions_scores_as_unknown(self):
+        gt = {0: [_gt(0, 0, 0, 10, 10, primary=0, secondary=0)]}
+        preds = {0: [Detection(box=BBox(0, 0, 10, 10), confidence=0.9)]}
+        assert action_map(preds, gt) == (0.0, 0.0)
+
     def test_hand_computed_mixed_instance(self):
         # class 0: detections TP(0.9), FP(0.8), TP(0.7) over 2 GT
         #   -> AP = 0.5 * 1 + 0.5 * (2/3) = 5/6
@@ -364,8 +369,8 @@ def _scored_frames(draw):
             Detection(
                 box=b,
                 confidence=draw(st.sampled_from([0.2, 0.5, 0.9])),
-                primary_dist=np.array(draw(_dist)),
-                secondary_dist=np.array(draw(_dist)),
+                primary_action=int(np.argmax(draw(_dist))),
+                secondary_action=int(np.argmax(draw(_dist))),
                 frame_id=fid,
             )
             for b in draw(st.lists(box, max_size=6))

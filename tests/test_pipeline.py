@@ -135,11 +135,16 @@ class TestRunFrame:
         scene = generate_scene(SceneConfig(box_count=(6, 6)), 23)
         cfg = PipelineConfig(temporal=TemporalConfig(model_seed=5))
         intensity = render_intensity(scene.records, (640, 360))
+        # Random head weights, so the predicted labels are not all class 0.
+        model = Pipeline(cfg).model
+        rng = np.random.default_rng(3)
+        for w in (model.heads.w_primary, model.heads.w_secondary):
+            w[...] = rng.normal(size=w.shape)
 
-        pipeline = Pipeline(cfg)
+        pipeline = Pipeline(cfg, model=model)
         result = pipeline.run_frame(FrameRecord(frame_id=0, maps=scene.maps, intensity=intensity))
 
-        manual = Pipeline(cfg)  # same seeded model, fresh state
+        manual = Pipeline(cfg, model=model)  # same model, fresh state
         features = feature_stub(intensity, cfg.stub)
         boxes = box_generator(scene.maps, cfg.boxgen)
         store = TrackStore(cfg.temporal.hidden_size, cfg.associate.max_dist, cfg.associate.max_age)
@@ -153,13 +158,17 @@ class TestRunFrame:
         from aeropipe.evaluate import Detection
 
         manual_dets = [
-            Detection(box=b, confidence=float(conf[i]), primary_dist=a_p[i],
-                      secondary_dist=a_s[i], track_id=tracks[i].track_id, frame_id=0)
+            Detection(box=b, confidence=float(conf[i]), primary_action=int(np.argmax(a_p[i])),
+                      secondary_action=int(np.argmax(a_s[i])), track_id=tracks[i].track_id, frame_id=0)
             for i, b in enumerate(boxes)
         ]
         manual_kept = nms(manual_dets, cfg.nms.iou_threshold, cfg.nms.score_floor)
 
         assert [d.box for d in result.detections] == [d.box for d in manual_kept]
+        labels = [(d.primary_action, d.secondary_action) for d in result.detections]
+        assert labels == [(d.primary_action, d.secondary_action) for d in manual_kept]
+        assert {label for pair in labels for label in pair} != {0}
+        assert all(type(label) is int for pair in labels for label in pair)
         np.testing.assert_allclose(
             [d.confidence for d in result.detections],
             [d.confidence for d in manual_kept],

@@ -83,6 +83,12 @@ class TestGenerateScene:
         with pytest.raises(SceneGenerationError, match="failed to pack"):
             generate_scene(cfg, 1)
 
+    def test_packing_failure_is_a_data_error(self):
+        cfg = SceneConfig(grid=(120, 100), box_count=(12, 12), max_attempts=300)
+        with pytest.raises(SceneGenerationError, match="after 300 attempts") as info:
+            generate_scene(cfg, 0)
+        assert isinstance(info.value, ValueError)
+
     def test_cross_fill_certificate_holds(self):
         cfg = SceneConfig(box_count=(12, 12))
         for seed in range(5):

@@ -321,23 +321,6 @@ class TestMultiActivityLoss:
         assert np.isfinite(value)
         assert value == pytest.approx((-math.log(1e-12)) / 2, rel=1e-6)
 
-    def test_validate_rejects_bad_rows(self):
-        bad = LossBatch(
-            primary_pred=[np.array([[0.7, 0.7]])],
-            secondary_pred=[np.array([[0.5, 0.5]])],
-            primary_target=[np.array([[1.0, 0.0]])],
-            secondary_target=[np.array([[1.0, 0.0]])],
-        )
-        with pytest.raises(ValueError, match="simplex"):
-            bad.validate()
-        bad2 = LossBatch(
-            primary_pred=[np.array([[0.5, 0.5]])],
-            secondary_pred=[np.array([[0.5, 0.5]])],
-            primary_target=[np.array([[1.0, 1.0]])],
-            secondary_target=[np.array([[1.0, 0.0]])],
-        )
-        with pytest.raises(ValueError, match="one-hot"):
-            bad2.validate()
 
 
 def _random_logit_batch(rng, frames=3):

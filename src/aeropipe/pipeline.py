@@ -29,6 +29,12 @@ from .wire import ReportMessage, build_report, encode_message
 
 STAGES = ("features", "decode", "attention", "temporal", "nms", "wire")
 BUDGET_STAGES = STAGES[1:]
+# Narrowest level whose vertical box pass runs as a numpy row sweep. On a
+# 2-core x86 VM (numpy 2.4.6, scipy 1.17.1, window 3) the sweep plus scipy's
+# horizontal pass beat scipy's two passes at widths 512-1024 (3.5-4.1
+# against 4.4-6.5 ms for 2 x 230,400 values), tied at 480 and lost at
+# 160-400, where its per-row cost dominates.
+SWEEP_MIN_WIDTH = 512
 
 
 @dataclass
@@ -204,6 +210,36 @@ def _downsample(frame: np.ndarray, factor: int) -> np.ndarray:
     return out
 
 
+def _sweep_rows(stack: np.ndarray, size: int) -> None:
+    """Box-mean a (C, H, W) stack along axis 1 in place, byte for byte as
+    `ndimage.uniform_filter1d(stack, size, axis=1, mode="nearest")`.
+
+    scipy sums the first edge-clamped window into 0.0, then per step adds
+    (entering - leaving) to the running sum and writes sum / size. This
+    repeats that arithmetic one row at a time, each row across all columns
+    and channels at once.
+    """
+    n = stack.shape[1]
+    lead = size // 2
+    trail = size - lead - 1
+    sums = np.empty(stack.shape)
+    rows = list(sums.transpose(1, 0, 2))
+    # inf - inf and sums past the float range give NaN or inf silently, as
+    # in scipy's C pass.
+    with np.errstate(invalid="ignore", over="ignore"):
+        if n > size:
+            np.subtract(stack[:, size:], stack[:, : n - size], out=sums[:, lead + 1 : n - trail])
+        for i in range(1, n):
+            if not lead < i < n - trail:
+                np.subtract(stack[:, min(i + trail, n - 1)], stack[:, max(i - 1 - lead, 0)], out=rows[i])
+        rows[0][...] = 0.0
+        for k in range(-lead, trail + 1):
+            rows[0] += stack[:, min(max(k, 0), n - 1)]
+        for prev, row in zip(rows, rows[1:]):
+            np.add(prev, row, out=row)
+    np.divide(sums, size, out=stack)
+
+
 def feature_stub(intensity: np.ndarray, cfg: StubConfig) -> FeatureGrid:
     """Deterministic multiscale features from a grayscale frame.
 
@@ -211,6 +247,12 @@ def feature_stub(intensity: np.ndarray, cfg: StubConfig) -> FeatureGrid:
     block-averaged intensity, its local mean and its local variance
     (window `local_window`, nearest-edge handling). Levels are not
     upsampled; crops read them through `crop_and_resize`.
+
+    Levels at least `SWEEP_MIN_WIDTH` wide take the vertical pass of the
+    box filter from `_sweep_rows`, which repeats scipy's running sum in
+    scipy's order and so gives the same bytes; narrower levels, where the
+    sweep's per-row cost outweighs scipy's, and the horizontal pass of every
+    level stay with scipy. A window of 1 is the identity, as scipy skips it.
     """
     frame = np.asarray(intensity, dtype=np.float64)
     levels = []
@@ -219,8 +261,13 @@ def feature_stub(intensity: np.ndarray, cfg: StubConfig) -> FeatureGrid:
         level = np.empty((3, *down.shape))
         level[0] = level[1] = down
         np.multiply(down, down, out=level[2])
-        # One call for both: scipy filters each line of the stack on its own.
-        ndimage.uniform_filter(level[1:], size=cfg.local_window, axes=(1, 2), mode="nearest", output=level[1:])
+        # One pass for both: scipy filters each line of the stack on its own.
+        local = level[1:]
+        if cfg.local_window > 1 and down.shape[1] >= SWEEP_MIN_WIDTH:
+            _sweep_rows(local, cfg.local_window)
+            ndimage.uniform_filter1d(local, cfg.local_window, axis=2, mode="nearest", output=local)
+        else:
+            ndimage.uniform_filter(local, size=cfg.local_window, axes=(1, 2), mode="nearest", output=local)
         level[2] -= level[1] * level[1]
         np.clip(level[2], 0.0, None, out=level[2])
         levels.append((scale, level))

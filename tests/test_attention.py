@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +17,8 @@ from aeropipe.attention import (
     expanded_window,
 )
 from aeropipe.geometry import BBox, center
-from aeropipe.pipeline import StubConfig, _downsample, feature_stub
+from aeropipe import pipeline
+from aeropipe.pipeline import SWEEP_MIN_WIDTH, StubConfig, _downsample, _sweep_rows, feature_stub
 
 
 def _scalar_attention(box, cfg, ix, iy):
@@ -470,3 +472,104 @@ def test_stub_levels_are_the_two_call_levels_byte_for_byte(case, window):
     ((scale, level),) = grid.levels
     assert scale == factor
     _assert_same_bytes(level, np.stack([down, mean, var]))
+
+
+# ---------------------------------------------------------------------------
+# Verbatim copy of the stub before levels at least SWEEP_MIN_WIDTH wide took
+# their vertical pass from `_sweep_rows`: one stacked scipy call per level.
+# The row sweep must equal it byte for byte, signed zeros included.
+# ---------------------------------------------------------------------------
+
+
+def _stacked_stub_reference(intensity: np.ndarray, cfg: StubConfig) -> FeatureGrid:
+    frame = np.asarray(intensity, dtype=np.float64)
+    levels = []
+    for scale in cfg.scales:
+        down = _downsample(frame, scale)
+        level = np.empty((3, *down.shape))
+        level[0] = level[1] = down
+        np.multiply(down, down, out=level[2])
+        # One call for both: scipy filters each line of the stack on its own.
+        ndimage.uniform_filter(level[1:], size=cfg.local_window, axes=(1, 2), mode="nearest", output=level[1:])
+        level[2] -= level[1] * level[1]
+        np.clip(level[2], 0.0, None, out=level[2])
+        levels.append((scale, level))
+    return FeatureGrid(frame.shape, levels)
+
+
+def _signed_values(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    """Signed values with magnitudes 1e-5 to 1e5, some runs of -0.0."""
+    values = rng.uniform(-1.0, 1.0, shape) * 10.0 ** rng.uniform(-5.0, 5.0, shape)
+    values[..., rng.random(shape[-1]) < 0.2] = -0.0
+    return values
+
+
+@st.composite
+def _wide_frames(draw):
+    """A frame 1-12 px high and 1 to 2 * SWEEP_MIN_WIDTH px wide, or as wide
+    as puts the level of one of its scales (1-8) one below or at the cut-off;
+    in C order, Fortran order or as a strided view; and a window of 1-9."""
+    scales = draw(st.lists(st.integers(1, 8), min_size=1, max_size=3))
+    edge = draw(st.sampled_from(scales)) * (SWEEP_MIN_WIDTH - 1)
+    w = draw(st.one_of(st.integers(edge, edge + scales[0]), st.integers(1, 2 * SWEEP_MIN_WIDTH)))
+    h = draw(st.integers(1, 12))
+    values = _signed_values(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), (h, w))
+    layout = draw(st.sampled_from(["C", "F", "strided"]))
+    if layout == "F":
+        values = np.asfortranarray(values)
+    elif layout == "strided":
+        values = np.repeat(values, 2, axis=1)[:, ::2]
+    return values, StubConfig(scales=tuple(scales), local_window=draw(st.integers(1, 9)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_wide_frames())
+def test_stub_is_the_stacked_call_stub_byte_for_byte(case):
+    frame, cfg = case
+    grid, reference = feature_stub(frame, cfg), _stacked_stub_reference(frame, cfg)
+    assert grid.shape == reference.shape
+    for (scale, level), (ref_scale, ref_level) in zip(grid.levels, reference.levels, strict=True):
+        assert scale == ref_scale
+        _assert_same_bytes(level, ref_level)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 12), st.integers(1, 40), st.integers(1, 9), st.integers(0, 2**32 - 1))
+def test_row_sweep_is_scipys_vertical_pass(channels, h, w, window, seed):
+    """Heights below the window clamp both ends of one window. A scipy whose
+    running sum adds in another order fails here."""
+    stack = _signed_values(np.random.default_rng(seed), (channels, h, w))
+    expected = ndimage.uniform_filter1d(stack, window, axis=1, mode="nearest")
+    _sweep_rows(stack, window)
+    _assert_same_bytes(stack, expected)
+
+
+def test_row_sweep_on_non_finite_values_warns_nothing():
+    stack = np.random.default_rng(10).random((2, 9, 7))
+    stack[0, 2, 1] = np.nan
+    stack[0, 4, 3], stack[1, 6, 3] = np.inf, -np.inf
+    stack[1, 1:5, 5] = 1.7e308
+    stack[1, 3, 6] = -1.7e308
+    for window in (2, 3, 4):
+        expected = ndimage.uniform_filter1d(stack, window, axis=1, mode="nearest")
+        swept = stack.copy()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _sweep_rows(swept, window)
+        _assert_same_bytes(swept, expected)
+
+
+def test_only_levels_at_least_the_cut_off_wide_are_swept(monkeypatch):
+    calls = []
+
+    def counted(stack, size):
+        calls.append(stack.shape)
+        _sweep_rows(stack, size)
+
+    monkeypatch.setattr(pipeline, "_sweep_rows", counted)
+    frame = np.random.default_rng(11).random((360, 640))
+    feature_stub(frame, StubConfig())
+    assert calls == [(2, 360, 640)]
+    calls.clear()
+    feature_stub(frame, StubConfig(local_window=1))
+    assert calls == []

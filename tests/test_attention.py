@@ -510,8 +510,9 @@ def _wide_frames(draw):
     as puts the level of one of its scales (1-8) one below or at the cut-off;
     in C order, Fortran order or as a strided view; and a window of 1-9."""
     scales = draw(st.lists(st.integers(1, 8), min_size=1, max_size=3))
-    edge = draw(st.sampled_from(scales)) * (SWEEP_MIN_WIDTH - 1)
-    w = draw(st.one_of(st.integers(edge, edge + scales[0]), st.integers(1, 2 * SWEEP_MIN_WIDTH)))
+    scale = draw(st.sampled_from(scales))
+    edge = scale * (SWEEP_MIN_WIDTH - 1)
+    w = draw(st.one_of(st.integers(edge, edge + scale), st.integers(1, 2 * SWEEP_MIN_WIDTH)))
     h = draw(st.integers(1, 12))
     values = _signed_values(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), (h, w))
     layout = draw(st.sampled_from(["C", "F", "strided"]))

@@ -29,12 +29,6 @@ from .wire import ReportMessage, build_report, encode_message
 
 STAGES = ("features", "decode", "attention", "temporal", "nms", "wire")
 BUDGET_STAGES = STAGES[1:]
-# Narrowest level whose vertical box pass runs as a numpy row sweep. On a
-# 2-core x86 VM (numpy 2.4.6, scipy 1.17.1, window 3) the sweep plus scipy's
-# horizontal pass beat scipy's two passes at widths 512-1024 (3.5-4.1
-# against 4.4-6.5 ms for 2 x 230,400 values), tied at 480 and lost at
-# 160-400, where its per-row cost dominates.
-SWEEP_MIN_WIDTH = 512
 
 
 @dataclass
@@ -248,11 +242,9 @@ def feature_stub(intensity: np.ndarray, cfg: StubConfig) -> FeatureGrid:
     (window `local_window`, nearest-edge handling). Levels are not
     upsampled; crops read them through `crop_and_resize`.
 
-    Levels at least `SWEEP_MIN_WIDTH` wide take the vertical pass of the
-    box filter from `_sweep_rows`, which repeats scipy's running sum in
-    scipy's order and so gives the same bytes; narrower levels, where the
-    sweep's per-row cost outweighs scipy's, and the horizontal pass of every
-    level stay with scipy. A window of 1 is the identity, as scipy skips it.
+    The vertical pass of the box filter is `_sweep_rows`, which repeats
+    scipy's running sum in scipy's order and so gives scipy's bytes; scipy
+    runs the horizontal pass. A window of 1 is the identity, as scipy skips it.
     """
     frame = np.asarray(intensity, dtype=np.float64)
     levels = []
@@ -261,13 +253,11 @@ def feature_stub(intensity: np.ndarray, cfg: StubConfig) -> FeatureGrid:
         level = np.empty((3, *down.shape))
         level[0] = level[1] = down
         np.multiply(down, down, out=level[2])
-        # One pass for both: scipy filters each line of the stack on its own.
+        # One pass for both: each line of the stack is filtered on its own.
         local = level[1:]
-        if cfg.local_window > 1 and down.shape[1] >= SWEEP_MIN_WIDTH:
+        if cfg.local_window > 1:
             _sweep_rows(local, cfg.local_window)
             ndimage.uniform_filter1d(local, cfg.local_window, axis=2, mode="nearest", output=local)
-        else:
-            ndimage.uniform_filter(local, size=cfg.local_window, axes=(1, 2), mode="nearest", output=local)
         level[2] -= level[1] * level[1]
         np.clip(level[2], 0.0, None, out=level[2])
         levels.append((scale, level))

@@ -18,7 +18,7 @@ from aeropipe.attention import (
 )
 from aeropipe.geometry import BBox, center
 from aeropipe import pipeline
-from aeropipe.pipeline import SWEEP_MIN_WIDTH, StubConfig, _downsample, _sweep_rows, feature_stub
+from aeropipe.pipeline import StubConfig, _downsample, _sweep_rows, feature_stub
 
 
 def _scalar_attention(box, cfg, ix, iy):
@@ -475,8 +475,8 @@ def test_stub_levels_are_the_two_call_levels_byte_for_byte(case, window):
 
 
 # ---------------------------------------------------------------------------
-# Verbatim copy of the stub before levels at least SWEEP_MIN_WIDTH wide took
-# their vertical pass from `_sweep_rows`: one stacked scipy call per level.
+# Verbatim copy of the stub before levels took their vertical pass from
+# `_sweep_rows`: one stacked scipy call per level.
 # The row sweep must equal it byte for byte, signed zeros included.
 # ---------------------------------------------------------------------------
 
@@ -506,13 +506,10 @@ def _signed_values(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarr
 
 @st.composite
 def _wide_frames(draw):
-    """A frame 1-12 px high and 1 to 2 * SWEEP_MIN_WIDTH px wide, or as wide
-    as puts the level of one of its scales (1-8) one below or at the cut-off;
-    in C order, Fortran order or as a strided view; and a window of 1-9."""
+    """A frame 1-12 px high and 1-1024 px wide with scales 1-8; in C order,
+    Fortran order or as a strided view; and a window of 1-9."""
     scales = draw(st.lists(st.integers(1, 8), min_size=1, max_size=3))
-    scale = draw(st.sampled_from(scales))
-    edge = scale * (SWEEP_MIN_WIDTH - 1)
-    w = draw(st.one_of(st.integers(edge, edge + scale), st.integers(1, 2 * SWEEP_MIN_WIDTH)))
+    w = draw(st.integers(1, 1024))
     h = draw(st.integers(1, 12))
     values = _signed_values(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), (h, w))
     layout = draw(st.sampled_from(["C", "F", "strided"]))
@@ -560,7 +557,7 @@ def test_row_sweep_on_non_finite_values_warns_nothing():
         _assert_same_bytes(swept, expected)
 
 
-def test_only_levels_at_least_the_cut_off_wide_are_swept(monkeypatch):
+def test_every_level_is_swept_unless_the_window_is_one(monkeypatch):
     calls = []
 
     def counted(stack, size):
@@ -570,7 +567,7 @@ def test_only_levels_at_least_the_cut_off_wide_are_swept(monkeypatch):
     monkeypatch.setattr(pipeline, "_sweep_rows", counted)
     frame = np.random.default_rng(11).random((360, 640))
     feature_stub(frame, StubConfig())
-    assert calls == [(2, 360, 640)]
+    assert calls == [(2, 360, 640), (2, 180, 320), (2, 90, 160)]
     calls.clear()
     feature_stub(frame, StubConfig(local_window=1))
     assert calls == []

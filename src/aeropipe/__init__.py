@@ -11,7 +11,7 @@ from .annotations import AnnotationRecord, group_by_frame, read_annotations, wri
 from .attention import AttentionConfig, AttentionMap, CropFeature, FeatureGrid, attention_map, crop_and_resize, expanded_window
 from .boxgen import BoxGeneratorConfig, CornerCandidates, box_generator, find_peaks, generate_boxes, mask_maps, remove_noise
 from .densemaps import DenseMaps, decode_pixel, encode, load_maps, save_maps
-from .evaluate import Detection, EvalConfig, action_map, evaluate_map, nms
+from .evaluate import EvalConfig, action_map, evaluate_map, nms
 from .geometry import BBox, PixelCoord, center, iou
 from .pipeline import FrameRecord, Pipeline, PipelineConfig, StubConfig, bench_frames, feature_stub
 from .rng import SplitMix64

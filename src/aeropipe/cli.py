@@ -25,7 +25,7 @@ from . import synth, tensorio, wire
 from .annotations import AnnotationRecord, check_frame_id, group_by_frame, read_annotations, write_annotations
 from .boxgen import box_generator
 from .densemaps import encode, load_maps, save_maps
-from .evaluate import EvalConfig, action_map, detections_to_records, evaluate_map
+from .evaluate import EvalConfig, action_map, evaluate_map
 from .pipeline import (
     FrameRecord,
     Pipeline,
@@ -131,6 +131,8 @@ def _maps_inputs(path: str) -> list[tuple[int, str]]:
 
 def cmd_detect(args: argparse.Namespace) -> int:
     cfg = _load_pipeline_config(args)
+    if args.frame_id is not None and os.path.isdir(args.maps):
+        raise ValueError(f"--frame-id is for single-file input, but {args.maps} is a directory")
     records: list[AnnotationRecord] = []
     for fid, path in _maps_inputs(args.maps):
         if args.frame_id is not None:
@@ -200,7 +202,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         maps = load_maps(os.path.join(base, maps_name))
         intensity = render_intensity(by_file[ann_name].get(fid, []), (maps.width, maps.height))
         result = pipeline.run_frame(FrameRecord(frame_id=fid, maps=maps, intensity=intensity))
-        predictions.extend(detections_to_records(result.detections))
+        predictions.extend(result.detections)
         messages.append(result.message)
         total = sum(result.timings_ms.values())
         print(
@@ -218,7 +220,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    cfg = EvalConfig(iou_threshold=args.iou if args.iou is not None else 0.5)
+    cfg = EvalConfig() if args.iou is None else EvalConfig(iou_threshold=args.iou)
     gt_records = read_annotations(args.gt)
     gt = group_by_frame(gt_records)
     pred_records = read_annotations(args.pred)

@@ -15,23 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .annotations import AnnotationRecord
-from .geometry import BBox, iou
-
-
-@dataclass
-class Detection:
-    """One decoded box with its track's predicted actions; -1 is unknown."""
-
-    box: BBox
-    confidence: float
-    primary_action: int = -1
-    secondary_action: int = -1
-    track_id: int = -1
-    frame_id: int = 0
-
-
-# What scoring reads: box, confidence and the two actions.
-Prediction = AnnotationRecord | Detection
+from .geometry import iou
 
 
 @dataclass
@@ -43,7 +27,9 @@ class EvalConfig:
             raise ValueError(f"iou_threshold must be in (0, 1), got {self.iou_threshold}")
 
 
-def nms(detections: list[Detection], iou_threshold: float, score_floor: float = 0.3) -> list[Detection]:
+def nms(
+    detections: list[AnnotationRecord], iou_threshold: float, score_floor: float = 0.3
+) -> list[AnnotationRecord]:
     """Suppress low-confidence overlapping detections.
 
     Candidates below score_floor are removed first; the rest are visited by
@@ -52,7 +38,7 @@ def nms(detections: list[Detection], iou_threshold: float, score_floor: float = 
     """
     alive = [d for d in detections if d.confidence >= score_floor]
     alive.sort(key=lambda d: (-d.confidence, d.box.y0, d.box.x0))
-    kept: list[Detection] = []
+    kept: list[AnnotationRecord] = []
     for det in alive:
         if all(iou(det.box, k.box) <= iou_threshold for k in kept):
             kept.append(det)
@@ -80,7 +66,7 @@ class PrCurve:
 
 
 def _match_predictions(
-    predictions: dict[int, list[Prediction]],
+    predictions: dict[int, list[AnnotationRecord]],
     ground_truth: dict[int, list[AnnotationRecord]],
     iou_threshold: float,
     label: str | None = None,
@@ -98,7 +84,7 @@ def _match_predictions(
         gts[fid] = rows
         total_gt += len(rows)
 
-    flat: list[tuple[float, int, int, Prediction]] = []
+    flat: list[tuple[float, int, int, AnnotationRecord]] = []
     for fid, dets in predictions.items():
         for k, det in enumerate(dets):
             if label is not None and getattr(det, label) != wanted:
@@ -139,7 +125,7 @@ def _ap_from_flags(tp: np.ndarray, total_gt: int) -> tuple[float, PrCurve]:
 
 
 def evaluate_map(
-    predictions: dict[int, list[Prediction]],
+    predictions: dict[int, list[AnnotationRecord]],
     ground_truth: dict[int, list[AnnotationRecord]],
     cfg: EvalConfig | None = None,
 ) -> tuple[float, PrCurve]:
@@ -150,7 +136,7 @@ def evaluate_map(
 
 
 def action_map(
-    predictions: dict[int, list[Prediction]],
+    predictions: dict[int, list[AnnotationRecord]],
     ground_truth: dict[int, list[AnnotationRecord]],
     cfg: EvalConfig | None = None,
 ) -> tuple[float, float]:
@@ -176,17 +162,3 @@ def action_map(
                 class_aps.append(_ap_from_flags(tp, total_gt)[0])
         aps[label] = float(np.mean(class_aps)) if class_aps else 0.0
     return aps["primary_action"], aps["secondary_action"]
-
-
-def detections_to_records(detections: list[Detection]) -> list[AnnotationRecord]:
-    return [
-        AnnotationRecord(
-            frame_id=d.frame_id,
-            box=d.box,
-            track_id=d.track_id,
-            primary_action=d.primary_action,
-            secondary_action=d.secondary_action,
-            confidence=d.confidence,
-        )
-        for d in detections
-    ]

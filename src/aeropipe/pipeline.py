@@ -18,10 +18,11 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import ndimage
 
+from .annotations import AnnotationRecord
 from .attention import AttentionConfig, FeatureGrid, crop_and_resize
 from .boxgen import BoxGeneratorConfig, box_generator
 from .densemaps import DenseMaps
-from .evaluate import Detection, nms
+from .evaluate import nms
 from .geometry import BBox
 from .synth import SceneConfig, generate_sequence, render_intensity
 from .temporal import ActivityModel, TrackStore, predict
@@ -267,7 +268,7 @@ def feature_stub(intensity: np.ndarray, cfg: StubConfig) -> FeatureGrid:
 @dataclass
 class FrameResult:
     frame_id: int
-    detections: list[Detection]
+    detections: list[AnnotationRecord]
     message: ReportMessage
     payload: bytes
     timings_ms: dict[str, float]
@@ -347,7 +348,7 @@ class Pipeline:
 
         return FrameResult(frame.frame_id, kept, message, payload, timings)
 
-    def _predict(self, boxes: list[BBox], crops, frame_id: int) -> list[Detection]:
+    def _predict(self, boxes: list[BBox], crops, frame_id: int) -> list[AnnotationRecord]:
         tracks = self.store.step(boxes)
         if not tracks:
             return []
@@ -361,7 +362,7 @@ class Pipeline:
             track.h = h[i]
             track.c = c_state[i]
             detections.append(
-                Detection(
+                AnnotationRecord(
                     box=boxes[i],
                     confidence=float(conf[i]),
                     primary_action=primary[i],

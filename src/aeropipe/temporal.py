@@ -273,7 +273,7 @@ class TrackStore:
     """Single-writer track lifecycle: spawn on unmatched detections, retire
     tracks unmatched for more than max_age frames."""
 
-    def __init__(self, hidden_size: int, max_dist: float = 40.0, max_age: int = 5) -> None:
+    def __init__(self, hidden_size: int, max_dist: float, max_age: int) -> None:
         self.hidden_size = hidden_size
         self.max_dist = max_dist
         self.max_age = max_age

@@ -283,4 +283,7 @@ def parse_address(addr: str) -> tuple[str, int]:
     host, _, port = addr.rpartition(":")
     if not host or not port.isdigit():
         raise ValueError(f"expected host:port, got {addr!r}")
+    # getaddrinfo would wrap a larger port modulo 65536 without a sign.
+    if int(port) > 0xFFFF:
+        raise ValueError(f"port {port} outside 0..65535: {addr!r}")
     return host, int(port)

@@ -11,10 +11,11 @@ import time
 import numpy as np
 import pytest
 
+from aeropipe.annotations import AnnotationRecord
 from aeropipe.attention import AttentionConfig, attention_map
 from aeropipe.boxgen import box_generator
 from aeropipe.densemaps import encode
-from aeropipe.evaluate import Detection, EvalConfig, evaluate_map, nms
+from aeropipe.evaluate import EvalConfig, evaluate_map, nms
 from aeropipe.geometry import BBox, center, iou
 from aeropipe.pipeline import FrameRecord, Pipeline, PipelineConfig, bench_frames
 from aeropipe.synth import SceneConfig, corrupt_maps, crop_dataset, generate_scene, generate_sequence, render_intensity
@@ -274,7 +275,7 @@ def test_criterion_07_nms_oracle():
             x0, y0 = rng.integers(0, 40, size=2)
             w, h = rng.integers(2, 20, size=2)
             conf = float(rng.choice([0.2, 0.35, 0.5, 0.5, 0.7, 0.9]))
-            dets.append(Detection(box=BBox(int(x0), int(y0), int(x0 + w), int(y0 + h)), confidence=conf))
+            dets.append(AnnotationRecord(frame_id=0, box=BBox(int(x0), int(y0), int(x0 + w), int(y0 + h)), confidence=conf))
         ours = nms(dets, 0.5, score_floor=0.3)
         if ours != _reference_nms(dets, 0.5, score_floor=0.3):
             mismatches += 1
@@ -289,8 +290,6 @@ def test_criterion_07_nms_oracle():
 
 
 def test_criterion_08_map_harness():
-    from aeropipe.annotations import AnnotationRecord
-
     gt = {
         0: [
             AnnotationRecord(frame_id=0, box=BBox(0, 0, 20, 20)),
@@ -299,12 +298,12 @@ def test_criterion_08_map_harness():
     }
     preds = {
         0: [
-            Detection(box=BBox(0, 0, 20, 16), confidence=0.9),   # IoU 0.8: TP
-            Detection(box=BBox(100, 100, 120, 120), confidence=0.8),  # FP
+            AnnotationRecord(frame_id=0, box=BBox(0, 0, 20, 16), confidence=0.9),   # IoU 0.8: TP
+            AnnotationRecord(frame_id=0, box=BBox(100, 100, 120, 120), confidence=0.8),  # FP
         ]
     }
     ap_hand, _ = evaluate_map(preds, gt, EvalConfig())
-    perfect = {0: [Detection(box=r.box, confidence=1.0) for r in gt[0]]}
+    perfect = {0: [AnnotationRecord(frame_id=0, box=r.box, confidence=1.0) for r in gt[0]]}
     ap_perfect, _ = evaluate_map(perfect, gt, EvalConfig())
     ap_empty, _ = evaluate_map({0: []}, gt, EvalConfig())
     passed = abs(ap_hand - 0.5) < 1e-9 and ap_perfect == 1.0 and ap_empty == 0.0

@@ -344,6 +344,29 @@ class TestExitCodes:
         assert not out.exists()
         assert main([*args, "--frame-id", str(2**32 - 1), "--out", str(out)]) == 0
 
+    def test_detect_frame_id_flag_on_a_directory_is_data_error(self, tmp_path, capsys):
+        maps_dir = tmp_path / "maps"
+        maps_dir.mkdir()
+        for fid in (0, 1):
+            save_maps(str(maps_dir / f"frame_{fid:06d}.aero"), encode([BBox(8, 6, 30, 28)], (80, 48)))
+        out = tmp_path / "o.txt"
+        assert main(["detect", "--maps", str(maps_dir), "--frame-id", "5", "--out", str(out)]) == 2
+        assert f"--frame-id is for single-file input, but {maps_dir} is a directory" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, opener", [("send", "create_connection"), ("recv", "create_server")])
+    @pytest.mark.parametrize("port", [65536, 99999])
+    def test_port_beyond_u16_is_data_error(self, tmp_path, capsys, monkeypatch, command, opener, port):
+        def opened(*args, **kwargs):
+            raise AssertionError(f"{opener} called with {args}")
+
+        monkeypatch.setattr(socket, opener, opened)
+        reports = tmp_path / "reports.bin"
+        reports.write_bytes(b"")
+        extra = ["--reports", str(reports)] if command == "send" else []
+        assert main([command, "--addr", f"127.0.0.1:{port}", *extra]) == 2
+        assert f"port {port} outside 0..65535" in capsys.readouterr().err
+
     def test_frame_period_overflowing_the_timestamp_is_data_error(self, tmp_path, capsys):
         main(["synth", "--frames", "2", "--out", str(tmp_path / "data")])
         (tmp_path / "cfg.txt").write_text("pipeline.frame_period_ms = 100000000000000000000\n")

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from aeropipe.annotations import AnnotationRecord
 from aeropipe.evaluate import (
-    Detection,
     EvalConfig,
     _ap_from_flags,
     _interpolated_ap,
@@ -17,12 +16,14 @@ from aeropipe.geometry import BBox, iou
 
 
 def _det(x0, y0, x1, y1, conf, primary=None, secondary=None, frame=0, track=-1):
-    d = Detection(box=BBox(x0, y0, x1, y1), confidence=conf, track_id=track, frame_id=frame)
-    if primary is not None:
-        d.primary_action = int(np.argmax(primary))
-    if secondary is not None:
-        d.secondary_action = int(np.argmax(secondary))
-    return d
+    return AnnotationRecord(
+        frame_id=frame,
+        box=BBox(x0, y0, x1, y1),
+        track_id=track,
+        primary_action=-1 if primary is None else int(np.argmax(primary)),
+        secondary_action=-1 if secondary is None else int(np.argmax(secondary)),
+        confidence=conf,
+    )
 
 
 def _reference_nms(detections, iou_threshold, score_floor):
@@ -160,7 +161,7 @@ class TestEvaluateMap:
         base, _ = evaluate_map(preds, gt)
         squash = {
             0: [
-                Detection(box=d.box, confidence=0.1 + 0.8 * d.confidence**2, frame_id=0)
+                AnnotationRecord(frame_id=0, box=d.box, confidence=0.1 + 0.8 * d.confidence**2)
                 for d in preds[0]
             ]
         }
@@ -198,7 +199,7 @@ class TestActionMap:
 
     def test_detection_without_actions_scores_as_unknown(self):
         gt = {0: [_gt(0, 0, 0, 10, 10, primary=0, secondary=0)]}
-        preds = {0: [Detection(box=BBox(0, 0, 10, 10), confidence=0.9)]}
+        preds = {0: [AnnotationRecord(frame_id=0, box=BBox(0, 0, 10, 10), confidence=0.9)]}
         assert action_map(preds, gt) == (0.0, 0.0)
 
     def test_hand_computed_mixed_instance(self):
@@ -229,7 +230,7 @@ class TestActionMap:
 # Verbatim copy of the per-action AP before it read labels by attribute
 # name; the current `action_map` must give exactly the same numbers.
 def _reference_match_predictions(
-    predictions: dict[int, list[Detection]],
+    predictions: dict[int, list[AnnotationRecord]],
     ground_truth: dict[int, list[AnnotationRecord]],
     iou_threshold: float,
     gt_label=None,
@@ -248,7 +249,7 @@ def _reference_match_predictions(
         gts[fid] = rows
         total_gt += len(rows)
 
-    flat: list[tuple[float, int, int, Detection]] = []
+    flat: list[tuple[float, int, int, AnnotationRecord]] = []
     for fid, dets in predictions.items():
         for k, det in enumerate(dets):
             if wanted_label is not None and det_label(det) != wanted_label:
@@ -275,7 +276,7 @@ def _reference_match_predictions(
 
 
 def _reference_per_class_ap(
-    predictions: dict[int, list[Detection]],
+    predictions: dict[int, list[AnnotationRecord]],
     ground_truth: dict[int, list[AnnotationRecord]],
     iou_threshold: float,
     gt_label,
@@ -301,7 +302,7 @@ def _reference_per_class_ap(
 
 
 def _reference_action_map(
-    predictions: dict[int, list[Detection]],
+    predictions: dict[int, list[AnnotationRecord]],
     ground_truth: dict[int, list[AnnotationRecord]],
     cfg: EvalConfig | None = None,
 ) -> tuple[float, float]:
@@ -366,12 +367,12 @@ def _scored_frames(draw):
         known = [r.box for r in gt.get(fid, [])]
         box = st.one_of(st.sampled_from(known), _box) if known else _box
         preds[fid] = [
-            Detection(
+            AnnotationRecord(
+                frame_id=fid,
                 box=b,
                 confidence=draw(st.sampled_from([0.2, 0.5, 0.9])),
                 primary_action=int(np.argmax(draw(_dist))),
                 secondary_action=int(np.argmax(draw(_dist))),
-                frame_id=fid,
             )
             for b in draw(st.lists(box, max_size=6))
         ]

@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from aeropipe.annotations import AnnotationRecord, read_annotations, write_annotations
 from aeropipe.attention import crop_and_resize
 from aeropipe.boxgen import box_generator
 from aeropipe.evaluate import nms
@@ -155,11 +158,9 @@ class TestRunFrame:
         h_prev = np.stack([t.h for t in tracks])
         c_prev = np.stack([t.c for t in tracks])
         a_p, a_s, conf, _, _ = predict(manual.model, x, h_prev, c_prev)
-        from aeropipe.evaluate import Detection
-
         manual_dets = [
-            Detection(box=b, confidence=float(conf[i]), primary_action=int(np.argmax(a_p[i])),
-                      secondary_action=int(np.argmax(a_s[i])), track_id=tracks[i].track_id, frame_id=0)
+            AnnotationRecord(frame_id=0, box=b, confidence=float(conf[i]), primary_action=int(np.argmax(a_p[i])),
+                             secondary_action=int(np.argmax(a_s[i])), track_id=tracks[i].track_id)
             for i, b in enumerate(boxes)
         ]
         manual_kept = nms(manual_dets, cfg.nms.iou_threshold, cfg.nms.score_floor)
@@ -190,6 +191,20 @@ class TestRunFrame:
                 run.append(pipeline.run_frame(frame).payload)
             payloads.append(b"".join(run))
         assert payloads[0] == payloads[1]
+
+    def test_detections_are_annotation_records_that_round_trip(self, tmp_path):
+        scenes = generate_sequence(SceneConfig(box_count=(4, 4)), frames=4, seed=26)
+        pipeline = Pipeline(PipelineConfig(temporal=TemporalConfig(model_seed=9)))
+        detections = []
+        for scene in scenes:
+            intensity = render_intensity(scene.records, (640, 360))
+            detections += pipeline.run_frame(FrameRecord(scene.frame_id, scene.maps, intensity)).detections
+        assert detections and all(type(d) is AnnotationRecord for d in detections)
+        path = str(tmp_path / "predictions.txt")
+        write_annotations(path, detections, with_confidence=True)
+        # The prediction file keeps six decimals of each confidence.
+        expected = [dataclasses.replace(d, confidence=float(f"{d.confidence:.6f}")) for d in detections]
+        assert read_annotations(path) == expected
 
     def test_every_report_decodes(self):
         scenes = generate_sequence(SceneConfig(box_count=(3, 3)), frames=6, seed=25)

@@ -140,10 +140,10 @@ class TestMessageCodec:
 
 class TestBuildReport:
     def test_quantization_and_pose(self):
-        from aeropipe.evaluate import Detection
+        from aeropipe.annotations import AnnotationRecord
         from aeropipe.geometry import BBox
 
-        det = Detection(box=BBox(3, 4, 13, 24), confidence=0.5, track_id=7, frame_id=2)
+        det = AnnotationRecord(frame_id=2, box=BBox(3, 4, 13, 24), track_id=7, confidence=0.5)
         msg = wire.build_report(
             frame_id=2,
             detections=[det],
@@ -161,11 +161,11 @@ class TestBuildReport:
         assert entry.confidence_q == 128
 
     def test_truncates_to_cap_keeping_strongest(self):
-        from aeropipe.evaluate import Detection
+        from aeropipe.annotations import AnnotationRecord
         from aeropipe.geometry import BBox
 
         dets = [
-            Detection(box=BBox(i, 0, i + 5, 10), confidence=i / 50.0, track_id=i, frame_id=0)
+            AnnotationRecord(frame_id=0, box=BBox(i, 0, i + 5, 10), track_id=i, confidence=i / 50.0)
             for i in range(40)
         ]
         msg = wire.build_report(0, dets, timestamp_ms=0)
@@ -243,6 +243,14 @@ class TestStreamEndpoints:
             parse_address("nope")
         with pytest.raises(ValueError):
             parse_address("host:")
+
+    def test_parse_address_bounds_the_port(self):
+        assert parse_address("h:0") == ("h", 0)
+        assert parse_address("h:65535") == ("h", 65535)
+        # getaddrinfo would take these as ports 0 and 34463.
+        for addr in ("h:65536", "h:99999"):
+            with pytest.raises(ValueError, match="outside 0..65535"):
+                parse_address(addr)
 
 
 def test_header_layout_is_bit_exact():

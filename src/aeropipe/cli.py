@@ -171,7 +171,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     for k, scene in enumerate(scenes):
         maps = scene.maps
         if args.noise > 0.0:
-            maps = corrupt_maps(maps, args.noise, scene_cfg.flip_probability, args.seed + 1000 + k)
+            maps = corrupt_maps(maps, args.noise, synth.FLIP_PROBABILITY, args.seed + 1000 + k)
         maps_name = _MAPS_NAME.format(scene.frame_id)
         save_maps(os.path.join(args.out, maps_name), maps)
         all_records.extend(scene.records)
@@ -443,7 +443,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     try:
         return args.func(args)
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception:  # pragma: no cover - defensive

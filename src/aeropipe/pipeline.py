@@ -82,8 +82,8 @@ class TemporalConfig:
 
 @dataclass
 class LoopConfig:
-    """Nominal frame spacing: report timestamps of frames without one, and
-    arrival times in the latest-only benchmark."""
+    """Nominal frame spacing: every report's timestamp is frame id times the
+    period, and the latest-only benchmark spaces arrivals by it."""
 
     frame_period_ms: int = 100
 
@@ -172,7 +172,6 @@ class FrameRecord:
     frame_id: int
     maps: DenseMaps
     intensity: np.ndarray | None = None
-    timestamp_ms: int | None = None
     drone_lat: float = 0.0
     drone_lon: float = 0.0
     drone_alt_m: float = 0.0
@@ -334,11 +333,7 @@ class Pipeline:
         message = build_report(
             frame_id=frame.frame_id,
             detections=kept,
-            timestamp_ms=(
-                frame.timestamp_ms
-                if frame.timestamp_ms is not None
-                else frame.frame_id * self.cfg.pipeline.frame_period_ms
-            ),
+            timestamp_ms=frame.frame_id * self.cfg.pipeline.frame_period_ms,
             drone_lat=frame.drone_lat,
             drone_lon=frame.drone_lon,
             drone_alt_m=frame.drone_alt_m,

@@ -6,12 +6,12 @@ non-overlapping boxes rasterized through the dense-map encoder; sequences
 move the same tracks with per-track velocities and edge reflection; the
 crop dataset draws class-separable feature vectors for head training.
 
-Scenes meant for decode roundtrips carry one extra guarantee beyond the
-minimum side and pairwise gap: no rectangle spanned by one box's top-left
-corner and another box's bottom-right corner is filled with segmented
-pixels beyond ``max_cross_fill``. Without it, two similar boxes that
-happen to align can span a mostly-segmented rectangle that the corner
-combiner legitimately keeps, and the roundtrip would not be bijective.
+Every scene carries one guarantee beyond the minimum side and pairwise
+gap: no rectangle spanned by one box's top-left corner and another box's
+bottom-right corner is filled with segmented pixels beyond
+``MAX_CROSS_FILL``. Without it, two similar boxes that happen to align can
+span a mostly-segmented rectangle that the corner combiner legitimately
+keeps, and the decode roundtrip would not be bijective.
 """
 
 from __future__ import annotations
@@ -28,6 +28,18 @@ from .temporal import ActionVocabulary
 
 _VOCAB = ActionVocabulary()
 
+# Height / width bounds. Near-isotropic boxes match the overhead-view domain
+# and keep the regression ramp along the short axis steeper than the decode
+# noise floor; very elongated boxes would make the corner peaks
+# unrecoverable under noise for any windowed decode.
+ASPECT_RANGE = (0.6, 1.6)
+MIN_GAP = 3
+MAX_CROSS_FILL = 0.85
+# Segmentation bit-flip rate of `aeropipe synth --noise`.
+FLIP_PROBABILITY = 0.01
+# Elements per block of the span-by-box overlap arrays in `_cross_fill_ok`.
+_SPAN_BLOCK = 1 << 16
+
 
 class SceneGenerationError(ValueError):
     """Packing failed within the attempt budget."""
@@ -35,31 +47,17 @@ class SceneGenerationError(ValueError):
 
 @dataclass
 class SceneConfig:
-    """Scene parameters; defaults model tiny aerial pedestrian footprints.
-
-    aspect_range bounds height / width. Near-isotropic boxes match the
-    overhead-view domain and keep the regression ramp along the short axis
-    steeper than the decode noise floor; very elongated boxes would make
-    the corner peaks unrecoverable under noise for any windowed decode.
-    """
+    """Scene parameters; defaults model tiny aerial pedestrian footprints."""
 
     grid: tuple[int, int] = (640, 360)
     box_count: tuple[int, int] = (1, 12)
     side_range: tuple[int, int] = (8, 48)
-    aspect_range: tuple[float, float] = (0.6, 1.6)
-    min_gap: int = 3
     velocity_range: tuple[float, float] = (-3.0, 3.0)
-    flip_probability: float = 0.01
-    max_cross_fill: float = 0.85
     max_attempts: int = 10_000
 
     def __post_init__(self) -> None:
-        if self.side_range[0] < 8 and self.max_cross_fill < 1.0:
+        if self.side_range[0] < 8:
             raise ValueError("roundtrip scenes need min side >= 8")
-        if self.min_gap < 3 and self.max_cross_fill < 1.0:
-            raise ValueError("roundtrip scenes need min gap >= 3")
-        if not 0.0 <= self.flip_probability <= 1.0:
-            raise ValueError("flip_probability must be in [0, 1]")
         if not 0 <= self.box_count[0] <= self.box_count[1]:
             raise ValueError(f"box_count {self.box_count} must be a range 0 <= low <= high")
 
@@ -75,37 +73,36 @@ class Scene:
         return [r.box for r in self.records]
 
 
-def _rect_overlap(box: BBox, x0: int, y0: int, x1: int, y1: int) -> int:
-    """Inclusive pixel count of box ∩ rectangle."""
-    w = min(box.x1, x1) - max(box.x0, x0) + 1
-    h = min(box.y1, y1) - max(box.y0, y0) + 1
-    return w * h if (w > 0 and h > 0) else 0
+def _cross_fill_ok(boxes: list[BBox]) -> bool:
+    """Check the decodability certificate over all ordered corner pairs.
 
-
-def _span_fill(boxes: list[BBox], x0: int, y0: int, x1: int, y1: int) -> float:
-    total = (x1 - x0 + 1) * (y1 - y0 + 1)
-    occupied = sum(_rect_overlap(b, x0, y0, x1, y1) for b in boxes)
-    return occupied / total
-
-
-def _cross_fill_ok(boxes: list[BBox], threshold: float) -> bool:
-    """Check the decodability certificate over all ordered corner pairs."""
-    if threshold >= 1.0:
+    A span runs from box a's top-left to box b's bottom-right corner (a != b,
+    at least 2 px each way); its fill is the summed inclusive pixel overlap
+    of every box with it over its area. The sums are exact int64 and the
+    float64 division rounds as Python's int / int does.
+    """
+    if len(boxes) < 2:
         return True
-    for i, a in enumerate(boxes):
-        for j, b in enumerate(boxes):
-            if i == j:
-                continue
-            if b.x1 - a.x0 >= 2 and b.y1 - a.y0 >= 2:
-                if _span_fill(boxes, a.x0, a.y0, b.x1, b.y1) >= threshold:
-                    return False
+    x0, y0, x1, y1 = np.array([b.as_tuple() for b in boxes], dtype=np.int64).T
+    a, b = np.nonzero((x1 - x0[:, None] >= 2) & (y1 - y0[:, None] >= 2))
+    a, b = a[a != b], b[a != b]
+    sx0, sy0, sx1, sy1 = x0[a, None], y0[a, None], x1[b, None], y1[b, None]
+    total = (sx1 - sx0 + 1) * (sy1 - sy0 + 1)
+    step = max(1, _SPAN_BLOCK // len(boxes))
+    for s in range(0, len(a), step):
+        cut = slice(s, s + step)
+        w = np.minimum(x1, sx1[cut]) - np.maximum(x0, sx0[cut]) + 1
+        h = np.minimum(y1, sy1[cut]) - np.maximum(y0, sy0[cut]) + 1
+        occupied = (np.maximum(w, 0) * np.maximum(h, 0)).sum(axis=1, keepdims=True)
+        if (occupied / total[cut] >= MAX_CROSS_FILL).any():
+            return False
     return True
 
 
-def _valid_against(candidate: BBox, others: list[BBox], cfg: SceneConfig) -> bool:
-    if any(separation(candidate, other) < cfg.min_gap for other in others):
+def _valid_against(candidate: BBox, others: list[BBox]) -> bool:
+    if any(separation(candidate, other) < MIN_GAP for other in others):
         return False
-    return _cross_fill_ok(others + [candidate], cfg.max_cross_fill)
+    return _cross_fill_ok(others + [candidate])
 
 
 def _place_boxes(cfg: SceneConfig, rng: SplitMix64, count: int) -> list[BBox]:
@@ -120,12 +117,12 @@ def _place_boxes(cfg: SceneConfig, rng: SplitMix64, count: int) -> list[BBox]:
             )
         attempts += 1
         w = rng.randint(cfg.side_range[0], cfg.side_range[1])
-        ratio = rng.uniform(cfg.aspect_range[0], cfg.aspect_range[1])
+        ratio = rng.uniform(ASPECT_RANGE[0], ASPECT_RANGE[1])
         h = min(cfg.side_range[1], max(cfg.side_range[0], int(round(w * ratio))))
         x0 = rng.randint(0, width - 1 - w)
         y0 = rng.randint(0, height - 1 - h)
         candidate = BBox(x0, y0, x0 + w, y0 + h)
-        if _valid_against(candidate, boxes, cfg):
+        if _valid_against(candidate, boxes):
             boxes.append(candidate)
     return boxes
 
@@ -202,7 +199,7 @@ def generate_sequence(cfg: SceneConfig, frames: int, seed: int) -> list[Scene]:
                 nfy, nvy = _reflect(track.fy + track.vy, track.vy, height - 1 - track.h)
                 others = [o.box() for j, o in enumerate(tracks) if j != idx]
                 moved = replace(track, fx=nfx, fy=nfy, vx=nvx, vy=nvy)
-                if _valid_against(moved.box(), others, cfg):
+                if _valid_against(moved.box(), others):
                     tracks[idx] = moved
                 else:
                     tracks[idx] = replace(track, vx=-track.vx, vy=-track.vy)

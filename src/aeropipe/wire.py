@@ -281,7 +281,7 @@ def unframe_stream(data: bytes) -> tuple[list[ReportMessage], int]:
 
 def parse_address(addr: str) -> tuple[str, int]:
     host, _, port = addr.rpartition(":")
-    if not host or not port.isdigit():
+    if not host or not (port.isascii() and port.isdigit()):
         raise ValueError(f"expected host:port, got {addr!r}")
     # getaddrinfo would wrap a larger port modulo 65536 without a sign.
     if int(port) > 0xFFFF:

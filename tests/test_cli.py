@@ -422,6 +422,15 @@ class TestExitCodes:
         assert main(["bench", "--frames", "1", "--boxes", "400"]) == 2
         assert "failed to pack" in capsys.readouterr().err
 
+    def test_key_error_is_an_internal_error(self, capsys, monkeypatch):
+        # No input reaches a KeyError, so one raised is a program fault.
+        def fault(*args, **kwargs):
+            raise KeyError("boxes")
+
+        monkeypatch.setattr(pipeline, "generate_sequence", fault)
+        assert main(["bench", "--frames", "1", "--boxes", "3"]) == 3
+        assert "KeyError: 'boxes'" in capsys.readouterr().err
+
     def test_bench_takes_a_scene_without_boxes(self, capsys):
         assert main(["bench", "--frames", "2", "--boxes", "0"]) == 0
         assert capsys.readouterr().out.startswith("stage,mean_ms,p95_ms")

@@ -1,10 +1,16 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from aeropipe import synth
 from aeropipe.densemaps import encode
-from aeropipe.geometry import iou, separation
+from aeropipe.geometry import BBox, iou, separation
 from aeropipe.rng import SplitMix64
 from aeropipe.synth import (
+    MIN_GAP,
     SceneConfig,
     SceneGenerationError,
     _cross_fill_ok,
@@ -16,6 +22,74 @@ from aeropipe.synth import (
     render_intensity,
     write_manifest,
 )
+
+
+# The cross-fill certificate as a pure-Python loop over ordered box pairs,
+# one overlap sum per pair: the reference for the vectorized `_cross_fill_ok`.
+def _rect_overlap(box: BBox, x0: int, y0: int, x1: int, y1: int) -> int:
+    """Inclusive pixel count of box ∩ rectangle."""
+    w = min(box.x1, x1) - max(box.x0, x0) + 1
+    h = min(box.y1, y1) - max(box.y0, y0) + 1
+    return w * h if (w > 0 and h > 0) else 0
+
+
+def _span_fill(boxes: list[BBox], x0: int, y0: int, x1: int, y1: int) -> float:
+    total = (x1 - x0 + 1) * (y1 - y0 + 1)
+    occupied = sum(_rect_overlap(b, x0, y0, x1, y1) for b in boxes)
+    return occupied / total
+
+
+def _reference_cross_fill_ok(boxes: list[BBox], threshold: float) -> bool:
+    """Check the decodability certificate over all ordered corner pairs."""
+    if threshold >= 1.0:
+        return True
+    for i, a in enumerate(boxes):
+        for j, b in enumerate(boxes):
+            if i == j:
+                continue
+            if b.x1 - a.x0 >= 2 and b.y1 - a.y0 >= 2:
+                if _span_fill(boxes, a.x0, a.y0, b.x1, b.y1) >= threshold:
+                    return False
+    return True
+
+
+# Small coordinates so that drawn boxes often overlap, touch or align.
+_boxes = st.lists(
+    st.builds(
+        lambda x0, y0, w, h: BBox(x0, y0, x0 + w, y0 + h),
+        st.integers(0, 40),
+        st.integers(0, 40),
+        st.integers(2, 24),
+        st.integers(2, 24),
+    ),
+    max_size=20,
+)
+
+
+class TestCrossFill:
+    @pytest.mark.parametrize("block", [synth._SPAN_BLOCK, 7])
+    @settings(max_examples=300, deadline=None)
+    @given(boxes=_boxes)
+    # Touching boxes whose span (0, 0)-(4, 7) holds 34 of its 40 pixels: a
+    # fill of exactly 0.85, which fails the certificate.
+    @example(boxes=[BBox(0, 0, 2, 2), BBox(0, 3, 4, 7)])
+    def test_matches_the_pairwise_loop(self, block, boxes):
+        with mock.patch.object(synth, "_SPAN_BLOCK", block):
+            assert _cross_fill_ok(boxes) == _reference_cross_fill_ok(boxes, 0.85)
+
+    def test_fixtures_match_the_pairwise_loop(self):
+        def scenes():
+            sequence = generate_sequence(SceneConfig(box_count=(27, 27)), 3, 71)
+            return sequence + [generate_scene(SceneConfig(), seed) for seed in range(5)]
+
+        ours = scenes()
+        with mock.patch.object(synth, "_cross_fill_ok", lambda boxes: _reference_cross_fill_ok(boxes, 0.85)):
+            theirs = scenes()
+        assert len(ours[0].records) == 27
+        for a, b in zip(ours, theirs, strict=True):
+            assert a.records == b.records
+            assert a.maps.seg.tobytes() == b.maps.seg.tobytes()
+            assert a.maps.reg.tobytes() == b.maps.reg.tobytes()
 
 
 class TestSplitMix:
@@ -53,6 +127,10 @@ class TestGenerateScene:
         with pytest.raises(ValueError, match=r"box_count .* must be a range 0 <= low <= high"):
             SceneConfig(box_count=box_count)
 
+    def test_rejects_a_min_side_below_8(self):
+        with pytest.raises(ValueError, match="min side >= 8"):
+            SceneConfig(side_range=(6, 20))
+
     def test_deterministic_per_seed(self):
         a = generate_scene(SceneConfig(), 99)
         b = generate_scene(SceneConfig(), 99)
@@ -69,7 +147,7 @@ class TestGenerateScene:
         assert len(boxes) == 10
         for i, a in enumerate(boxes):
             for b in boxes[i + 1 :]:
-                assert separation(a, b) >= cfg.min_gap
+                assert separation(a, b) >= MIN_GAP
                 assert iou(a, b) == 0.0
 
     def test_labels_within_vocabulary(self):
@@ -93,7 +171,7 @@ class TestGenerateScene:
         cfg = SceneConfig(box_count=(12, 12))
         for seed in range(5):
             boxes = generate_scene(cfg, seed).boxes
-            assert _cross_fill_ok(boxes, cfg.max_cross_fill)
+            assert _cross_fill_ok(boxes)
 
     def test_maps_match_direct_encode(self):
         scene = generate_scene(SceneConfig(), 11)
@@ -127,8 +205,8 @@ class TestGenerateSequence:
                 assert b.within_grid(640, 360)
             for i, a in enumerate(boxes):
                 for b in boxes[i + 1 :]:
-                    assert separation(a, b) >= cfg.min_gap
-            assert _cross_fill_ok(boxes, cfg.max_cross_fill)
+                    assert separation(a, b) >= MIN_GAP
+            assert _cross_fill_ok(boxes)
 
     def test_boxes_actually_move(self):
         scenes = generate_sequence(SceneConfig(box_count=(3, 3)), frames=8, seed=5)

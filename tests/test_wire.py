@@ -252,6 +252,12 @@ class TestStreamEndpoints:
             with pytest.raises(ValueError, match="outside 0..65535"):
                 parse_address(addr)
 
+    @pytest.mark.parametrize("addr", ["h:\u0663", "h:\uff11\uff12", "h:\u00b2"])
+    def test_parse_address_takes_only_ascii_digits(self, addr):
+        # Arabic-Indic three, full-width twelve, superscript two.
+        with pytest.raises(ValueError, match="expected host:port"):
+            parse_address(addr)
+
 
 def test_header_layout_is_bit_exact():
     msg = ReportMessage(

@@ -21,6 +21,10 @@ import numpy as np
 
 from .geometry import BBox, center
 
+# A box on a u32-sized grid has sides below 2**32, so with this ratio its
+# window side stays below 2**62 and every window coordinate fits int64.
+MAX_EXPAND_RATIO = 2.0**30
+
 
 @dataclass
 class AttentionConfig:
@@ -29,10 +33,10 @@ class AttentionConfig:
     out_size: int = 16
 
     def __post_init__(self) -> None:
-        if self.expand_ratio < 1.0:
-            raise ValueError(f"expand_ratio must be >= 1, got {self.expand_ratio}")
-        if self.sigma_scale <= 0.0:
-            raise ValueError(f"sigma_scale must be positive, got {self.sigma_scale}")
+        if not 1.0 <= self.expand_ratio <= MAX_EXPAND_RATIO:
+            raise ValueError(f"expand_ratio must be in [1, 2**30], got {self.expand_ratio}")
+        if not (math.isfinite(self.sigma_scale) and self.sigma_scale > 0.0):
+            raise ValueError(f"sigma_scale must be finite and positive, got {self.sigma_scale}")
         if self.out_size < 4:
             raise ValueError(f"out_size must be >= 4, got {self.out_size}")
 

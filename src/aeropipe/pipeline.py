@@ -75,12 +75,6 @@ class AssociateConfig:
 
 
 @dataclass
-class TemporalConfig:
-    hidden_size: int = 64
-    model_seed: int | None = None
-
-
-@dataclass
 class LoopConfig:
     """Nominal frame spacing: every report's timestamp is frame id times the
     period, and the latest-only benchmark spaces arrivals by it."""
@@ -104,7 +98,6 @@ class PipelineConfig:
     stub: StubConfig = field(default_factory=StubConfig)
     nms: NmsConfig = field(default_factory=NmsConfig)
     associate: AssociateConfig = field(default_factory=AssociateConfig)
-    temporal: TemporalConfig = field(default_factory=TemporalConfig)
     pipeline: LoopConfig = field(default_factory=LoopConfig)
 
     @property
@@ -266,7 +259,6 @@ def feature_stub(intensity: np.ndarray, cfg: StubConfig) -> FeatureGrid:
 
 @dataclass
 class FrameResult:
-    frame_id: int
     detections: list[AnnotationRecord]
     message: ReportMessage
     payload: bytes
@@ -278,11 +270,7 @@ class Pipeline:
 
     def __init__(self, cfg: PipelineConfig | None = None, model: ActivityModel | None = None) -> None:
         self.cfg = cfg or PipelineConfig()
-        self.model = model or ActivityModel.build(
-            input_size=self.cfg.crop_input_size,
-            hidden_size=self.cfg.temporal.hidden_size,
-            seed=self.cfg.temporal.model_seed,
-        )
+        self.model = model or ActivityModel.build(self.cfg.crop_input_size)
         if self.model.cell.input_size != self.cfg.crop_input_size:
             raise ValueError(
                 f"model input size {self.model.cell.input_size} != "
@@ -341,7 +329,7 @@ class Pipeline:
         payload = encode_message(message)
         timings["wire"] = (time.perf_counter() - start) * 1e3
 
-        return FrameResult(frame.frame_id, kept, message, payload, timings)
+        return FrameResult(kept, message, payload, timings)
 
     def _predict(self, boxes: list[BBox], crops, frame_id: int) -> list[AnnotationRecord]:
         tracks = self.store.step(boxes)

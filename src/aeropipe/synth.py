@@ -127,14 +127,14 @@ def _place_boxes(cfg: SceneConfig, rng: SplitMix64, count: int) -> list[BBox]:
     return boxes
 
 
-def generate_scene(cfg: SceneConfig, seed: int, frame_id: int = 0) -> Scene:
-    """One labeled scene with clean encoded maps; deterministic per seed."""
+def generate_scene(cfg: SceneConfig, seed: int) -> Scene:
+    """One labeled frame-0 scene with clean encoded maps; deterministic per seed."""
     rng = SplitMix64(seed)
     count = rng.randint(cfg.box_count[0], cfg.box_count[1])
     boxes = _place_boxes(cfg, rng, count)
     records = [
         AnnotationRecord(
-            frame_id=frame_id,
+            frame_id=0,
             box=box,
             track_id=k,
             primary_action=rng.randint(0, _VOCAB.n_primary - 1),
@@ -142,7 +142,7 @@ def generate_scene(cfg: SceneConfig, seed: int, frame_id: int = 0) -> Scene:
         )
         for k, box in enumerate(boxes)
     ]
-    return Scene(frame_id=frame_id, records=records, maps=encode(boxes, cfg.grid))
+    return Scene(frame_id=0, records=records, maps=encode(boxes, cfg.grid))
 
 
 @dataclass

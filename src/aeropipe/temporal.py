@@ -23,6 +23,12 @@ from .rng import SplitMix64
 
 LOG_FLOOR = 1e-12
 BN_EPS = 1e-5
+BN_MOMENTUM = 0.1
+# The toy trainer's minibatch size and held-out share of the samples.
+BATCH_SIZE = 16
+HOLDOUT_FRACTION = 0.2
+DIVERGENCE_FACTOR = 10.0
+DIVERGENCE_PATIENCE = 100
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -65,12 +71,11 @@ class ActionVocabulary:
 class BatchNormStream:
     """Per-feature normalization of a (batch, features) stream."""
 
-    def __init__(self, features: int, momentum: float = 0.1) -> None:
+    def __init__(self, features: int) -> None:
         self.gamma = np.full(features, 0.1, dtype=np.float64)
         self.beta = np.zeros(features, dtype=np.float64)
         self.running_mean = np.zeros(features, dtype=np.float64)
         self.running_var = np.ones(features, dtype=np.float64)
-        self.momentum = momentum
 
     def standardize(self, x: np.ndarray, training: bool) -> np.ndarray:
         """Zero-mean unit-variance transform before scale/shift.
@@ -82,8 +87,8 @@ class BatchNormStream:
         if training:
             mean = x.mean(axis=0)
             var = x.var(axis=0)
-            self.running_mean = (1.0 - self.momentum) * self.running_mean + self.momentum * mean
-            self.running_var = (1.0 - self.momentum) * self.running_var + self.momentum * var
+            self.running_mean = (1.0 - BN_MOMENTUM) * self.running_mean + BN_MOMENTUM * mean
+            self.running_var = (1.0 - BN_MOMENTUM) * self.running_var + BN_MOMENTUM * var
         else:
             mean = self.running_mean
             var = self.running_var
@@ -410,23 +415,21 @@ class TrainingDiverged(RuntimeError):
 
 
 class DivergenceGuard:
-    """Aborts a run whose step loss stays above factor x the initial loss
-    for `patience` consecutive steps."""
+    """Aborts a run whose step loss stays above DIVERGENCE_FACTOR x the
+    initial loss for DIVERGENCE_PATIENCE consecutive steps."""
 
-    def __init__(self, factor: float = 10.0, patience: int = 100) -> None:
-        self.factor = factor
-        self.patience = patience
+    def __init__(self) -> None:
         self.initial: float | None = None
         self.high_steps = 0
 
     def observe(self, loss: float) -> None:
         if self.initial is None:
             self.initial = loss
-        if loss > self.factor * self.initial:
+        if loss > DIVERGENCE_FACTOR * self.initial:
             self.high_steps += 1
-            if self.high_steps >= self.patience:
+            if self.high_steps >= DIVERGENCE_PATIENCE:
                 raise TrainingDiverged(
-                    f"loss {loss:.4g} > {self.factor:g}x initial {self.initial:.4g} "
+                    f"loss {loss:.4g} > {DIVERGENCE_FACTOR:g}x initial {self.initial:.4g} "
                     f"for {self.high_steps} consecutive steps"
                 )
         else:
@@ -455,9 +458,6 @@ def train_toy(
     pedestrian: np.ndarray,
     adam_cfg: AdamConfig | None = None,
     epochs: int = 500,
-    batch_size: int = 16,
-    holdout_fraction: float = 0.2,
-    lambda_w: float = 0.5,
 ) -> TrainResult:
     """Fit the linear heads on a synthetic crop dataset.
 
@@ -468,8 +468,7 @@ def train_toy(
     samples only; the confidence head trains with binary cross-entropy
     against the pedestrian flag of every sample.
 
-    Raises TrainingDiverged when the step loss exceeds 10x the initial
-    loss for 100 consecutive steps.
+    Raises TrainingDiverged as DivergenceGuard describes.
     """
     adam_cfg = adam_cfg or AdamConfig()
     vocab = model.heads.vocab
@@ -484,7 +483,7 @@ def train_toy(
     hidden, _ = bnlstm_step(model.cell, flat, h0, c0)
     model.cell.training = was_training
 
-    split = max(1, int(round(n * (1.0 - holdout_fraction))))
+    split = max(1, int(round(n * (1.0 - HOLDOUT_FRACTION))))
     train_idx = np.arange(split)
     hold_idx = np.arange(split, n)
 
@@ -495,8 +494,8 @@ def train_toy(
 
     for _ in range(epochs):
         epoch_losses: list[float] = []
-        for start in range(0, len(train_idx), batch_size):
-            idx = train_idx[start : start + batch_size]
+        for start in range(0, len(train_idx), BATCH_SIZE):
+            idx = train_idx[start : start + BATCH_SIZE]
             h = hidden[idx]
             ped = pedestrian[idx].astype(bool)
             logit_p, logit_s, logit_c = heads.logits(h)
@@ -516,7 +515,6 @@ def train_toy(
                     secondary_pred=[pred_s[ped]],
                     primary_target=[tgt_p],
                     secondary_target=[tgt_s],
-                    lambda_w=lambda_w,
                 )
                 action_loss = multi_activity_loss(batch)
                 gp, gs = loss_gradient(batch)
@@ -576,10 +574,10 @@ def save_model(path: str, model: ActivityModel) -> None:
     tensorio.save_named_tensors(path, _parameters(model))
 
 
-def load_model(path: str, vocab: ActionVocabulary | None = None) -> ActivityModel:
-    """Build the model the stored shapes describe and fill it in place; a
-    missing record or one whose shape differs from the model's raises
-    TensorFormatError."""
+def load_model(path: str) -> ActivityModel:
+    """Build the model the stored shapes describe, with labels p0.. and
+    s0.., and fill it in place; a missing record or one whose shape differs
+    from the model's raises TensorFormatError."""
     tensors = tensorio.load_named_tensors(path)
 
     def shape(name: str, rank: int) -> tuple[int, ...]:
@@ -600,7 +598,7 @@ def load_model(path: str, vocab: ActionVocabulary | None = None) -> ActivityMode
                 f"{path}: {name!r} has shape {(rows, cols)}, which does not fit "
                 f"'cell.w_xh' {tensors['cell.w_xh'].shape} with at least 2 labels per action head"
             )
-    vocab = vocab or ActionVocabulary(
+    vocab = ActionVocabulary(
         primary_labels=tuple(f"p{i}" for i in range(shape("heads.w_primary", 2)[1])),
         secondary_labels=tuple(f"s{i}" for i in range(shape("heads.w_secondary", 2)[1])),
     )

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import re
 import socket
@@ -475,11 +476,17 @@ class TestExitCodes:
             ([], "boxgen.peak_floor = -1\n"),
             ([], "boxgen.peak_floor = 1\n"),
             ([], "boxgen.max_box_diag = 0\n"),
+            ([], "attention.sigma_scale = nan\n"),
+            ([], "attention.expand_ratio = inf\n"),
+            ([], "attention.expand_ratio = 1e18\n"),
+            ([], "attention.expand_ratio = nan\n"),
+            ([], "temporal.hidden_size = 1000000000\n"),
         ],
         ids=[
             "delta-0", "max-filter-window-4", "stub-scales-0", "nms-iou-5", "nms-score-floor-neg",
             "max-dist-neg", "max-age-neg", "frame-period-neg", "local-window-0", "peak-floor-neg",
-            "peak-floor-1", "max-box-diag-0",
+            "peak-floor-1", "max-box-diag-0", "sigma-scale-nan", "expand-ratio-inf",
+            "expand-ratio-1e18", "expand-ratio-nan", "removed-temporal-hidden-size",
         ],
     )
     def test_bad_config_value_is_data_error(self, tmp_path, capsys, flags, config):
@@ -563,6 +570,22 @@ def test_readme_commands_parse():
     for argv in commands:
         args = parser.parse_args(argv)
         assert args.command == argv[0]
+
+
+def test_readme_config_keys_exist():
+    """The config text of README.md's command-line section names only keys
+    that `config_keys()` accepts, and lists exactly `PipelineConfig`'s
+    sections."""
+    text = open(_README, encoding="utf-8").read()
+    section = re.search(r"## Command line\n(.*?)\n## ", text, re.S).group(1)
+    prose = re.sub(r"```.*?```", "", section, flags=re.S)
+    named = re.findall(r"`([a-z_]+\.[a-z_]+)(?:\s*=[^`]*)?`", prose)
+    keys = [key for key in named if not key.startswith("section.")]
+    assert len(keys) >= 5
+    assert set(keys) <= set(pipeline.config_keys())
+    listed = re.search(r"`PipelineConfig`, whose \w+ sections are (.*?);", prose, re.S).group(1)
+    sections = [f.name for f in dataclasses.fields(pipeline.PipelineConfig)]
+    assert re.findall(r"`(\w+)`", listed) == sections
 
 
 # Manifest and annotation text for the input-boundary property: lines that

@@ -14,7 +14,6 @@ from aeropipe.pipeline import (
     Pipeline,
     PipelineConfig,
     StubConfig,
-    TemporalConfig,
     bench_frames,
     config_from_mapping,
     config_keys,
@@ -23,7 +22,7 @@ from aeropipe.pipeline import (
 )
 from aeropipe.densemaps import zero_maps
 from aeropipe.synth import SceneConfig, generate_scene, generate_sequence, render_intensity
-from aeropipe.temporal import TrackStore, predict
+from aeropipe.temporal import ActivityModel, TrackStore, predict
 from aeropipe.wire import decode_message
 
 
@@ -136,10 +135,10 @@ class TestRunFrame:
 
     def test_matches_manual_stage_chain(self):
         scene = generate_scene(SceneConfig(box_count=(6, 6)), 23)
-        cfg = PipelineConfig(temporal=TemporalConfig(model_seed=5))
+        cfg = PipelineConfig()
         intensity = render_intensity(scene.records, (640, 360))
         # Random head weights, so the predicted labels are not all class 0.
-        model = Pipeline(cfg).model
+        model = ActivityModel.build(cfg.crop_input_size, seed=5)
         rng = np.random.default_rng(3)
         for w in (model.heads.w_primary, model.heads.w_secondary):
             w[...] = rng.normal(size=w.shape)
@@ -150,7 +149,7 @@ class TestRunFrame:
         manual = Pipeline(cfg, model=model)  # same model, fresh state
         features = feature_stub(intensity, cfg.stub)
         boxes = box_generator(scene.maps, cfg.boxgen)
-        store = TrackStore(cfg.temporal.hidden_size, cfg.associate.max_dist, cfg.associate.max_age)
+        store = TrackStore(model.cell.hidden_size, cfg.associate.max_dist, cfg.associate.max_age)
         tracks = store.step(boxes)
         x = np.stack(
             [crop_and_resize(features, b, cfg.attention).tensor.reshape(-1) for b in boxes]
@@ -180,7 +179,7 @@ class TestRunFrame:
         scenes = generate_sequence(SceneConfig(box_count=(4, 4)), frames=5, seed=24)
         payloads = []
         for _ in range(2):
-            pipeline = Pipeline(PipelineConfig(temporal=TemporalConfig(model_seed=9)))
+            pipeline = Pipeline(model=ActivityModel.build(PipelineConfig().crop_input_size, seed=9))
             run = []
             for scene in scenes:
                 frame = FrameRecord(
@@ -194,7 +193,7 @@ class TestRunFrame:
 
     def test_detections_are_annotation_records_that_round_trip(self, tmp_path):
         scenes = generate_sequence(SceneConfig(box_count=(4, 4)), frames=4, seed=26)
-        pipeline = Pipeline(PipelineConfig(temporal=TemporalConfig(model_seed=9)))
+        pipeline = Pipeline(model=ActivityModel.build(PipelineConfig().crop_input_size, seed=9))
         detections = []
         for scene in scenes:
             intensity = render_intensity(scene.records, (640, 360))
@@ -225,14 +224,12 @@ class TestConfigFile:
             "attention.out_size = 12\n"
             "nms.iou_threshold = 0.4\n"
             "stub.scales = 1,2\n"
-            "temporal.model_seed = 3\n"
         )
         cfg = config_from_mapping(parse_config_file(str(path)))
         assert cfg.boxgen.delta == 0.8
         assert cfg.attention.out_size == 12
         assert cfg.nms.iou_threshold == 0.4
         assert cfg.stub.scales == (1, 2)
-        assert cfg.temporal.model_seed == 3
 
     def test_derived_keys(self):
         assert sorted(config_keys()) == sorted([
@@ -250,8 +247,6 @@ class TestConfigFile:
             "nms.score_floor",
             "associate.max_dist",
             "associate.max_age",
-            "temporal.hidden_size",
-            "temporal.model_seed",
             "pipeline.frame_period_ms",
         ])
 
@@ -269,12 +264,12 @@ class TestConfigFile:
             assert got == value and type(got) is type(value), key
             assert cfg == defaults, key
             checked += 1
-        assert checked == 15
+        assert checked == 14
 
     def test_optional_keys_parse_as_their_type(self):
-        cfg = config_from_mapping({"boxgen.max_box_diag": "30", "temporal.model_seed": "3"})
-        assert (cfg.boxgen.max_box_diag, cfg.temporal.model_seed) == (30.0, 3)
-        assert type(cfg.boxgen.max_box_diag) is float and type(cfg.temporal.model_seed) is int
+        cfg = config_from_mapping({"boxgen.max_box_diag": "30"})
+        assert cfg.boxgen.max_box_diag == 30.0
+        assert type(cfg.boxgen.max_box_diag) is float
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown config key"):

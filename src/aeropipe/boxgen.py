@@ -1,22 +1,22 @@
 """Decode dense maps back into bounding boxes.
 
 The decode runs four stages: mask the regression grid with the
-segmentation grid, drop tiny connected patches, find per-channel local
-maxima with a maximum filter (channel 0 maxima are top-left corner
-candidates, channel 1 maxima bottom-right), then combine corner pairs into
-boxes and keep those whose enclosed area is at least a ``delta`` fraction
-segmented.
+segmentation grid, drop tiny connected patches, find the pixels of each
+channel that are the maximum of their window (channel 0 maxima are
+top-left corner candidates, channel 1 maxima bottom-right), then combine
+corner pairs into boxes and keep those whose enclosed area is at least a
+``delta`` fraction segmented.
 
-Only masking and denoising pass over the whole grid. Peak finding runs the
-maximum filter only on padded boxes around the pixels above the peak floor
+Only masking and denoising pass over the whole grid. Peak finding tests
+only the pixels above the peak floor, against their window ring by ring,
 and groups tied plateaus on candidate coordinates; pairing tests all corner
 pairs in one broadcast and counts segmented pixels inside each surviving
-pair's box. Max, equality and integer counts involve no rounding, so the
-result is the one a full-grid decode gives.
+pair's box. Comparisons, equality and integer counts involve no rounding,
+so the result is the one a full-grid decode gives.
 
 Map values come from outside the program, so `mask_maps` raises ValueError
 when the masked grid holds a NaN or an infinity (the CLI exits with code 2).
-Rejecting them there is also what keeps the support-only filter exact.
+Rejecting them there is also what keeps the support-only peak test exact.
 
 Every stage is a pure function; `box_generator` is their composition and is
 deterministic for fixed input and config.
@@ -34,8 +34,8 @@ from .densemaps import DenseMaps
 from .geometry import BBox, PixelCoord
 
 _EIGHT_CONNECTED = np.ones((3, 3), dtype=int)
-# Side of the square tiles on which peak finding localises the max filter.
-_TILE = 8
+# Neighbour values the peak ring test gathers per piece (at least one offset's worth).
+_GATHER_LIMIT = 1 << 20
 
 
 @dataclass
@@ -103,15 +103,19 @@ def remove_noise(masked: np.ndarray, min_patch_area: int) -> np.ndarray:
     """Zero 8-connected support patches smaller than min_patch_area.
 
     Support is the set of pixels where either channel is nonzero; both
-    channels of a removed patch are cleared. The input is not modified.
+    channels of a removed patch are cleared. The input is not modified; it
+    is returned as is when no patch is removed.
     """
     support = (masked[0] > 0) | (masked[1] > 0)
     labels, count = ndimage.label(support, structure=_EIGHT_CONNECTED)
     where = np.flatnonzero(support)
     patch = labels.ravel()[where]
     tiny = np.bincount(patch, minlength=count + 1) < min_patch_area
+    drop = where[tiny[patch]]
+    if not drop.size:
+        return masked
     out = masked.copy()
-    out.reshape(2, -1)[:, where[tiny[patch]]] = 0.0
+    out.reshape(2, -1)[:, drop] = 0.0
     return out
 
 
@@ -126,13 +130,14 @@ def _plateau_heads(ys: np.ndarray, xs: np.ndarray, width: int, half: int) -> np.
     pair within half and the groups are the same. Groups are then found by
     propagating the smallest index over the links, with pointer jumping,
     until no label changes; each group ends labelled by its first member.
+    No rows past the candidates' row span are searched: they hold none.
     """
     flat = ys * width + xs
     lo = np.maximum(xs - half, 0)
     hi = np.minimum(xs + half, width - 1)
     src: list[np.ndarray] = []
     dst: list[np.ndarray] = []
-    for dy in range(half + 1):
+    for dy in range(min(half, int(ys[-1] - ys[0])) + 1):
         row = (ys + dy) * width
         first = np.searchsorted(flat, row + (xs + 1 if dy == 0 else lo))
         last = np.searchsorted(flat, row + hi, side="right") - 1
@@ -156,12 +161,16 @@ def _plateau_heads(ys: np.ndarray, xs: np.ndarray, width: int, half: int) -> np.
 def _channel_peaks(values: np.ndarray, window: int, floor: float) -> list[PixelCoord]:
     """Window-maximum pixels above the floor, one per tied plateau.
 
-    The maximum filter runs only where there is support: on the bounding
-    box of each 8-connected cluster of _TILE-sided tiles that hold a pixel
-    above the floor, padded by half a window and clipped to the grid. A
-    candidate lies above the floor, hence inside its cluster's box, so its
-    whole window lies inside the padded box and its window maximum equals
-    that of a full-grid filter (beyond the grid edge both read cval 0).
+    Only pixels above the floor are tested, in a copy of the channel padded
+    with zeros by reach = min(half, max(H, W) - 1). At each r = 1..reach the
+    remaining candidates gather their 8r pixels at Chebyshev distance r and
+    drop out if one is larger, so the survivors equal their full-grid window
+    maximum. This is exact: candidates exceed the floor (>= 0), so padding
+    zeros act as the filter's cval 0 (mask_maps has rejected NaN), and rings
+    past max(H, W) - 1 read only padding. The channel's maximum always
+    survives. A ring costs 8r gathers per remaining candidate, read in
+    pieces of about _GATHER_LIMIT values: noisy support mostly drops out at
+    r = 1, while plateau pixels last through every ring and cost the most.
 
     Candidates carrying the same value inside each other's window both
     equal the shared window maximum, so they are one plateau. Candidates
@@ -174,25 +183,21 @@ def _channel_peaks(values: np.ndarray, window: int, floor: float) -> list[PixelC
     """
     height, width = values.shape
     half = window // 2
-    above = values > floor
-    tiles = np.zeros((-(-height // _TILE), -(-width // _TILE)), dtype=bool)
-    ay, ax = np.divmod(np.flatnonzero(above), width)
-    tiles[ay // _TILE, ax // _TILE] = True
-    clusters, _ = ndimage.label(tiles, structure=_EIGHT_CONNECTED)
-
-    found = [np.empty(0, dtype=np.intp)]
-    for rows, cols in ndimage.find_objects(clusters):
-        y0, y1 = rows.start * _TILE, min(rows.stop * _TILE, height)
-        x0, x1 = cols.start * _TILE, min(cols.stop * _TILE, width)
-        py0, px0 = max(y0 - half, 0), max(x0 - half, 0)
-        padded = values[py0 : min(y1 + half, height), px0 : min(x1 + half, width)]
-        local_max = ndimage.maximum_filter(padded, size=window, mode="constant", cval=0.0)
-        core = (slice(y0 - py0, y1 - py0), slice(x0 - px0, x1 - px0))
-        cand = (padded[core] == local_max[core]) & above[y0:y1, x0:x1]
-        cy, cx = np.divmod(np.flatnonzero(cand), x1 - x0)
-        found.append((cy + y0) * width + cx + x0)
-    # Boxes of distinct clusters may overlap; a pixel found twice is one.
-    ys, xs = np.divmod(np.unique(np.concatenate(found)), width)
+    reach = min(half, max(height, width) - 1)
+    flat = np.pad(values, reach).ravel()
+    pitch = width + 2 * reach
+    cand = np.flatnonzero(flat > floor)
+    if not cand.size:
+        return []
+    for r in range(1, reach + 1):
+        side = np.arange(-r, r + 1)
+        edge = side[1:-1] * pitch
+        ring = np.concatenate([side - r * pitch, side + r * pitch, edge - r, edge + r])
+        step = max(1, _GATHER_LIMIT // cand.size)
+        for s in range(0, ring.size, step):
+            near = flat[ring[s : s + step, None] + cand]
+            cand = cand[near.max(axis=0) <= flat[cand]]
+    ys, xs = np.divmod(cand - reach * (pitch + 1), pitch)
     heads = _plateau_heads(ys, xs, width, half)
     return list(zip(xs[heads].tolist(), ys[heads].tolist()))
 

@@ -9,6 +9,7 @@ noise, segmentation bit flips and empty maps.
 """
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
+from aeropipe import boxgen
 from aeropipe.boxgen import (
     BoxGeneratorConfig,
     CornerCandidates,
@@ -190,7 +192,7 @@ def _decode_inputs(draw):
         reg[:, edge] = np.round(rng.random((2, int(edge.sum()))) * 4) / 4
     cfg = BoxGeneratorConfig(
         delta=draw(st.sampled_from([0.5, 0.9, 1.0])),
-        max_filter_window=draw(st.sampled_from([3, 5, 13, 21])),
+        max_filter_window=draw(st.sampled_from([3, 5, 13, 21, 101])),
         min_patch_area=draw(st.sampled_from([1, 9])),
         peak_floor=draw(st.sampled_from([0.0, 0.3, 0.5])),
     )
@@ -219,7 +221,9 @@ def test_remove_noise_matches_full_grid(inputs):
 def test_find_peaks_matches_full_grid(inputs):
     maps, cfg = inputs
     masked = remove_noise(mask_maps(maps), cfg.min_patch_area)
+    before = masked.copy()
     assert find_peaks(masked, cfg) == _full_grid_find_peaks(masked, cfg)
+    np.testing.assert_array_equal(masked, before)
 
 
 @_SETTINGS
@@ -259,6 +263,33 @@ def test_higher_pixel_exactly_half_a_window_away(window, direction):
         masked = np.stack([values, values.T])
         cfg = BoxGeneratorConfig(max_filter_window=window)
         assert find_peaks(masked, cfg) == _full_grid_find_peaks(masked, cfg)
+
+
+@pytest.mark.parametrize("window", [3, 13, 101])
+def test_ring_gathered_in_small_pieces(monkeypatch, window):
+    """Rings split into pieces of a few offsets give the same peaks."""
+    monkeypatch.setattr(boxgen, "_GATHER_LIMIT", 7)
+    rng = np.random.default_rng(window)
+    for levels in (2, 8, 0):
+        values = rng.random((2, 30, 44))
+        if levels:
+            values = np.round(values * levels) / levels
+        cfg = BoxGeneratorConfig(max_filter_window=window, peak_floor=0.3)
+        assert find_peaks(values, cfg) == _full_grid_find_peaks(values, cfg)
+
+
+def test_window_far_wider_than_the_grid():
+    """A window of 10**6 + 1 on a 40x36 map: the ring test stops at the
+    grid's extent and plateau grouping at the candidates' row span, so the
+    decode returns the full-grid candidates in well under the seconds a
+    half-window loop would take."""
+    rng = np.random.default_rng(16)
+    values = np.round(rng.random((2, 36, 40)) * 4) / 4
+    cfg = BoxGeneratorConfig(max_filter_window=10**6 + 1)
+    start = time.perf_counter()
+    found = find_peaks(values, cfg)
+    assert time.perf_counter() - start < 5.0
+    assert found == _full_grid_find_peaks(values, cfg)
 
 
 @settings(max_examples=100, deadline=None)

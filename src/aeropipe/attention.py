@@ -14,6 +14,7 @@ never distorts the box's aspect ratio.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -142,6 +143,37 @@ class FeatureGrid:
         return sum(array.nbytes for _, array in self.levels)
 
 
+@functools.lru_cache(maxsize=64)
+def _resize_plan(m: int, n: int) -> tuple[np.ndarray, tuple[np.ndarray, ...] | None]:
+    """Window taps of an m -> n resize and, for m != n, its bilinear weights.
+
+    The taps are the window lines the resize reads: all m when m == n,
+    else the n low then the n high source lines of the output lines. The
+    weights are laid out as full contiguous arrays, so each pass multiplies
+    contiguous blocks: (n, 2n) row-pass weights for the low and the high
+    lines, then (n, n) column-pass weights. A plan holds 6 n**2 + 2 n
+    values and at most 64 plans are kept (0.8 MB at the default out_size
+    of 16). The arrays are read-only because every caller shares them.
+    """
+    if m == n:
+        taps = np.arange(m)
+        taps.flags.writeable = False
+        return taps, None
+    src = np.minimum(np.maximum((np.arange(n) + 0.5) * (m / n) - 0.5, 0.0), m - 1.0)
+    lo = src.astype(int)
+    frac = src - lo
+    taps = np.concatenate([lo, np.minimum(lo + 1, m - 1)])
+    weights = (
+        np.repeat((1.0 - frac)[:, None], 2 * n, axis=1),
+        np.repeat(frac[:, None], 2 * n, axis=1),
+        np.tile(1.0 - frac, (n, 1)),
+        np.tile(frac, (n, 1)),
+    )
+    for array in (taps, *weights):
+        array.flags.writeable = False
+    return taps, weights
+
+
 def crop_and_resize(features: FeatureGrid, b: BBox, cfg: AttentionConfig) -> CropFeature:
     """Expanded-window crop of the features with its attention channel.
 
@@ -150,17 +182,15 @@ def crop_and_resize(features: FeatureGrid, b: BBox, cfg: AttentionConfig) -> Cro
     and the equally resized attention map is appended as channel D + 1.
     Only the window rows and columns that the resize reads are gathered
     from each level, and attention is evaluated only there.
+
+    The taps and weights come from `_resize_plan`. Each pass forms
+    `low * w0 + high * w1` as one product into a fresh array and one
+    in-place add, the same products and sums as per-line broadcast weights.
     """
     height, width = features.shape
     win = expanded_window(b, cfg)
-    m, n = win.size, cfg.out_size
-    if m == n:
-        taps = np.arange(m)
-    else:
-        src = np.minimum(np.maximum((np.arange(n) + 0.5) * (m / n) - 0.5, 0.0), m - 1.0)
-        lo = src.astype(int)
-        frac = src - lo
-        taps = np.concatenate([lo, np.minimum(lo + 1, m - 1)])
+    n = cfg.out_size
+    taps, weights = _resize_plan(win.size, n)
     ys = win.y0 + taps
     xs = win.x0 + taps
     iy = np.minimum(np.maximum(ys, 0), height - 1)
@@ -168,19 +198,21 @@ def crop_and_resize(features: FeatureGrid, b: BBox, cfg: AttentionConfig) -> Cro
     stack = np.empty((features.depth + 1, len(taps), len(taps)))
     c = 0
     for scale, array in features.levels:
-        flat = (iy // scale * array.shape[2])[:, None] + ix // scale
+        flat = np.add.outer(iy // scale * array.shape[2], ix // scale)
         k = len(array)
         # The indices are in range; mode "clip" lets take write into out
         # without an intermediate buffer.
-        np.take(array.reshape(k, -1), flat, axis=1, out=stack[c : c + k], mode="clip")
+        array.reshape(k, -1).take(flat, axis=1, out=stack[c : c + k], mode="clip")
         c += k
     if win.y0 < 0 or win.y1 >= height:
         stack[:c, (ys < 0) | (ys >= height), :] = 0.0
     if win.x0 < 0 or win.x1 >= width:
         stack[:c, :, (xs < 0) | (xs >= width)] = 0.0
     stack[c] = _attention_at(b, cfg, xs, ys)
-    if m != n:
-        rows = stack[:, :n, :] * (1.0 - frac)[None, :, None] + stack[:, n:, :] * frac[None, :, None]
-        stack = rows[:, :, :n] * (1.0 - frac)[None, None, :] + rows[:, :, n:] * frac[None, None, :]
+    if weights is not None:
+        row_lo, row_hi, col_lo, col_hi = weights
+        rows = stack[:, :n, :] * row_lo
+        rows += stack[:, n:, :] * row_hi
+        stack = rows[:, :, :n] * col_lo
+        stack += rows[:, :, n:] * col_hi
     return CropFeature(stack)
-

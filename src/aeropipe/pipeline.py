@@ -25,11 +25,16 @@ from .densemaps import DenseMaps
 from .evaluate import nms
 from .geometry import BBox
 from .synth import SceneConfig, generate_sequence, render_intensity
-from .temporal import ActivityModel, TrackStore, predict
+from .temporal import HIDDEN_SIZE, ActivityModel, TrackStore, predict
 from .wire import ReportMessage, build_report, encode_message
 
 STAGES = ("features", "decode", "attention", "temporal", "nms", "wire")
 BUDGET_STAGES = STAGES[1:]
+
+# Size rule: a config value may add at most this many float64 values
+# (128 MiB) to any one array the frame loop allocates. Each size check
+# derives its bound from it, so a bad value fails before it allocates.
+MAX_CONFIG_ELEMENTS = 2**24
 
 
 @dataclass
@@ -99,6 +104,17 @@ class PipelineConfig:
     nms: NmsConfig = field(default_factory=NmsConfig)
     associate: AssociateConfig = field(default_factory=AssociateConfig)
     pipeline: LoopConfig = field(default_factory=LoopConfig)
+
+    def __post_init__(self) -> None:
+        # The largest array the crop size sets is the built-in activity
+        # cell's input weights, (crop_input_size, 4 * HIDDEN_SIZE), so the
+        # size rule caps crop_input_size at 2**24 / 256 = 2**16 (2560 by default).
+        top = MAX_CONFIG_ELEMENTS // (4 * HIDDEN_SIZE)
+        if self.crop_input_size > top:
+            raise ValueError(
+                f"crop size (stub.depth + 1) * attention.out_size**2 must be <= {top}, "
+                f"got {self.crop_input_size}"
+            )
 
     @property
     def crop_input_size(self) -> int:
@@ -177,6 +193,10 @@ def _downsample(frame: np.ndarray, factor: int) -> np.ndarray:
     h, w = frame.shape
     pad_h = (-h) % factor
     pad_w = (-w) % factor
+    # By the size rule, the padding adds at most MAX_CONFIG_ELEMENTS values.
+    added = (h + pad_h) * (w + pad_w) - h * w
+    if added > MAX_CONFIG_ELEMENTS:
+        raise ValueError(f"stub scale {factor} would pad the {w}x{h} frame by {added} values, over 2**24")
     # np.pad returns a copy; without padding a C-ordered frame already has
     # the copy's layout, so the block means sum in the same order.
     if pad_h or pad_w or not frame.flags.c_contiguous:
@@ -204,13 +224,16 @@ def _sweep_rows(stack: np.ndarray, size: int) -> None:
     scipy sums the first edge-clamped window into 0.0, then per step adds
     (entering - leaving) to the running sum and writes sum / size. This
     repeats that arithmetic one row at a time, each row across all columns
-    and channels at once.
+    and channels at once. The running sums are held row-major, (H, C, W),
+    so each of the H - 1 sequential adds works on one contiguous block; the
+    bulk difference and the final divide go through the (C, H, W) view.
     """
     n = stack.shape[1]
     lead = size // 2
     trail = size - lead - 1
-    sums = np.empty(stack.shape)
-    rows = list(sums.transpose(1, 0, 2))
+    buffer = np.empty((n, stack.shape[0], stack.shape[2]))
+    sums = buffer.transpose(1, 0, 2)
+    rows = list(buffer)
     # inf - inf and sums past the float range give NaN or inf silently, as
     # in scipy's C pass.
     with np.errstate(invalid="ignore", over="ignore"):
@@ -219,7 +242,7 @@ def _sweep_rows(stack: np.ndarray, size: int) -> None:
         for i in range(1, n):
             if not lead < i < n - trail:
                 np.subtract(stack[:, min(i + trail, n - 1)], stack[:, max(i - 1 - lead, 0)], out=rows[i])
-        rows[0][...] = 0.0
+        buffer[0] = 0.0
         for k in range(-lead, trail + 1):
             rows[0] += stack[:, min(max(k, 0), n - 1)]
         for prev, row in zip(rows, rows[1:]):

@@ -16,7 +16,7 @@ keeps, and the decode roundtrip would not be bijective.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -263,7 +263,6 @@ class CropDataset:
     primary_labels: np.ndarray
     secondary_labels: np.ndarray
     pedestrian: np.ndarray
-    class_means: np.ndarray = field(repr=False, default=None)
 
 
 def crop_dataset(
@@ -306,7 +305,6 @@ def crop_dataset(
         primary_labels=primary,
         secondary_labels=secondary,
         pedestrian=pedestrian,
-        class_means=means,
     )
 
 

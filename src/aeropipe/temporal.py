@@ -24,6 +24,8 @@ from .rng import SplitMix64
 LOG_FLOOR = 1e-12
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
+# Hidden size of a built model when the caller names none.
+HIDDEN_SIZE = 64
 # The toy trainer's minibatch size and held-out share of the samples.
 BATCH_SIZE = 16
 HOLDOUT_FRACTION = 0.2
@@ -196,7 +198,7 @@ class ActivityModel:
     def build(
         cls,
         input_size: int,
-        hidden_size: int = 64,
+        hidden_size: int = HIDDEN_SIZE,
         vocab: ActionVocabulary | None = None,
         seed: int | None = None,
     ) -> "ActivityModel":
@@ -248,20 +250,20 @@ def associate(tracks: list[Track], detections: list[BBox], max_dist: float) -> A
     distance, never exceeding max_dist; each side is used at most once.
 
     Distance ties break on (track index, detection index) for determinism.
+    Only the pairs within max_dist are sorted: the greedy pass never reads
+    a farther one.
     """
     if not tracks or not detections:
         return Association([], list(range(len(tracks))), list(range(len(detections))))
     t_centers = np.array([center(t.last_box) for t in tracks])
     d_centers = np.array([center(d) for d in detections])
     dist = np.sqrt(((t_centers[:, None, :] - d_centers[None, :, :]) ** 2).sum(axis=2))
-    t_idx, d_idx = np.indices(dist.shape).reshape(2, -1)
-    order = np.lexsort((d_idx, t_idx, dist.ravel()))
+    t_idx, d_idx = np.nonzero(dist <= max_dist)
+    order = np.lexsort((d_idx, t_idx, dist[t_idx, d_idx]))
     matches: list[tuple[int, int]] = []
     used_t: set[int] = set()
     used_d: set[int] = set()
-    for d, ti, di in zip(dist.ravel()[order].tolist(), t_idx[order].tolist(), d_idx[order].tolist()):
-        if d > max_dist:
-            break
+    for ti, di in zip(t_idx[order].tolist(), d_idx[order].tolist()):
         if ti in used_t or di in used_d:
             continue
         matches.append((ti, di))

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
+from aeropipe import attention
 from aeropipe.attention import (
     AttentionConfig,
     CropFeature,
@@ -571,3 +572,100 @@ def test_every_level_is_swept_unless_the_window_is_one(monkeypatch):
     calls.clear()
     feature_stub(frame, StubConfig(local_window=1))
     assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# Verbatim copy of `crop_and_resize` before the resize took its taps and
+# contiguous weights from `_resize_plan`. The crops must equal it byte for
+# byte, signed zeros included, not only under `np.array_equal`.
+# ---------------------------------------------------------------------------
+
+
+def _broadcast_weights_crop_reference(features: FeatureGrid, b: BBox, cfg: AttentionConfig) -> CropFeature:
+    height, width = features.shape
+    win = expanded_window(b, cfg)
+    m, n = win.size, cfg.out_size
+    if m == n:
+        taps = np.arange(m)
+    else:
+        src = np.minimum(np.maximum((np.arange(n) + 0.5) * (m / n) - 0.5, 0.0), m - 1.0)
+        lo = src.astype(int)
+        frac = src - lo
+        taps = np.concatenate([lo, np.minimum(lo + 1, m - 1)])
+    ys = win.y0 + taps
+    xs = win.x0 + taps
+    iy = np.minimum(np.maximum(ys, 0), height - 1)
+    ix = np.minimum(np.maximum(xs, 0), width - 1)
+    stack = np.empty((features.depth + 1, len(taps), len(taps)))
+    c = 0
+    for scale, array in features.levels:
+        flat = (iy // scale * array.shape[2])[:, None] + ix // scale
+        k = len(array)
+        # The indices are in range; mode "clip" lets take write into out
+        # without an intermediate buffer.
+        np.take(array.reshape(k, -1), flat, axis=1, out=stack[c : c + k], mode="clip")
+        c += k
+    if win.y0 < 0 or win.y1 >= height:
+        stack[:c, (ys < 0) | (ys >= height), :] = 0.0
+    if win.x0 < 0 or win.x1 >= width:
+        stack[:c, :, (xs < 0) | (xs >= width)] = 0.0
+    stack[c] = attention._attention_at(b, cfg, xs, ys)
+    if m != n:
+        rows = stack[:, :n, :] * (1.0 - frac)[None, :, None] + stack[:, n:, :] * frac[None, :, None]
+        stack = rows[:, :, :n] * (1.0 - frac)[None, None, :] + rows[:, :, n:] * frac[None, None, :]
+    return CropFeature(stack)
+
+
+@st.composite
+def _plan_crops(draw):
+    """A signed-value frame of 1x1 to 40x40 px with -0.0 runs, scales 1-8,
+    out_size 4-32, and a box whose window side M is below, equal to or above
+    out_size, placed anywhere from inside the frame to past any edge."""
+    h, w = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    frame = _signed_values(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), (h, w))
+    stub = StubConfig(scales=tuple(draw(st.lists(st.integers(1, 8), min_size=1, max_size=3))))
+    n = draw(st.integers(4, 32))
+    relation = draw(st.sampled_from(["below", "equal", "above"]))
+    if relation == "below":
+        side = draw(st.integers(2, n - 1))
+    elif relation == "equal":
+        side = n
+    else:
+        side = draw(st.integers(n + 1, n + 40))
+    other = draw(st.integers(2, side))
+    bw, bh = (side, other) if draw(st.booleans()) else (other, side)
+    x0 = draw(st.integers(-bw - 10, w + 10))
+    y0 = draw(st.integers(-bh - 10, h + 10))
+    # expand_ratio 1 makes M = max(width, height) = side, so M keeps the
+    # drawn relation; 1.5 adds wider windows.
+    ratio = draw(st.sampled_from([1.0, 1.0, 1.5])) if relation != "equal" else 1.0
+    cfg = AttentionConfig(expand_ratio=ratio, sigma_scale=draw(st.floats(0.1, 2.0)), out_size=n)
+    return frame, stub, BBox(x0, y0, x0 + bw, y0 + bh), cfg
+
+
+@settings(max_examples=400, deadline=None)
+@given(_plan_crops())
+def test_planned_crops_are_the_broadcast_crops_byte_for_byte(case):
+    frame, stub, box, cfg = case
+    grid = feature_stub(frame, stub)
+    _assert_same_bytes(
+        crop_and_resize(grid, box, cfg).tensor, _broadcast_weights_crop_reference(grid, box, cfg).tensor
+    )
+
+
+def test_resize_plans_are_read_only_contiguous_and_bounded():
+    plan = attention._resize_plan
+    maxsize = plan.cache_info().maxsize
+    assert maxsize == 64
+    for m in range(2, 3 * maxsize):
+        taps, weights = plan(m, 16)
+        assert not taps.flags.writeable
+        if m == 16:
+            assert weights is None
+            continue
+        assert [w.shape for w in weights] == [(16, 32), (16, 32), (16, 16), (16, 16)]
+        for w in weights:
+            assert w.flags.c_contiguous and not w.flags.writeable
+            with pytest.raises(ValueError):
+                w[0, 0] = 0.0
+    assert plan.cache_info().currsize <= maxsize

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from aeropipe.annotations import AnnotationRecord, read_annotations, write_annotations
-from aeropipe.attention import crop_and_resize
+from aeropipe.attention import AttentionConfig, crop_and_resize
 from aeropipe.boxgen import box_generator
 from aeropipe.evaluate import nms
 from aeropipe.geometry import iou
@@ -230,6 +230,16 @@ class TestConfigFile:
         assert cfg.attention.out_size == 12
         assert cfg.nms.iou_threshold == 0.4
         assert cfg.stub.scales == (1, 2)
+
+    def test_size_bounds_sit_at_the_size_rule(self):
+        """2**24 values per config-sized array: the default cell's input
+        weights cap the crop at 2**16 values; the stub's padding at 2**24."""
+        assert PipelineConfig(attention=AttentionConfig(out_size=80)).crop_input_size == 64000
+        with pytest.raises(ValueError, match="must be <= 65536, got 65610"):
+            PipelineConfig(attention=AttentionConfig(out_size=81))
+        with pytest.raises(ValueError, match="by 16785408 values"):
+            feature_stub(np.zeros((1, 1)), StubConfig(scales=(4097,)))
+        assert feature_stub(np.zeros((1, 1)), StubConfig(scales=(64,))).levels[0][1].shape == (3, 1, 1)
 
     def test_derived_keys(self):
         assert sorted(config_keys()) == sorted([

@@ -248,6 +248,11 @@ class TestCorruptMaps:
         assert 0.005 < flipped < 0.015
 
 
+def _class_means(seed, dim=10 * 16 * 16):
+    """The 5 x 5 class-mean patterns that `crop_dataset` draws first from its seed."""
+    return SplitMix64(seed).random_array((25, dim)) * 2.0 - 1.0
+
+
 class TestCropDataset:
     def test_deterministic(self):
         a = crop_dataset(seed=11, n_samples=50)
@@ -260,8 +265,9 @@ class TestCropDataset:
         ped = ds.pedestrian
         flat = ds.features.reshape(len(ds.features), -1)
         pair = ds.primary_labels[ped] * 5 + ds.secondary_labels[ped]
+        means = _class_means(12)
         for row, cls in zip(flat[ped], pair):
-            np.testing.assert_array_equal(row, ds.class_means[cls])
+            np.testing.assert_array_equal(row, means[cls])
 
     def test_nearest_mean_classifier_is_exact(self):
         """The separability certificate: nearest class mean scores 100%."""
@@ -269,7 +275,7 @@ class TestCropDataset:
         ped = ds.pedestrian
         flat = ds.features.reshape(len(ds.features), -1)[ped]
         pair = ds.primary_labels[ped] * 5 + ds.secondary_labels[ped]
-        d = ((flat[:, None, :] - ds.class_means[None, :, :]) ** 2).sum(axis=2)
+        d = ((flat[:, None, :] - _class_means(13)[None, :, :]) ** 2).sum(axis=2)
         assert (d.argmin(axis=1) == pair).all()
 
     def test_background_fraction(self):

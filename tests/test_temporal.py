@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aeropipe.geometry import BBox, center
@@ -257,8 +257,13 @@ class TestAssociate:
     @given(
         st.lists(st.tuples(st.integers(0, 60), st.integers(0, 60)), max_size=12),
         st.lists(st.tuples(st.integers(0, 60), st.integers(0, 60)), max_size=12),
-        st.sampled_from([0.0, 5.0, 12.5, 30.0, 1e9]),
+        st.sampled_from([0.0, 5.0, 12.5, 30.0, 1e9, math.inf]),
     )
+    # Repeated corners: at max_dist 0 only the coincident pairs match, in
+    # index order; at inf every pair is a candidate.
+    @example([(0, 0), (0, 0), (8, 6), (20, 20)], [(8, 6), (0, 0), (0, 0), (21, 20)], 0.0)
+    @example([(0, 0), (0, 0), (8, 6), (60, 60)], [(8, 6), (0, 0), (0, 0)], math.inf)
+    @example([(0, 0), (60, 60)], [(60, 0), (0, 60)], math.inf)
     def test_equals_the_tuple_sort_reference(self, track_corners, det_corners, max_dist):
         # Coarse corners and fixed sizes make equal distances, so ties occur.
         tracks = [_track_at(i, BBox(x, y, x + 8, y + 6)) for i, (x, y) in enumerate(track_corners)]

@@ -143,35 +143,26 @@ class FeatureGrid:
         return sum(array.nbytes for _, array in self.levels)
 
 
-@functools.lru_cache(maxsize=64)
-def _resize_plan(m: int, n: int) -> tuple[np.ndarray, tuple[np.ndarray, ...] | None]:
-    """Window taps of an m -> n resize and, for m != n, its bilinear weights.
+@functools.lru_cache(maxsize=1024)
+def _resize_taps(m: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Source lines and bilinear weights of an m -> n resize, m != n.
 
-    The taps are the window lines the resize reads: all m when m == n,
-    else the n low then the n high source lines of the output lines. The
-    weights are laid out as full contiguous arrays, so each pass multiplies
-    contiguous blocks: (n, 2n) row-pass weights for the low and the high
-    lines, then (n, n) column-pass weights. A plan holds 6 n**2 + 2 n
-    values and at most 64 plans are kept (0.8 MB at the default out_size
-    of 16). The arrays are read-only because every caller shares them.
+    Returns the window lines the resize reads (the n low, then the n high
+    source lines of the output lines) and the low and high lines' weights.
+    Window sides recur from frame to frame, since a tracked box keeps or
+    slowly changes its size, so the plans are cached: at most 1024 of
+    4 n values each (under 1.2 MB at the default out_size of 16), enough
+    for every side up to 1024 px. A miss costs what computing the plan
+    per call costs. The arrays are read-only because callers share them.
     """
-    if m == n:
-        taps = np.arange(m)
-        taps.flags.writeable = False
-        return taps, None
     src = np.minimum(np.maximum((np.arange(n) + 0.5) * (m / n) - 0.5, 0.0), m - 1.0)
     lo = src.astype(int)
-    frac = src - lo
+    high = src - lo
+    low = 1.0 - high
     taps = np.concatenate([lo, np.minimum(lo + 1, m - 1)])
-    weights = (
-        np.repeat((1.0 - frac)[:, None], 2 * n, axis=1),
-        np.repeat(frac[:, None], 2 * n, axis=1),
-        np.tile(1.0 - frac, (n, 1)),
-        np.tile(frac, (n, 1)),
-    )
-    for array in (taps, *weights):
+    for array in (taps, low, high):
         array.flags.writeable = False
-    return taps, weights
+    return taps, low, high
 
 
 def crop_and_resize(features: FeatureGrid, b: BBox, cfg: AttentionConfig) -> CropFeature:
@@ -183,14 +174,18 @@ def crop_and_resize(features: FeatureGrid, b: BBox, cfg: AttentionConfig) -> Cro
     Only the window rows and columns that the resize reads are gathered
     from each level, and attention is evaluated only there.
 
-    The taps and weights come from `_resize_plan`. Each pass forms
-    `low * w0 + high * w1` as one product into a fresh array and one
-    in-place add, the same products and sums as per-line broadcast weights.
+    The taps and weights come from `_resize_taps`. Each resize pass
+    multiplies the low source lines by their weights into a fresh array
+    and adds the high lines' products in place: the same products and sum
+    as `low_lines * low + high_lines * high`, one temporary fewer.
     """
     height, width = features.shape
     win = expanded_window(b, cfg)
-    n = cfg.out_size
-    taps, weights = _resize_plan(win.size, n)
+    m, n = win.size, cfg.out_size
+    if m == n:
+        taps = np.arange(m)
+    else:
+        taps, low, high = _resize_taps(m, n)
     ys = win.y0 + taps
     xs = win.x0 + taps
     iy = np.minimum(np.maximum(ys, 0), height - 1)
@@ -209,10 +204,9 @@ def crop_and_resize(features: FeatureGrid, b: BBox, cfg: AttentionConfig) -> Cro
     if win.x0 < 0 or win.x1 >= width:
         stack[:c, :, (xs < 0) | (xs >= width)] = 0.0
     stack[c] = _attention_at(b, cfg, xs, ys)
-    if weights is not None:
-        row_lo, row_hi, col_lo, col_hi = weights
-        rows = stack[:, :n, :] * row_lo
-        rows += stack[:, n:, :] * row_hi
-        stack = rows[:, :, :n] * col_lo
-        stack += rows[:, :, n:] * col_hi
+    if m != n:
+        rows = stack[:, :n, :] * low[:, None]
+        rows += stack[:, n:, :] * high[:, None]
+        stack = rows[:, :, :n] * low
+        stack += rows[:, :, n:] * high
     return CropFeature(stack)

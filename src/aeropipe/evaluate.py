@@ -27,25 +27,6 @@ class EvalConfig:
             raise ValueError(f"iou_threshold must be in (0, 1), got {self.iou_threshold}")
 
 
-# Most overlap tests held at once by `nms`: a row block of the IoU test
-# holds at most this many pairs, so its memory stays O(_NMS_BLOCK_PAIRS)
-# (a few MB) on maps that decode thousands of boxes.
-_NMS_BLOCK_PAIRS = 2**16
-
-
-def _overlaps(boxes: np.ndarray, rows: slice, iou_threshold: float) -> list[list[bool]]:
-    """`iou(boxes[i], boxes[j]) > iou_threshold` for i in rows and j < rows.stop,
-    with `geometry.iou`'s arithmetic: an integer intersection, then float64
-    inter / (area_i + area_j - inter)."""
-    x0, y0, x1, y1 = boxes[: rows.stop].T
-    a, c = rows, slice(0, rows.stop)
-    iw = np.minimum.outer(x1[a], x1[c]) - np.maximum.outer(x0[a], x0[c])
-    ih = np.minimum.outer(y1[a], y1[c]) - np.maximum.outer(y0[a], y0[c])
-    inter = (np.maximum(iw, 0) * np.maximum(ih, 0)).astype(np.float64)
-    area = ((x1 - x0) * (y1 - y0)).astype(np.float64)
-    return (inter / (np.add.outer(area[a], area[c]) - inter) > iou_threshold).tolist()
-
-
 def nms(
     detections: list[AnnotationRecord], iou_threshold: float, score_floor: float = 0.3
 ) -> list[AnnotationRecord]:
@@ -54,24 +35,14 @@ def nms(
     Candidates below score_floor are removed first; the rest are visited by
     descending confidence (ties by (y0, x0)) and kept only when every
     previously kept box overlaps them with IoU <= iou_threshold.
-
-    The overlap tests of the sorted candidates are computed by numpy in
-    row blocks of at most `_NMS_BLOCK_PAIRS` pairs, each row against the
-    candidates before it; the greedy keep then reads them as Python lists.
-    Box coordinates must fit int64 with products of sides below 2**63, as
-    every box on a grid held in memory does.
     """
     alive = [d for d in detections if d.confidence >= score_floor]
     alive.sort(key=lambda d: (-d.confidence, d.box.y0, d.box.x0))
-    boxes = np.array([d.box.as_tuple() for d in alive], dtype=np.int64).reshape(-1, 4)
-    step = max(1, _NMS_BLOCK_PAIRS // max(len(alive), 1))
-    kept: list[int] = []
-    for start in range(0, len(alive), step):
-        rows = slice(start, min(start + step, len(alive)))
-        for i, row in enumerate(_overlaps(boxes, rows, iou_threshold), start):
-            if not any(row[k] for k in kept):
-                kept.append(i)
-    return [alive[i] for i in kept]
+    kept: list[AnnotationRecord] = []
+    for det in alive:
+        if all(iou(det.box, k.box) <= iou_threshold for k in kept):
+            kept.append(det)
+    return kept
 
 
 def _interpolated_ap(recall: np.ndarray, precision: np.ndarray) -> float:

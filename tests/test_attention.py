@@ -575,13 +575,14 @@ def test_every_level_is_swept_unless_the_window_is_one(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Verbatim copy of `crop_and_resize` before the resize took its taps and
-# contiguous weights from `_resize_plan`. The crops must equal it byte for
+# Verbatim copy of `crop_and_resize` before it took its taps from
+# `_resize_taps`, its gather index became one `np.add.outer` and each resize
+# pass one product plus an in-place add. The crops must equal it byte for
 # byte, signed zeros included, not only under `np.array_equal`.
 # ---------------------------------------------------------------------------
 
 
-def _broadcast_weights_crop_reference(features: FeatureGrid, b: BBox, cfg: AttentionConfig) -> CropFeature:
+def _two_temporary_crop_reference(features: FeatureGrid, b: BBox, cfg: AttentionConfig) -> CropFeature:
     height, width = features.shape
     win = expanded_window(b, cfg)
     m, n = win.size, cfg.out_size
@@ -617,7 +618,7 @@ def _broadcast_weights_crop_reference(features: FeatureGrid, b: BBox, cfg: Atten
 
 
 @st.composite
-def _plan_crops(draw):
+def _resize_crops(draw):
     """A signed-value frame of 1x1 to 40x40 px with -0.0 runs, scales 1-8,
     out_size 4-32, and a box whose window side M is below, equal to or above
     out_size, placed anywhere from inside the frame to past any edge."""
@@ -644,28 +645,26 @@ def _plan_crops(draw):
 
 
 @settings(max_examples=400, deadline=None)
-@given(_plan_crops())
-def test_planned_crops_are_the_broadcast_crops_byte_for_byte(case):
+@given(_resize_crops())
+def test_crops_are_the_two_temporary_crops_byte_for_byte(case):
     frame, stub, box, cfg = case
     grid = feature_stub(frame, stub)
     _assert_same_bytes(
-        crop_and_resize(grid, box, cfg).tensor, _broadcast_weights_crop_reference(grid, box, cfg).tensor
+        crop_and_resize(grid, box, cfg).tensor, _two_temporary_crop_reference(grid, box, cfg).tensor
     )
 
 
-def test_resize_plans_are_read_only_contiguous_and_bounded():
-    plan = attention._resize_plan
+def test_resize_taps_are_read_only_and_bounded():
+    plan = attention._resize_taps
     maxsize = plan.cache_info().maxsize
-    assert maxsize == 64
-    for m in range(2, 3 * maxsize):
-        taps, weights = plan(m, 16)
-        assert not taps.flags.writeable
+    assert maxsize == 1024
+    for m in range(2, maxsize + 100):
         if m == 16:
-            assert weights is None
             continue
-        assert [w.shape for w in weights] == [(16, 32), (16, 32), (16, 16), (16, 16)]
-        for w in weights:
-            assert w.flags.c_contiguous and not w.flags.writeable
-            with pytest.raises(ValueError):
-                w[0, 0] = 0.0
+        taps, low, high = plan(m, 16)
+        assert taps.shape == (32,) and low.shape == high.shape == (16,)
+        for array in (taps, low, high):
+            assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            low[0] = 0.0
     assert plan.cache_info().currsize <= maxsize

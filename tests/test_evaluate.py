@@ -1,12 +1,9 @@
-from unittest import mock
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aeropipe.annotations import AnnotationRecord
-from aeropipe import evaluate
 from aeropipe.evaluate import (
     EvalConfig,
     _ap_from_flags,
@@ -107,32 +104,15 @@ class TestNms:
         ),
         st.sampled_from([0.0, 0.5, 1.0, 0.25, 0.75]),
         st.sampled_from([0.0, 0.3, 0.5, 0.51, 1.0]),
-        st.sampled_from([1, 3, 40, 2**16]),
     )
-    def test_equals_the_reference_property(self, specs, iou_threshold, score_floor, block_pairs):
+    def test_equals_the_reference_property(self, specs, iou_threshold, score_floor):
         """Coarse corners make equal boxes, edge- and corner-touching boxes
         (zero-area intersections) and ties in confidence and in (y0, x0);
-        the default model gives every detection 0.5. Small block limits split
-        the overlap test into many row blocks (one row each at 1 and 3)."""
+        the default model gives every detection 0.5."""
         dets = [_det(x, y, x + w, y + h, conf) for x, y, w, h, conf in specs]
-        with mock.patch.object(evaluate, "_NMS_BLOCK_PAIRS", block_pairs):
-            ours = nms(dets, iou_threshold, score_floor=score_floor)
+        ours = nms(dets, iou_threshold, score_floor=score_floor)
         reference = _reference_nms(dets, iou_threshold, score_floor)
         assert len(ours) == len(reference) and all(a is b for a, b in zip(ours, reference))
-
-    def test_block_limit_spans_several_blocks(self, monkeypatch):
-        """200 boxes on a 40 px field at a limit of 450 pairs: row blocks of
-        two rows, a hundred blocks."""
-        rng = np.random.default_rng(102)
-        dets = []
-        for _ in range(200):
-            x0, y0 = rng.integers(0, 40, size=2)
-            w, h = rng.integers(2, 12, size=2)
-            dets.append(_det(int(x0), int(y0), int(x0 + w), int(y0 + h), float(rng.choice([0.5, 0.5, 0.8]))))
-        expected = _reference_nms(dets, 0.5, score_floor=0.3)
-        monkeypatch.setattr(evaluate, "_NMS_BLOCK_PAIRS", 450)
-        assert nms(dets, 0.5, score_floor=0.3) == expected
-        assert 1 < len(expected) < 200
 
     def test_raising_floor_never_adds(self):
         rng = np.random.default_rng(101)

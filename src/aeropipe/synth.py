@@ -60,6 +60,15 @@ class SceneConfig:
             raise ValueError("roundtrip scenes need min side >= 8")
         if not 0 <= self.box_count[0] <= self.box_count[1]:
             raise ValueError(f"box_count {self.box_count} must be a range 0 <= low <= high")
+        # Boxes extended by MIN_GAP on their right and bottom edges are
+        # disjoint and lie in the grid extended the same way, so no more
+        # fit than the extended grid holds extended minimum boxes.
+        width, height = self.grid
+        most = (width + MIN_GAP) * (height + MIN_GAP) // (self.side_range[0] + 1 + MIN_GAP) ** 2
+        if self.box_count[1] > most:
+            raise ValueError(
+                f"box_count {self.box_count} exceeds {most}, the most boxes a {width}x{height} grid holds"
+            )
 
 
 @dataclass

@@ -423,6 +423,14 @@ class TestExitCodes:
         assert main(["bench", "--frames", "1", "--boxes", "400"]) == 2
         assert "failed to pack" in capsys.readouterr().err
 
+    def test_bench_box_count_past_the_grid_bound_is_data_error(self, capsys, monkeypatch):
+        def packer(*args, **kwargs):
+            raise AssertionError("packer ran")
+
+        monkeypatch.setattr(pipeline, "generate_sequence", packer)
+        assert main(["bench", "--frames", "1", "--boxes", "1621"]) == 2
+        assert "exceeds 1620" in capsys.readouterr().err
+
     def test_key_error_is_an_internal_error(self, capsys, monkeypatch):
         # No input reaches a KeyError, so one raised is a program fault.
         def fault(*args, **kwargs):

@@ -1,4 +1,6 @@
 import dataclasses
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from aeropipe.pipeline import (
     parse_config_file,
 )
 from aeropipe.densemaps import zero_maps
-from aeropipe.synth import SceneConfig, generate_scene, generate_sequence, render_intensity
+from aeropipe.synth import SceneConfig, corrupt_maps, generate_scene, generate_sequence, render_intensity
 from aeropipe.temporal import ActivityModel, TrackStore, predict
 from aeropipe.wire import decode_message
 
@@ -126,6 +128,43 @@ class TestRunFrame:
         second = pipeline.run_frame(FrameRecord(frame_id=1, maps=scene.maps))
         assert [d.box for d in first.detections] == [d.box for d in second.detections]
         assert [d.track_id for d in first.detections] == [d.track_id for d in second.detections]
+
+    @pytest.mark.parametrize("shape", [(10, 10), (48, 64, 3), (64, 48)])
+    def test_intensity_must_have_the_maps_grid(self, monkeypatch, shape):
+        pipeline = Pipeline(PipelineConfig())
+        maps = zero_maps((64, 48))
+        with monkeypatch.context() as patch:
+            for stage in ("box_generator", "feature_stub"):
+                patch.setattr(f"aeropipe.pipeline.{stage}", mock.Mock(side_effect=AssertionError(stage)))
+            message = rf"intensity shape \({shape[0]}, .*\) != maps \(height, width\) \(48, 64\)"
+            with pytest.raises(ValueError, match=message):
+                pipeline.run_frame(FrameRecord(frame_id=0, maps=maps, intensity=np.zeros(shape)))
+        # The rejected frame took no frame id; a matching or absent intensity runs.
+        pipeline.run_frame(FrameRecord(frame_id=0, maps=maps, intensity=np.zeros((48, 64))))
+        assert pipeline.run_frame(FrameRecord(frame_id=1, maps=maps)).detections == []
+
+    def test_frame_working_set_stays_under_six_frame_arrays(self):
+        # A seeded crowd_noisy frame, built as perfbench/gen.py builds it.
+        cfg = SceneConfig(grid=(640, 360), box_count=(27, 27))
+        scene = generate_sequence(cfg, 1, 71)[0]
+        maps = corrupt_maps(scene.maps, 0.05, 0.01, 71 + 1000)
+        intensity = render_intensity(scene.records, cfg.grid)
+        pipeline = Pipeline(PipelineConfig())
+        pipeline.run_frame(FrameRecord(frame_id=0, maps=maps, intensity=intensity))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            result = pipeline.run_frame(FrameRecord(frame_id=1, maps=maps, intensity=intensity))
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert len(result.detections) > 20
+        # Decode runs first and frees its grids (masked maps, denoised copy,
+        # labels, padded peak channels) before the stub starts, so the most
+        # any stage holds is the stub's scale-1 level (3 frame-sized float64
+        # arrays) plus its row-sweep buffer (2). One array of headroom; with
+        # the stub first the two stages' arrays overlapped, at 8.7 arrays.
+        assert peak <= 6 * 360 * 640 * 8
 
     def test_frame_order_enforced(self):
         pipeline = Pipeline(PipelineConfig())

@@ -127,6 +127,19 @@ class TestGenerateScene:
         with pytest.raises(ValueError, match=r"box_count .* must be a range 0 <= low <= high"):
             SceneConfig(box_count=box_count)
 
+    def test_rejects_more_boxes_than_the_grid_holds_before_packing(self):
+        # Minimum boxes, extended by MIN_GAP right and down, tile the
+        # extended grid at best: 643 * 363 // 12**2 = 1620 at 640x360.
+        assert SceneConfig(box_count=(0, 1620)).box_count == (0, 1620)
+        with mock.patch.object(synth, "_place_boxes", side_effect=AssertionError("packer ran")) as packer:
+            message = r"box_count \(1621, 1621\) exceeds 1620, the most boxes a 640x360 grid holds"
+            with pytest.raises(ValueError, match=message) as info:
+                synth.generate_scene(SceneConfig(box_count=(1621, 1621)), 0)
+            with pytest.raises(ValueError, match="exceeds 7, the most boxes a 64x64 grid holds"):
+                SceneConfig(grid=(64, 64), box_count=(0, 8), side_range=(20, 20))
+        assert not isinstance(info.value, SceneGenerationError)
+        packer.assert_not_called()
+
     def test_rejects_a_min_side_below_8(self):
         with pytest.raises(ValueError, match="min side >= 8"):
             SceneConfig(side_range=(6, 20))
@@ -157,7 +170,7 @@ class TestGenerateScene:
             assert 0 <= r.secondary_action < 5
 
     def test_infeasible_packing_raises(self):
-        cfg = SceneConfig(grid=(64, 64), box_count=(30, 30), side_range=(20, 20), max_attempts=500)
+        cfg = SceneConfig(grid=(64, 64), box_count=(7, 7), side_range=(20, 20), max_attempts=500)
         with pytest.raises(SceneGenerationError, match="failed to pack"):
             generate_scene(cfg, 1)
 

@@ -3,7 +3,7 @@
 fixed-size feature crop with the attention appended as an extra channel.
 
 The window is the box expanded by a ratio to an M x M square, so resizing
-to the fixed output side never distorts the aspect ratio. Attention is 1
+to the fixed 16 px crop side never distorts the aspect ratio. Attention is 1
 on the box itself and decays as an unnormalized Gaussian outside.
 """
 
@@ -12,7 +12,7 @@ import numpy as np
 from aeropipe import AttentionConfig, BBox, FeatureGrid, attention_map, crop_and_resize, expanded_window
 
 box = BBox(20, 14, 40, 30)  # 20 x 16 detection
-cfg = AttentionConfig(expand_ratio=1.5, sigma_scale=0.5, out_size=16)
+cfg = AttentionConfig(expand_ratio=1.5, sigma_scale=0.5)
 
 win = expanded_window(box, cfg)
 print(f"box {box.as_tuple()} -> window origin ({win.x0}, {win.y0}), side {win.size}")

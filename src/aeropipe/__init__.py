@@ -13,7 +13,7 @@ from .boxgen import BoxGeneratorConfig, CornerCandidates, box_generator, find_pe
 from .densemaps import DenseMaps, decode_pixel, encode, load_maps, save_maps
 from .evaluate import EvalConfig, action_map, evaluate_map, nms
 from .geometry import BBox, PixelCoord, center, iou
-from .pipeline import FrameRecord, Pipeline, PipelineConfig, StubConfig, bench_frames, feature_stub
+from .pipeline import FrameRecord, Pipeline, PipelineConfig, bench_frames, feature_stub
 from .rng import SplitMix64
 from .synth import SceneConfig, corrupt_maps, crop_dataset, generate_scene, generate_sequence
 from .temporal import (

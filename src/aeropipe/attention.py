@@ -8,7 +8,7 @@ unnormalized Gaussian of the center offset elsewhere:
     A(ix, iy) = exp(-1/2 * ((ix - cx)^2 / (s*W)^2 + (iy - cy)^2 / (s*H)^2))
 
 with s the sigma_scale knob. The window is always square, so resizing it to
-the fixed output side uses equal scale factors on both axes and the crop
+the fixed crop side uses equal scale factors on both axes and the crop
 never distorts the box's aspect ratio.
 """
 
@@ -31,15 +31,12 @@ MAX_EXPAND_RATIO = 2.0**30
 class AttentionConfig:
     expand_ratio: float = 1.5
     sigma_scale: float = 0.5
-    out_size: int = 16
 
     def __post_init__(self) -> None:
         if not 1.0 <= self.expand_ratio <= MAX_EXPAND_RATIO:
             raise ValueError(f"expand_ratio must be in [1, 2**30], got {self.expand_ratio}")
         if not (math.isfinite(self.sigma_scale) and self.sigma_scale > 0.0):
             raise ValueError(f"sigma_scale must be finite and positive, got {self.sigma_scale}")
-        if self.out_size < 4:
-            raise ValueError(f"out_size must be >= 4, got {self.out_size}")
 
 
 @dataclass(frozen=True)
@@ -121,6 +118,16 @@ def attention_map(b: BBox, cfg: AttentionConfig) -> AttentionMap:
     )
 
 
+# The feature stub's scales and local window, and the crop side. Per scale
+# the stub gives three channels and a crop adds the attention channel, so
+# every crop has CROP_SHAPE; its size is the input size of every activity
+# model that the frame loop runs or `train` writes.
+STUB_SCALES = (1, 2, 4)
+LOCAL_WINDOW = 3
+CROP_SIDE = 16
+CROP_SHAPE = (3 * len(STUB_SCALES) + 1, CROP_SIDE, CROP_SIDE)
+
+
 @dataclass
 class FeatureGrid:
     """Feature channels of an (H, W) frame, each kept at its own scale.
@@ -151,7 +158,7 @@ def _resize_taps(m: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     source lines of the output lines) and the low and high lines' weights.
     Window sides recur from frame to frame, since a tracked box keeps or
     slowly changes its size, so the plans are cached: at most 1024 of
-    4 n values each (under 1.2 MB at the default out_size of 16), enough
+    4 n values each (under 1.2 MB at the crop side of 16), enough
     for every side up to 1024 px. A miss costs what computing the plan
     per call costs. The arrays are read-only because callers share them.
     """
@@ -168,7 +175,7 @@ def _resize_taps(m: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def crop_and_resize(features: FeatureGrid, b: BBox, cfg: AttentionConfig) -> CropFeature:
     """Expanded-window crop of the features with its attention channel.
 
-    The M x M window is resized square-to-square to out_size by bilinear
+    The M x M window is resized square-to-square to CROP_SIDE by bilinear
     sampling at half-pixel centers, with zero features outside the frame,
     and the equally resized attention map is appended as channel D + 1.
     Only the window rows and columns that the resize reads are gathered
@@ -181,7 +188,7 @@ def crop_and_resize(features: FeatureGrid, b: BBox, cfg: AttentionConfig) -> Cro
     """
     height, width = features.shape
     win = expanded_window(b, cfg)
-    m, n = win.size, cfg.out_size
+    m, n = win.size, CROP_SIDE
     if m == n:
         taps = np.arange(m)
     else:

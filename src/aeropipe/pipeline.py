@@ -18,6 +18,7 @@ of them on a noisy 27-box 640x360 frame, against 8.7 with the stub first.
 
 from __future__ import annotations
 
+import math
 import time
 import types
 import typing
@@ -27,41 +28,20 @@ import numpy as np
 from scipy import ndimage
 
 from .annotations import AnnotationRecord
-from .attention import AttentionConfig, FeatureGrid, crop_and_resize
+from .attention import CROP_SHAPE, LOCAL_WINDOW, STUB_SCALES, AttentionConfig, FeatureGrid, crop_and_resize
 from .boxgen import BoxGeneratorConfig, box_generator
 from .densemaps import DenseMaps
 from .evaluate import nms
 from .geometry import BBox
 from .synth import SceneConfig, generate_sequence, render_intensity
-from .temporal import HIDDEN_SIZE, ActivityModel, TrackStore, predict
+from .temporal import ActivityModel, TrackStore, predict
 from .wire import ReportMessage, build_report, encode_message
 
 STAGES = ("features", "decode", "attention", "temporal", "nms", "wire")
 BUDGET_STAGES = STAGES[1:]
-
-# Size rule: a config value may add at most this many float64 values
-# (128 MiB) to any one array the frame loop allocates. Each size check
-# derives its bound from it, so a bad value fails before it allocates.
-MAX_CONFIG_ELEMENTS = 2**24
-
-
-@dataclass
-class StubConfig:
-    """Multiscale intensity-pyramid feature stub: per scale, the rescaled
-    intensity plus its local mean and local variance."""
-
-    scales: tuple[int, ...] = (1, 2, 4)
-    local_window: int = 3
-
-    def __post_init__(self) -> None:
-        if not self.scales or any(not isinstance(s, int) or s < 1 for s in self.scales):
-            raise ValueError(f"scales must be positive integers, got {self.scales}")
-        if self.local_window < 1:
-            raise ValueError(f"local_window must be >= 1, got {self.local_window}")
-
-    @property
-    def depth(self) -> int:
-        return 3 * len(self.scales)
+# Largest intensity magnitude the stub takes: past it, its squares and
+# window sums overflow to inf and then to NaN.
+MAX_INTENSITY = 2.0**500
 
 
 @dataclass
@@ -108,35 +88,15 @@ class PipelineConfig:
 
     boxgen: BoxGeneratorConfig = field(default_factory=BoxGeneratorConfig)
     attention: AttentionConfig = field(default_factory=AttentionConfig)
-    stub: StubConfig = field(default_factory=StubConfig)
     nms: NmsConfig = field(default_factory=NmsConfig)
     associate: AssociateConfig = field(default_factory=AssociateConfig)
     pipeline: LoopConfig = field(default_factory=LoopConfig)
 
-    def __post_init__(self) -> None:
-        # The largest array the crop size sets is the built-in activity
-        # cell's input weights, (crop_input_size, 4 * HIDDEN_SIZE), so the
-        # size rule caps crop_input_size at 2**24 / 256 = 2**16 (2560 by default).
-        top = MAX_CONFIG_ELEMENTS // (4 * HIDDEN_SIZE)
-        if self.crop_input_size > top:
-            raise ValueError(
-                f"crop size (stub.depth + 1) * attention.out_size**2 must be <= {top}, "
-                f"got {self.crop_input_size}"
-            )
-
-    @property
-    def crop_input_size(self) -> int:
-        return (self.stub.depth + 1) * self.attention.out_size**2
-
 
 def _parse_value(hint, raw: str):
-    """Parse `raw` as the annotated type: `X | None` as X, `tuple[X, ...]`
-    as a comma list of X."""
+    """Parse `raw` as the annotated type, `X | None` as X."""
     if isinstance(hint, types.UnionType):
         (hint,) = (arg for arg in typing.get_args(hint) if arg is not type(None))
-    if typing.get_origin(hint) is tuple:
-        item = typing.get_args(hint)[0]
-        return tuple(item(v) for v in raw.split(",") if v.strip())
     return hint(raw)
 
 
@@ -201,10 +161,6 @@ def _downsample(frame: np.ndarray, factor: int) -> np.ndarray:
     h, w = frame.shape
     pad_h = (-h) % factor
     pad_w = (-w) % factor
-    # By the size rule, the padding adds at most MAX_CONFIG_ELEMENTS values.
-    added = (h + pad_h) * (w + pad_w) - h * w
-    if added > MAX_CONFIG_ELEMENTS:
-        raise ValueError(f"stub scale {factor} would pad the {w}x{h} frame by {added} values, over 2**24")
     # np.pad returns a copy; without padding a C-ordered frame already has
     # the copy's layout, so the block means sum in the same order.
     if pad_h or pad_w or not frame.flags.c_contiguous:
@@ -258,30 +214,29 @@ def _sweep_rows(stack: np.ndarray, size: int) -> None:
     np.divide(sums, size, out=stack)
 
 
-def feature_stub(intensity: np.ndarray, cfg: StubConfig) -> FeatureGrid:
+def feature_stub(intensity: np.ndarray) -> FeatureGrid:
     """Deterministic multiscale features from a grayscale frame.
 
-    Per scale, one level at the downsampled resolution holding the
-    block-averaged intensity, its local mean and its local variance
-    (window `local_window`, nearest-edge handling). Levels are not
+    Per scale of STUB_SCALES, one level at the downsampled resolution
+    holding the block-averaged intensity, its local mean and its local
+    variance (a LOCAL_WINDOW square, nearest-edge handling). Levels are not
     upsampled; crops read them through `crop_and_resize`.
 
     The vertical pass of the box filter is `_sweep_rows`, which repeats
     scipy's running sum in scipy's order and so gives scipy's bytes; scipy
-    runs the horizontal pass. A window of 1 is the identity, as scipy skips it.
+    runs the horizontal pass.
     """
     frame = np.asarray(intensity, dtype=np.float64)
     levels = []
-    for scale in cfg.scales:
+    for scale in STUB_SCALES:
         down = _downsample(frame, scale)
         level = np.empty((3, *down.shape))
         level[0] = level[1] = down
         np.multiply(down, down, out=level[2])
         # One pass for both: each line of the stack is filtered on its own.
         local = level[1:]
-        if cfg.local_window > 1:
-            _sweep_rows(local, cfg.local_window)
-            ndimage.uniform_filter1d(local, cfg.local_window, axis=2, mode="nearest", output=local)
+        _sweep_rows(local, LOCAL_WINDOW)
+        ndimage.uniform_filter1d(local, LOCAL_WINDOW, axis=2, mode="nearest", output=local)
         level[2] -= level[1] * level[1]
         np.clip(level[2], 0.0, None, out=level[2])
         levels.append((scale, level))
@@ -301,12 +256,10 @@ class Pipeline:
 
     def __init__(self, cfg: PipelineConfig | None = None, model: ActivityModel | None = None) -> None:
         self.cfg = cfg or PipelineConfig()
-        self.model = model or ActivityModel.build(self.cfg.crop_input_size)
-        if self.model.cell.input_size != self.cfg.crop_input_size:
-            raise ValueError(
-                f"model input size {self.model.cell.input_size} != "
-                f"crop size {self.cfg.crop_input_size}"
-            )
+        size = math.prod(CROP_SHAPE)
+        self.model = model or ActivityModel.build(size)
+        if self.model.cell.input_size != size:
+            raise ValueError(f"model input size {self.model.cell.input_size} != crop size {size}")
         self.store = TrackStore(
             hidden_size=self.model.cell.hidden_size,
             max_dist=self.cfg.associate.max_dist,
@@ -316,17 +269,21 @@ class Pipeline:
 
     def run_frame(self, frame: FrameRecord) -> FrameResult:
         """Decode, build features, crop, predict, suppress and serialize one
-        frame. An intensity whose shape is not the maps' (height, width)
-        raises ValueError before any stage runs; None stands for a zero frame."""
+        frame. An intensity whose shape is not the maps' (height, width), or
+        that holds NaN, inf or a magnitude above MAX_INTENSITY, raises
+        ValueError before any stage runs; None stands for a zero frame."""
         if self.last_frame_id is not None and frame.frame_id <= self.last_frame_id:
             raise ValueError(
                 f"frame ids must increase: got {frame.frame_id} after {self.last_frame_id}"
             )
         grid = (frame.maps.height, frame.maps.width)
-        if frame.intensity is not None and np.shape(frame.intensity) != grid:
-            raise ValueError(
-                f"intensity shape {np.shape(frame.intensity)} != maps (height, width) {grid}"
-            )
+        if frame.intensity is not None:
+            if np.shape(frame.intensity) != grid:
+                raise ValueError(f"intensity shape {np.shape(frame.intensity)} != maps (height, width) {grid}")
+            # NaN propagates through both; initial=0 passes a zero-size frame.
+            lo, hi = np.min(frame.intensity, initial=0.0), np.max(frame.intensity, initial=0.0)
+            if not -MAX_INTENSITY <= lo <= hi <= MAX_INTENSITY:
+                raise ValueError(f"intensity must be finite and within +-2**500, got values in [{lo}, {hi}]")
         self.last_frame_id = frame.frame_id
         timings: dict[str, float] = {}
 
@@ -338,7 +295,7 @@ class Pipeline:
 
         start = time.perf_counter()
         intensity = frame.intensity if frame.intensity is not None else np.zeros(grid)
-        features = feature_stub(intensity, self.cfg.stub)
+        features = feature_stub(intensity)
         timings["features"] = (time.perf_counter() - start) * 1e3
 
         start = time.perf_counter()

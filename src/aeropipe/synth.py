@@ -21,6 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .annotations import AnnotationRecord, check_frame_id
+from .attention import CROP_SHAPE
 from .densemaps import DenseMaps, encode
 from .geometry import BBox, separation
 from .rng import SplitMix64
@@ -56,8 +57,10 @@ class SceneConfig:
     max_attempts: int = 10_000
 
     def __post_init__(self) -> None:
-        if self.side_range[0] < 8:
-            raise ValueError("roundtrip scenes need min side >= 8")
+        # A box's left and top edges are drawn from 0..W-1-side and 0..H-1-side.
+        top = min(self.grid) - 1
+        if not 8 <= self.side_range[0] <= self.side_range[1] <= top:
+            raise ValueError(f"side_range {self.side_range} must be a range with min side >= 8 and max side <= {top}")
         if not 0 <= self.box_count[0] <= self.box_count[1]:
             raise ValueError(f"box_count {self.box_count} must be a range 0 <= low <= high")
         # Boxes extended by MIN_GAP on their right and bottom edges are
@@ -277,7 +280,7 @@ class CropDataset:
 def crop_dataset(
     seed: int,
     n_samples: int = 512,
-    feature_shape: tuple[int, ...] = (10, 16, 16),
+    feature_shape: tuple[int, ...] = CROP_SHAPE,
     noise: float = 0.1,
     background_fraction: float = 0.25,
 ) -> CropDataset:

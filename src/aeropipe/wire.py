@@ -82,10 +82,11 @@ class ReportEntry:
     def __init__(self, box, track_id, primary_action, secondary_action, confidence_q) -> None:
         # Packing into the wire struct proves every field an integer in range.
         # A value that does not pack gets the checks that name the bad field;
-        # one that passes them (a float, a box of 3 or 5 coordinates) is kept.
+        # one that passes them (a float, a box of 3 or 5 coordinates) is
+        # rejected as a whole.
         try:
             _ENTRY.pack(*box, track_id, primary_action, secondary_action, confidence_q)
-        except struct.error:
+        except struct.error as exc:
             for coord in box:
                 if not 0 <= coord <= 0xFFFF:
                     raise ValueError(f"box coordinate {coord} does not fit u16") from None
@@ -94,6 +95,7 @@ class ReportEntry:
             for value in (primary_action, secondary_action, confidence_q):
                 if not 0 <= value <= 0xFF:
                     raise ValueError(f"byte field value {value} out of range") from None
+            raise ValueError(f"report entry does not pack: {exc}") from None
         _store(self, box, track_id, primary_action, secondary_action, confidence_q)
 
     @property

@@ -9,6 +9,10 @@ from scipy import ndimage
 
 from aeropipe import attention
 from aeropipe.attention import (
+    CROP_SHAPE,
+    CROP_SIDE,
+    LOCAL_WINDOW,
+    STUB_SCALES,
     AttentionConfig,
     CropFeature,
     CropWindow,
@@ -19,7 +23,7 @@ from aeropipe.attention import (
 )
 from aeropipe.geometry import BBox, center
 from aeropipe import pipeline
-from aeropipe.pipeline import StubConfig, _downsample, _sweep_rows, feature_stub
+from aeropipe.pipeline import _downsample, _sweep_rows, feature_stub
 
 
 def _scalar_attention(box, cfg, ix, iy):
@@ -69,8 +73,6 @@ class TestExpandedWindow:
             AttentionConfig(expand_ratio=0.9)
         with pytest.raises(ValueError):
             AttentionConfig(sigma_scale=0.0)
-        with pytest.raises(ValueError):
-            AttentionConfig(out_size=3)
 
 
 class TestAttentionMap:
@@ -86,7 +88,7 @@ class TestAttentionMap:
     def test_hand_computed_off_box_value(self):
         # sigma_scale * width = 2 for a 2-px-wide box with sigma_scale 1:
         # offset (2, 0) from center gives exp(-1/2 * 4/4) = exp(-0.5)
-        cfg = AttentionConfig(expand_ratio=2.5, sigma_scale=1.0, out_size=4)
+        cfg = AttentionConfig(expand_ratio=2.5, sigma_scale=1.0)
         box = BBox(0, 0, 2, 2)
         attn = attention_map(box, cfg)
         win = attn.window
@@ -157,18 +159,18 @@ class TestCropAndResize:
     def test_identity_resize(self):
         rng = np.random.default_rng(5)
         features = rng.random((2, 40, 40))
-        box = BBox(10, 10, 19, 19)  # 9x9 box, ratio 1 -> M = 9
-        cfg = AttentionConfig(expand_ratio=1.0, out_size=9)
+        box = BBox(10, 10, 26, 26)  # 16x16 box, ratio 1 -> M = 16 = CROP_SIDE
+        cfg = AttentionConfig(expand_ratio=1.0)
         crop = crop_and_resize(_grid(features), box, cfg)
-        win_y = slice(11, 20)  # window origin from round-half-up centering
-        win_x = slice(11, 20)
+        win_y = slice(11, 27)  # window origin from round-half-up centering
+        win_x = slice(11, 27)
         np.testing.assert_array_equal(crop.tensor[0], features[0][win_y, win_x])
 
     def test_zero_fill_matches_padded_reference(self):
         rng = np.random.default_rng(6)
         features = rng.random((2, 20, 20))
         box = BBox(0, 0, 6, 6)  # expanded window sticks out of the frame
-        cfg = AttentionConfig(expand_ratio=2.0, out_size=8)
+        cfg = AttentionConfig(expand_ratio=2.0)
         crop = crop_and_resize(_grid(features), box, cfg)
 
         pad = 32
@@ -179,33 +181,35 @@ class TestCropAndResize:
         np.testing.assert_allclose(crop.tensor, reference.tensor, atol=1e-12)
 
     def test_bilinear_matches_scalar_reference(self):
+        """Windows below and above the crop side, M = 10 and M = 23."""
         rng = np.random.default_rng(7)
-        features = rng.random((1, 30, 30))
-        box = BBox(8, 8, 18, 18)  # width 10 -> M = 10, window spans 9..18
-        cfg = AttentionConfig(expand_ratio=1.0, out_size=5)
-        crop = crop_and_resize(_grid(features), box, cfg)
-
-        m = 10
-        win = features[0][9:19, 9:19]
-        for oy in range(5):
-            for ox in range(5):
-                sy = min(max((oy + 0.5) * m / 5 - 0.5, 0.0), m - 1.0)
-                sx = min(max((ox + 0.5) * m / 5 - 0.5, 0.0), m - 1.0)
-                y0, x0 = int(sy), int(sx)
-                y1, x1 = min(y0 + 1, m - 1), min(x0 + 1, m - 1)
-                fy, fx = sy - y0, sx - x0
-                expected = (
-                    win[y0, x0] * (1 - fy) * (1 - fx)
-                    + win[y1, x0] * fy * (1 - fx)
-                    + win[y0, x1] * (1 - fy) * fx
-                    + win[y1, x1] * fy * fx
-                )
-                assert abs(crop.tensor[0, oy, ox] - expected) < 1e-12
+        features = rng.random((1, 40, 40))
+        cfg = AttentionConfig(expand_ratio=1.0)
+        n = CROP_SIDE
+        for m in (10, 23):
+            box = BBox(8, 8, 8 + m, 8 + m)  # ratio 1 -> M = m
+            crop = crop_and_resize(_grid(features), box, cfg)
+            w0 = expanded_window(box, cfg).x0
+            win = features[0][w0 : w0 + m, w0 : w0 + m]
+            for oy in range(n):
+                for ox in range(n):
+                    sy = min(max((oy + 0.5) * m / n - 0.5, 0.0), m - 1.0)
+                    sx = min(max((ox + 0.5) * m / n - 0.5, 0.0), m - 1.0)
+                    y0, x0 = int(sy), int(sx)
+                    y1, x1 = min(y0 + 1, m - 1), min(x0 + 1, m - 1)
+                    fy, fx = sy - y0, sx - x0
+                    expected = (
+                        win[y0, x0] * (1 - fy) * (1 - fx)
+                        + win[y1, x0] * fy * (1 - fx)
+                        + win[y0, x1] * (1 - fy) * fx
+                        + win[y1, x1] * fy * fx
+                    )
+                    assert abs(crop.tensor[0, oy, ox] - expected) < 1e-12
 
     def test_attention_is_last_channel(self):
         features = np.zeros((3, 40, 40))
-        box = BBox(10, 10, 20, 20)  # width 10 -> M = 10
-        cfg = AttentionConfig(expand_ratio=1.0, out_size=10)
+        box = BBox(10, 10, 26, 26)  # width 16 -> M = 16 = CROP_SIDE
+        cfg = AttentionConfig(expand_ratio=1.0)
         crop = crop_and_resize(_grid(features), box, cfg)
         attn = attention_map(box, cfg)
         np.testing.assert_allclose(crop.tensor[3], attn.values, atol=1e-12)
@@ -213,8 +217,8 @@ class TestCropAndResize:
     def test_output_always_square_fixed_size(self):
         features = np.zeros((1, 60, 60))
         for box in (BBox(5, 5, 45, 12), BBox(5, 5, 12, 45), BBox(20, 20, 24, 24)):
-            crop = crop_and_resize(_grid(features), box, AttentionConfig(out_size=16))
-            assert crop.tensor.shape == (2, 16, 16)
+            crop = crop_and_resize(_grid(features), box, AttentionConfig())
+            assert crop.tensor.shape == (2, CROP_SIDE, CROP_SIDE)
 
 
 # ---------------------------------------------------------------------------
@@ -244,20 +248,20 @@ def _upsample_reference(grid: np.ndarray, factor: int, shape: tuple[int, int]) -
     return full[: shape[0], : shape[1]]
 
 
-def _feature_stub_reference(intensity: np.ndarray, cfg: StubConfig) -> np.ndarray:
+def _feature_stub_reference(intensity: np.ndarray) -> np.ndarray:
     """Deterministic (D, H, W) dense features from a grayscale frame.
 
     Per scale: the block-averaged intensity upsampled back to frame size,
-    its local mean, and its local variance (window `local_window` at the
+    its local mean, and its local variance (window `LOCAL_WINDOW` at the
     downsampled resolution, nearest-edge handling).
     """
     frame = np.asarray(intensity, dtype=np.float64)
     shape = frame.shape
     channels: list[np.ndarray] = []
-    for scale in cfg.scales:
+    for scale in STUB_SCALES:
         down = _downsample_reference(frame, scale)
-        mean = ndimage.uniform_filter(down, size=cfg.local_window, mode="nearest")
-        sq_mean = ndimage.uniform_filter(down * down, size=cfg.local_window, mode="nearest")
+        mean = ndimage.uniform_filter(down, size=LOCAL_WINDOW, mode="nearest")
+        sq_mean = ndimage.uniform_filter(down * down, size=LOCAL_WINDOW, mode="nearest")
         var = np.clip(sq_mean - mean * mean, 0.0, None)
         channels.append(_upsample_reference(down, scale, shape))
         channels.append(_upsample_reference(mean, scale, shape))
@@ -296,31 +300,25 @@ def _crop_and_resize_reference(features: np.ndarray, b: BBox, cfg: AttentionConf
     """Expanded-window crop of the feature grid with its attention channel.
 
     The window is cut from the (D, H, W) grid with zero fill outside the
-    frame, resized square-to-square to out_size, and the equally resized
+    frame, resized square-to-square to CROP_SIDE, and the equally resized
     attention map is appended as channel D + 1.
     """
     attn = attention_map(b, cfg)
     window = _extract_window_reference(np.asarray(features, dtype=np.float64), attn.window)
     stack = np.concatenate([window, attn.values[None, :, :]], axis=0)
-    resized = _resize_square_reference(stack, cfg.out_size)
+    resized = _resize_square_reference(stack, CROP_SIDE)
     return CropFeature(resized)
 
 
-# Frames from 1x1 up, with sides below the largest scales, in C order, in
+# Frames from 1x1 up, with sides below the largest scale, in C order, in
 # Fortran order or as a strided view, with continuous values or plateaus
-# (where the local variance rounds below zero); scale sets with repeats and
-# values >= 8.
+# (where the local variance rounds below zero).
 _FRAMES = st.tuples(
     st.integers(1, 40),
     st.integers(1, 40),
     st.integers(0, 2**32 - 1),
     st.sampled_from(["C", "F", "strided"]),
     st.booleans(),
-)
-_STUBS = st.builds(
-    StubConfig,
-    scales=st.lists(st.integers(1, 12), min_size=1, max_size=4).map(tuple),
-    local_window=st.integers(1, 5),
 )
 
 
@@ -337,40 +335,38 @@ def _frame(h: int, w: int, seed: int, layout: str, plateaus: bool) -> np.ndarray
 @st.composite
 def _crops(draw):
     """A box anywhere from wholly inside to wholly outside a frame of up to
-    40 px, and an attention config; a quarter of them resize M to M."""
-    w, h = draw(st.integers(2, 40)), draw(st.integers(2, 40))
-    x0, y0 = draw(st.integers(-50, 45)), draw(st.integers(-50, 45))
-    box = BBox(x0, y0, x0 + w, y0 + h)
+    40 px, and an attention config; a quarter of them have a window side M
+    equal to CROP_SIDE, the rest windows below or above it."""
     if draw(st.integers(0, 3)) == 0:
-        cfg = AttentionConfig(expand_ratio=1.0, out_size=max(4, w, h))
+        w, h = CROP_SIDE, draw(st.integers(2, CROP_SIDE))
+        w, h = (w, h) if draw(st.booleans()) else (h, w)
+        cfg = AttentionConfig(expand_ratio=1.0)
     else:
-        cfg = AttentionConfig(
-            expand_ratio=draw(st.floats(1.0, 2.5)),
-            sigma_scale=draw(st.floats(0.1, 2.0)),
-            out_size=draw(st.integers(4, 24)),
-        )
-    return box, cfg
+        w, h = draw(st.integers(2, 40)), draw(st.integers(2, 40))
+        cfg = AttentionConfig(expand_ratio=draw(st.floats(1.0, 2.5)), sigma_scale=draw(st.floats(0.1, 2.0)))
+    x0, y0 = draw(st.integers(-50, 45)), draw(st.integers(-50, 45))
+    return BBox(x0, y0, x0 + w, y0 + h), cfg
 
 
 class TestAgainstDenseReference:
     @settings(max_examples=300, deadline=None)
-    @given(_FRAMES, _STUBS)
-    def test_dense_stub_is_the_reference_stub(self, frame_spec, cfg):
+    @given(_FRAMES)
+    def test_dense_stub_is_the_reference_stub(self, frame_spec):
         frame = _frame(*frame_spec)
-        grid = feature_stub(frame, cfg)
-        reference = _feature_stub_reference(frame, cfg)
-        assert grid.depth == len(reference) == cfg.depth
+        grid = feature_stub(frame)
+        reference = _feature_stub_reference(frame)
+        assert grid.depth == len(reference) == CROP_SHAPE[0] - 1
         assert np.array_equal(_dense(grid), reference)
 
     @settings(max_examples=300, deadline=None)
-    @given(_FRAMES, _STUBS, st.lists(_crops(), min_size=1, max_size=3))
-    def test_crops_equal_the_reference_crops(self, frame_spec, cfg, crops):
+    @given(_FRAMES, st.lists(_crops(), min_size=1, max_size=3))
+    def test_crops_equal_the_reference_crops(self, frame_spec, crops):
         frame = _frame(*frame_spec)
-        grid = feature_stub(frame, cfg)
-        dense = _feature_stub_reference(frame, cfg)
+        grid = feature_stub(frame)
+        dense = _feature_stub_reference(frame)
         for box, attention in crops:
             reference = _crop_and_resize_reference(dense, box, attention).tensor
-            assert reference.shape == (cfg.depth + 1, attention.out_size, attention.out_size)
+            assert reference.shape == CROP_SHAPE
             assert np.array_equal(crop_and_resize(grid, box, attention).tensor, reference)
             assert np.array_equal(crop_and_resize(_grid(dense), box, attention).tensor, reference)
 
@@ -378,14 +374,14 @@ class TestAgainstDenseReference:
 def test_crops_equal_the_reference_crops_at_every_offset():
     """Windows slid one pixel at a time across the frame and past each edge."""
     frame = np.random.default_rng(8).random((21, 26))
-    cfg = StubConfig(scales=(1, 2, 4, 8))
-    grid, dense = feature_stub(frame, cfg), _feature_stub_reference(frame, cfg)
-    attention = AttentionConfig(out_size=8)
-    for y0 in range(-14, 30):
-        for x0 in range(-14, 35):
-            box = BBox(x0, y0, x0 + 9, y0 + 6)
-            reference = _crop_and_resize_reference(dense, box, attention).tensor
-            assert np.array_equal(crop_and_resize(grid, box, attention).tensor, reference)
+    grid, dense = feature_stub(frame), _feature_stub_reference(frame)
+    # Windows of M = 14, 16 and 18, below, at and above CROP_SIDE.
+    for attention in (AttentionConfig(), AttentionConfig(expand_ratio=16 / 9), AttentionConfig(expand_ratio=2.0)):
+        for y0 in range(-14, 30):
+            for x0 in range(-14, 35):
+                box = BBox(x0, y0, x0 + 9, y0 + 6)
+                reference = _crop_and_resize_reference(dense, box, attention).tensor
+                assert np.array_equal(crop_and_resize(grid, box, attention).tensor, reference)
 
 
 # ---------------------------------------------------------------------------
@@ -459,20 +455,20 @@ def test_block_mean_on_a_full_frame_is_the_reshape_mean():
 
 
 @settings(max_examples=200, deadline=None)
-@given(_block_frames(), st.integers(1, 5))
-def test_stub_levels_are_the_two_call_levels_byte_for_byte(case, window):
+@given(_block_frames())
+def test_stub_levels_are_the_two_call_levels_byte_for_byte(case):
     """Each level equals the block mean filtered and squared-then-filtered
     by two separate 2-D calls, as the stub did before one stacked call."""
-    frame, factor = case
-    grid = feature_stub(frame, StubConfig(scales=(factor,), local_window=window))
-    down = _reshape_mean_reference(np.asarray(frame, dtype=np.float64), factor)
-    mean = ndimage.uniform_filter(down, size=window, mode="nearest")
-    var = ndimage.uniform_filter(down * down, size=window, mode="nearest")
-    var -= mean * mean
-    np.clip(var, 0.0, None, out=var)
-    ((scale, level),) = grid.levels
-    assert scale == factor
-    _assert_same_bytes(level, np.stack([down, mean, var]))
+    frame, _ = case
+    grid = feature_stub(frame)
+    assert [scale for scale, _ in grid.levels] == list(STUB_SCALES)
+    for scale, level in grid.levels:
+        down = _reshape_mean_reference(np.asarray(frame, dtype=np.float64), scale)
+        mean = ndimage.uniform_filter(down, size=LOCAL_WINDOW, mode="nearest")
+        var = ndimage.uniform_filter(down * down, size=LOCAL_WINDOW, mode="nearest")
+        var -= mean * mean
+        np.clip(var, 0.0, None, out=var)
+        _assert_same_bytes(level, np.stack([down, mean, var]))
 
 
 # ---------------------------------------------------------------------------
@@ -482,16 +478,16 @@ def test_stub_levels_are_the_two_call_levels_byte_for_byte(case, window):
 # ---------------------------------------------------------------------------
 
 
-def _stacked_stub_reference(intensity: np.ndarray, cfg: StubConfig) -> FeatureGrid:
+def _stacked_stub_reference(intensity: np.ndarray) -> FeatureGrid:
     frame = np.asarray(intensity, dtype=np.float64)
     levels = []
-    for scale in cfg.scales:
+    for scale in STUB_SCALES:
         down = _downsample(frame, scale)
         level = np.empty((3, *down.shape))
         level[0] = level[1] = down
         np.multiply(down, down, out=level[2])
         # One call for both: scipy filters each line of the stack on its own.
-        ndimage.uniform_filter(level[1:], size=cfg.local_window, axes=(1, 2), mode="nearest", output=level[1:])
+        ndimage.uniform_filter(level[1:], size=LOCAL_WINDOW, axes=(1, 2), mode="nearest", output=level[1:])
         level[2] -= level[1] * level[1]
         np.clip(level[2], 0.0, None, out=level[2])
         levels.append((scale, level))
@@ -507,9 +503,8 @@ def _signed_values(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarr
 
 @st.composite
 def _wide_frames(draw):
-    """A frame 1-12 px high and 1-1024 px wide with scales 1-8; in C order,
-    Fortran order or as a strided view; and a window of 1-9."""
-    scales = draw(st.lists(st.integers(1, 8), min_size=1, max_size=3))
+    """A frame 1-12 px high and 1-1024 px wide in C order, Fortran order or
+    as a strided view."""
     w = draw(st.integers(1, 1024))
     h = draw(st.integers(1, 12))
     values = _signed_values(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), (h, w))
@@ -518,14 +513,13 @@ def _wide_frames(draw):
         values = np.asfortranarray(values)
     elif layout == "strided":
         values = np.repeat(values, 2, axis=1)[:, ::2]
-    return values, StubConfig(scales=tuple(scales), local_window=draw(st.integers(1, 9)))
+    return values
 
 
 @settings(max_examples=200, deadline=None)
 @given(_wide_frames())
-def test_stub_is_the_stacked_call_stub_byte_for_byte(case):
-    frame, cfg = case
-    grid, reference = feature_stub(frame, cfg), _stacked_stub_reference(frame, cfg)
+def test_stub_is_the_stacked_call_stub_byte_for_byte(frame):
+    grid, reference = feature_stub(frame), _stacked_stub_reference(frame)
     assert grid.shape == reference.shape
     for (scale, level), (ref_scale, ref_level) in zip(grid.levels, reference.levels, strict=True):
         assert scale == ref_scale
@@ -558,20 +552,17 @@ def test_row_sweep_on_non_finite_values_warns_nothing():
         _assert_same_bytes(swept, expected)
 
 
-def test_every_level_is_swept_unless_the_window_is_one(monkeypatch):
+def test_every_level_is_swept(monkeypatch):
     calls = []
 
     def counted(stack, size):
-        calls.append(stack.shape)
+        calls.append((stack.shape, size))
         _sweep_rows(stack, size)
 
     monkeypatch.setattr(pipeline, "_sweep_rows", counted)
     frame = np.random.default_rng(11).random((360, 640))
-    feature_stub(frame, StubConfig())
-    assert calls == [(2, 360, 640), (2, 180, 320), (2, 90, 160)]
-    calls.clear()
-    feature_stub(frame, StubConfig(local_window=1))
-    assert calls == []
+    feature_stub(frame)
+    assert calls == [((2, 360, 640), 3), ((2, 180, 320), 3), ((2, 90, 160), 3)]
 
 
 # ---------------------------------------------------------------------------
@@ -585,7 +576,7 @@ def test_every_level_is_swept_unless_the_window_is_one(monkeypatch):
 def _two_temporary_crop_reference(features: FeatureGrid, b: BBox, cfg: AttentionConfig) -> CropFeature:
     height, width = features.shape
     win = expanded_window(b, cfg)
-    m, n = win.size, cfg.out_size
+    m, n = win.size, CROP_SIDE
     if m == n:
         taps = np.arange(m)
     else:
@@ -619,13 +610,12 @@ def _two_temporary_crop_reference(features: FeatureGrid, b: BBox, cfg: Attention
 
 @st.composite
 def _resize_crops(draw):
-    """A signed-value frame of 1x1 to 40x40 px with -0.0 runs, scales 1-8,
-    out_size 4-32, and a box whose window side M is below, equal to or above
-    out_size, placed anywhere from inside the frame to past any edge."""
+    """A signed-value frame of 1x1 to 40x40 px with -0.0 runs and a box
+    whose window side M is below, equal to or above CROP_SIDE, placed
+    anywhere from inside the frame to past any edge."""
     h, w = draw(st.integers(1, 40)), draw(st.integers(1, 40))
     frame = _signed_values(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), (h, w))
-    stub = StubConfig(scales=tuple(draw(st.lists(st.integers(1, 8), min_size=1, max_size=3))))
-    n = draw(st.integers(4, 32))
+    n = CROP_SIDE
     relation = draw(st.sampled_from(["below", "equal", "above"]))
     if relation == "below":
         side = draw(st.integers(2, n - 1))
@@ -640,15 +630,15 @@ def _resize_crops(draw):
     # expand_ratio 1 makes M = max(width, height) = side, so M keeps the
     # drawn relation; 1.5 adds wider windows.
     ratio = draw(st.sampled_from([1.0, 1.0, 1.5])) if relation != "equal" else 1.0
-    cfg = AttentionConfig(expand_ratio=ratio, sigma_scale=draw(st.floats(0.1, 2.0)), out_size=n)
-    return frame, stub, BBox(x0, y0, x0 + bw, y0 + bh), cfg
+    cfg = AttentionConfig(expand_ratio=ratio, sigma_scale=draw(st.floats(0.1, 2.0)))
+    return frame, BBox(x0, y0, x0 + bw, y0 + bh), cfg
 
 
 @settings(max_examples=400, deadline=None)
 @given(_resize_crops())
 def test_crops_are_the_two_temporary_crops_byte_for_byte(case):
-    frame, stub, box, cfg = case
-    grid = feature_stub(frame, stub)
+    frame, box, cfg = case
+    grid = feature_stub(frame)
     _assert_same_bytes(
         crop_and_resize(grid, box, cfg).tensor, _two_temporary_crop_reference(grid, box, cfg).tensor
     )

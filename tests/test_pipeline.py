@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import tracemalloc
 from unittest import mock
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from aeropipe.annotations import AnnotationRecord, read_annotations, write_annotations
-from aeropipe.attention import AttentionConfig, crop_and_resize
+from aeropipe.attention import CROP_SHAPE, crop_and_resize
 from aeropipe.boxgen import box_generator
 from aeropipe.evaluate import nms
 from aeropipe.geometry import iou
@@ -15,7 +16,6 @@ from aeropipe.pipeline import (
     LoopConfig,
     Pipeline,
     PipelineConfig,
-    StubConfig,
     bench_frames,
     config_from_mapping,
     config_keys,
@@ -74,7 +74,7 @@ def _dense(grid):
 class TestFeatureStub:
     def test_constant_frame(self):
         frame = np.full((24, 32), 0.4)
-        features = _dense(feature_stub(frame, StubConfig()))
+        features = _dense(feature_stub(frame))
         assert features.shape == (9, 24, 32)
         for k in range(0, 9, 3):
             np.testing.assert_allclose(features[k], 0.4, atol=1e-12)      # intensity
@@ -84,20 +84,15 @@ class TestFeatureStub:
     def test_scale_one_intensity_is_input(self):
         rng = np.random.default_rng(0)
         frame = rng.random((20, 28))
-        features = _dense(feature_stub(frame, StubConfig()))
+        features = _dense(feature_stub(frame))
         np.testing.assert_array_equal(features[0], frame)
 
     def test_matches_scalar_reference(self):
         rng = np.random.default_rng(1)
         frame = rng.random((11, 14))  # not divisible by the scales
-        cfg = StubConfig(scales=(1, 2, 4), local_window=3)
-        features = feature_stub(frame, cfg)
+        features = feature_stub(frame)
         reference = _stub_reference(frame, (1, 2, 4), 3)
         np.testing.assert_allclose(_dense(features), reference, atol=1e-6)
-
-    def test_depth_property(self):
-        assert StubConfig().depth == 9
-        assert StubConfig(scales=(1, 2)).depth == 6
 
 
 class TestRunFrame:
@@ -143,6 +138,31 @@ class TestRunFrame:
         pipeline.run_frame(FrameRecord(frame_id=0, maps=maps, intensity=np.zeros((48, 64))))
         assert pipeline.run_frame(FrameRecord(frame_id=1, maps=maps)).detections == []
 
+    @pytest.mark.parametrize(
+        "value", [np.nan, np.inf, -np.inf, 2.0**501, -(2.0**501)], ids=["nan", "inf", "-inf", "2**501", "-2**501"]
+    )
+    def test_intensity_must_be_finite_and_bounded(self, monkeypatch, value):
+        """One such pixel in a box used to spread through the stub's running
+        sums, and its NaN confidences emptied this frame and every later one."""
+        scene = generate_scene(SceneConfig(box_count=(4, 4)), 22)
+        intensity = render_intensity(scene.records, (640, 360))
+        box = scene.boxes[0]
+        bad = intensity.copy()
+        bad[box.y0 + 1, box.x0 + 1] = value
+        pipeline = Pipeline(PipelineConfig())
+        with monkeypatch.context() as patch:
+            for stage in ("box_generator", "feature_stub"):
+                patch.setattr(f"aeropipe.pipeline.{stage}", mock.Mock(side_effect=AssertionError(stage)))
+            with pytest.raises(ValueError, match=r"intensity must be finite and within \+-2\*\*500"):
+                pipeline.run_frame(FrameRecord(frame_id=0, maps=scene.maps, intensity=bad))
+        # The rejected frame took no frame id, and magnitudes up to 2**500 run
+        # with finite confidences.
+        for fid, top in enumerate([2.0**500, -(2.0**500), 0.5]):
+            intensity[box.y0 + 1, box.x0 + 1] = top
+            result = pipeline.run_frame(FrameRecord(frame_id=fid, maps=scene.maps, intensity=intensity))
+            assert len(result.detections) == 4
+            assert all(math.isfinite(d.confidence) for d in result.detections)
+
     def test_frame_working_set_stays_under_six_frame_arrays(self):
         # A seeded crowd_noisy frame, built as perfbench/gen.py builds it.
         cfg = SceneConfig(grid=(640, 360), box_count=(27, 27))
@@ -177,7 +197,7 @@ class TestRunFrame:
         cfg = PipelineConfig()
         intensity = render_intensity(scene.records, (640, 360))
         # Random head weights, so the predicted labels are not all class 0.
-        model = ActivityModel.build(cfg.crop_input_size, seed=5)
+        model = ActivityModel.build(math.prod(CROP_SHAPE), seed=5)
         rng = np.random.default_rng(3)
         for w in (model.heads.w_primary, model.heads.w_secondary):
             w[...] = rng.normal(size=w.shape)
@@ -186,7 +206,7 @@ class TestRunFrame:
         result = pipeline.run_frame(FrameRecord(frame_id=0, maps=scene.maps, intensity=intensity))
 
         manual = Pipeline(cfg, model=model)  # same model, fresh state
-        features = feature_stub(intensity, cfg.stub)
+        features = feature_stub(intensity)
         boxes = box_generator(scene.maps, cfg.boxgen)
         store = TrackStore(model.cell.hidden_size, cfg.associate.max_dist, cfg.associate.max_age)
         tracks = store.step(boxes)
@@ -218,7 +238,7 @@ class TestRunFrame:
         scenes = generate_sequence(SceneConfig(box_count=(4, 4)), frames=5, seed=24)
         payloads = []
         for _ in range(2):
-            pipeline = Pipeline(model=ActivityModel.build(PipelineConfig().crop_input_size, seed=9))
+            pipeline = Pipeline(model=ActivityModel.build(math.prod(CROP_SHAPE), seed=9))
             run = []
             for scene in scenes:
                 frame = FrameRecord(
@@ -232,7 +252,7 @@ class TestRunFrame:
 
     def test_detections_are_annotation_records_that_round_trip(self, tmp_path):
         scenes = generate_sequence(SceneConfig(box_count=(4, 4)), frames=4, seed=26)
-        pipeline = Pipeline(model=ActivityModel.build(PipelineConfig().crop_input_size, seed=9))
+        pipeline = Pipeline(model=ActivityModel.build(math.prod(CROP_SHAPE), seed=9))
         detections = []
         for scene in scenes:
             intensity = render_intensity(scene.records, (640, 360))
@@ -260,25 +280,13 @@ class TestConfigFile:
         path.write_text(
             "# comment\n"
             "boxgen.delta = 0.8\n"
-            "attention.out_size = 12\n"
+            "attention.sigma_scale = 0.75\n"
             "nms.iou_threshold = 0.4\n"
-            "stub.scales = 1,2\n"
         )
         cfg = config_from_mapping(parse_config_file(str(path)))
         assert cfg.boxgen.delta == 0.8
-        assert cfg.attention.out_size == 12
+        assert cfg.attention.sigma_scale == 0.75
         assert cfg.nms.iou_threshold == 0.4
-        assert cfg.stub.scales == (1, 2)
-
-    def test_size_bounds_sit_at_the_size_rule(self):
-        """2**24 values per config-sized array: the default cell's input
-        weights cap the crop at 2**16 values; the stub's padding at 2**24."""
-        assert PipelineConfig(attention=AttentionConfig(out_size=80)).crop_input_size == 64000
-        with pytest.raises(ValueError, match="must be <= 65536, got 65610"):
-            PipelineConfig(attention=AttentionConfig(out_size=81))
-        with pytest.raises(ValueError, match="by 16785408 values"):
-            feature_stub(np.zeros((1, 1)), StubConfig(scales=(4097,)))
-        assert feature_stub(np.zeros((1, 1)), StubConfig(scales=(64,))).levels[0][1].shape == (3, 1, 1)
 
     def test_derived_keys(self):
         assert sorted(config_keys()) == sorted([
@@ -289,9 +297,6 @@ class TestConfigFile:
             "boxgen.peak_floor",
             "attention.expand_ratio",
             "attention.sigma_scale",
-            "attention.out_size",
-            "stub.scales",
-            "stub.local_window",
             "nms.iou_threshold",
             "nms.score_floor",
             "associate.max_dist",
@@ -307,13 +312,12 @@ class TestConfigFile:
             value = getattr(getattr(defaults, section), attr)
             if value is None:
                 continue
-            text = ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
-            cfg = config_from_mapping({key: text})
+            cfg = config_from_mapping({key: str(value)})
             got = getattr(getattr(cfg, section), attr)
             assert got == value and type(got) is type(value), key
             assert cfg == defaults, key
             checked += 1
-        assert checked == 14
+        assert checked == 11
 
     def test_optional_keys_parse_as_their_type(self):
         cfg = config_from_mapping({"boxgen.max_box_diag": "30"})

@@ -144,6 +144,23 @@ class TestGenerateScene:
         with pytest.raises(ValueError, match="min side >= 8"):
             SceneConfig(side_range=(6, 20))
 
+    @pytest.mark.parametrize(
+        "grid, side_range",
+        [((20, 20), (8, 48)), ((640, 360), (8, 4)), ((640, 360), (6, 20)), ((640, 360), (8, 360))],
+    )
+    def test_rejects_a_side_range_the_grid_cannot_hold(self, grid, side_range):
+        """Each failed inside `randint` on an empty range before the check."""
+        with mock.patch.object(synth, "_place_boxes", side_effect=AssertionError("packer ran")) as packer:
+            with pytest.raises(ValueError, match=rf"side_range \({side_range[0]}, {side_range[1]}\) must be"):
+                synth.generate_scene(SceneConfig(grid=grid, side_range=side_range), 0)
+        packer.assert_not_called()
+
+    def test_largest_side_range_the_grid_holds(self):
+        """Sides up to the grid's shorter side less 1 leave room to place."""
+        scene = generate_scene(SceneConfig(grid=(20, 20), box_count=(1, 1), side_range=(19, 19)), 0)
+        ((box,),) = [scene.boxes]
+        assert box.within_grid(20, 20) and (box.width, box.height) == (19, 19)
+
     def test_deterministic_per_seed(self):
         a = generate_scene(SceneConfig(), 99)
         b = generate_scene(SceneConfig(), 99)

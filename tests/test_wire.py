@@ -101,6 +101,18 @@ class TestMessageCodec:
         with pytest.raises(ValueError, match="byte"):
             ReportEntry((0, 0, 1, 1), 0, 300, 0, 0)
 
+    def test_entry_that_does_not_pack_is_rejected(self):
+        """In-range floats and boxes of 3 or 5 coordinates were accepted, and
+        encode_message then raised struct.error, which is no ValueError."""
+        for fields in [
+            ((1.0, 2, 3, 4), 0, 0, 0, 0),
+            ((1, 2, 3), 0, 0, 0, 0),
+            ((1, 2, 3, 4, 5), 0, 0, 0, 0),
+            ((1, 2, 3, 4), 0, 0, 0, 0.5),
+        ]:
+            with pytest.raises(ValueError, match="report entry does not pack"):
+                ReportEntry(*fields)
+
     def test_bad_magic(self):
         data = bytearray(encode_message(ReportMessage(1, 2, 3, 4, 5)))
         data[0] ^= 0xFF
@@ -476,7 +488,8 @@ def test_decode_message_raises_only_wire_error(data):
 
 # The field checks and the decode that entries had before they were checked
 # by packing, copied verbatim: the references the struct-checked constructor
-# and the one-call unpack must equal on every input.
+# and the one-call unpack must equal on every input. The constructor also
+# rejects, after those checks, what still does not pack.
 def _reference_entry_checks(box, track_id, primary_action, secondary_action, confidence_q) -> None:
     for coord in box:
         if not 0 <= coord <= 0xFFFF:
@@ -490,6 +503,14 @@ def _reference_entry_checks(box, track_id, primary_action, secondary_action, con
 
 ENTRY_SIZE = wire.ENTRY_SIZE
 _ENTRY = wire._ENTRY
+
+
+def _reference_entry(box, track_id, primary_action, secondary_action, confidence_q) -> None:
+    _reference_entry_checks(box, track_id, primary_action, secondary_action, confidence_q)
+    try:
+        _ENTRY.pack(*box, track_id, primary_action, secondary_action, confidence_q)
+    except struct.error as exc:
+        raise ValueError(f"report entry does not pack: {exc}") from None
 _HEADER = wire._HEADER
 MAGIC = wire.MAGIC
 VERSION = wire.VERSION
@@ -571,7 +592,7 @@ _BOXES = st.integers(3, 5).flatmap(lambda n: st.tuples(*[_field(0xFFFF)] * n)).f
 @example((0, 0, 1, 1, 2), 0, 0, float("nan"), 0)
 def test_entry_accepts_exactly_what_the_field_checks_accept(box, track_id, primary, secondary, conf_q):
     fields = (box, track_id, primary, secondary, conf_q)
-    expected = _outcome(_reference_entry_checks, *fields)
+    expected = _outcome(_reference_entry, *fields)
     got = _outcome(ReportEntry, *fields)
     if expected[0] == "ok":
         assert got[0] == "ok"

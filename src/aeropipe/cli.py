@@ -2,9 +2,11 @@
 
 Subcommands cover every capability: `encode` annotations into map tensors,
 `detect` boxes from map tensors, `pipeline` for the full per-frame loop,
-`eval` for average precision, `synth` for scene/sequence/crop fixtures,
+`eval` for average precision, `synth` for seeded sequence fixtures,
 `train` for the toy head trainer, `bench` for latency statistics, `send`
 and `recv` as wire endpoints, and `overlay` to render boxes into a PPM.
+Config values are set only through `--config`, and `bench` and `recv`
+print their results only to stdout.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 internal error.
 """
@@ -21,7 +23,7 @@ import traceback
 
 import numpy as np
 
-from . import synth, tensorio, wire
+from . import synth, wire
 from .annotations import AnnotationRecord, check_frame_id, group_by_frame, read_annotations, write_annotations
 from .boxgen import box_generator
 from .densemaps import encode, load_maps, save_maps
@@ -34,7 +36,7 @@ from .pipeline import (
     config_from_mapping,
     parse_config_file,
 )
-from .synth import SceneConfig, corrupt_maps, generate_scene, generate_sequence, render_intensity
+from .synth import SceneConfig, corrupt_maps, generate_sequence, render_intensity
 from .temporal import ActivityModel, AdamConfig, load_model, save_model, train_toy
 
 
@@ -85,11 +87,7 @@ _MAPS_NAME_RE = re.compile(re.escape(_MAPS_NAME).replace(re.escape("{:06d}"), r"
 
 
 def _load_pipeline_config(args: argparse.Namespace) -> PipelineConfig:
-    values = parse_config_file(args.config) if getattr(args, "config", None) else {}
-    for key, flag in (("boxgen.delta", "delta"), ("nms.iou_threshold", "iou")):
-        if getattr(args, flag, None) is not None:
-            values[key] = str(getattr(args, flag))
-    return config_from_mapping(values)
+    return config_from_mapping(parse_config_file(args.config) if args.config else {})
 
 
 # ---------------------------------------------------------------------------
@@ -146,26 +144,8 @@ def cmd_detect(args: argparse.Namespace) -> int:
 
 def cmd_synth(args: argparse.Namespace) -> int:
     os.makedirs(args.out, exist_ok=True)
-    if args.kind == "crops":
-        dataset = synth.crop_dataset(seed=args.seed)
-        path = os.path.join(args.out, "crops.aero")
-        tensorio.save_named_tensors(
-            path,
-            {
-                "features": dataset.features.astype(np.float64),
-                "primary_labels": dataset.primary_labels.astype(np.float64),
-                "secondary_labels": dataset.secondary_labels.astype(np.float64),
-                "pedestrian": dataset.pedestrian.astype(np.float64),
-            },
-        )
-        print(f"wrote {dataset.features.shape[0]} crops to {path}")
-        return 0
-
     scene_cfg = SceneConfig()
-    if args.kind == "scene":
-        scenes = [generate_scene(scene_cfg, args.seed)]
-    else:
-        scenes = generate_sequence(scene_cfg, args.frames, args.seed)
+    scenes = generate_sequence(scene_cfg, args.frames, args.seed)
     entries = []
     all_records: list[AnnotationRecord] = []
     for k, scene in enumerate(scenes):
@@ -281,12 +261,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         seed=args.seed,
         latest_only=args.latest_only,
     )
-    lines = report.csv_lines()
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    sys.stdout.write(text)
+    sys.stdout.write("\n".join(report.csv_lines()) + "\n")
     if report.skipped:
         print(f"skipped {report.skipped} frames (latest-only)", file=sys.stderr)
     return 0
@@ -312,15 +287,8 @@ def cmd_recv(args: argparse.Namespace) -> int:
         conn, peer = server.accept()
         with conn:
             messages, skipped = wire.unframe_stream(conn.makefile("rb").read())
-    lines = [
-        f"frame={m.frame_id} entries={len(m.entries)} size={m.encoded_size}"
-        for m in messages
-    ]
-    text = "\n".join(lines) + ("\n" if lines else "")
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    sys.stdout.write(text)
+    for m in messages:
+        print(f"frame={m.frame_id} entries={len(m.entries)} size={m.encoded_size}")
     print(f"received {len(messages)} reports from {peer[0]}, skipped {skipped} bytes", file=sys.stderr)
     return 0
 
@@ -352,16 +320,7 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="aeropipe", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    shared = {
-        "--config": {"help": "flat key-value config file (section.key = value)"},
-        "--seed": {"type": int, "default": 0, "help": "pseudorandom seed"},
-        "--delta": {"type": float, "help": "override decode delta fraction"},
-        "--iou": {"type": float, "help": "override IoU threshold"},
-    }
-
-    def common(p: _Parser, *flags: str) -> None:
-        for flag in flags:
-            p.add_argument(flag, **shared[flag])
+    config_help = "flat key-value config file (section.key = value)"
 
     p = sub.add_parser("encode", help="rasterize annotations into map tensors")
     p.add_argument("--ann", required=True)
@@ -370,22 +329,21 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_encode)
 
     p = sub.add_parser("detect", help="decode boxes from map tensors")
-    common(p, "--config", "--delta")
+    p.add_argument("--config", help=config_help)
     p.add_argument("--maps", required=True, help=".aero file or directory of frame_*.aero")
     p.add_argument("--frame-id", type=_frame_id, help="frame id for single-file input")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_detect)
 
     p = sub.add_parser("synth", help="generate synthetic fixtures")
-    common(p, "--seed")
-    p.add_argument("--kind", choices=("scene", "sequence", "crops"), default="sequence")
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--frames", type=_at_least(1), default=10)
     p.add_argument("--noise", type=_at_least(0, float), default=0.0, help="regression noise amplitude")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("pipeline", help="run the full per-frame loop on a manifest")
-    common(p, "--config", "--delta", "--iou")
+    p.add_argument("--config", help=config_help)
     p.add_argument("--manifest", required=True)
     p.add_argument("--model", help="trained model parameter file")
     p.add_argument("--out", required=True, help="output directory")
@@ -406,11 +364,11 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("bench", help="per-stage latency statistics")
-    common(p, "--config", "--seed", "--delta", "--iou")
+    p.add_argument("--config", help=config_help)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--frames", type=_at_least(1), default=100)
     p.add_argument("--boxes", type=_at_least(0), default=10)
     p.add_argument("--latest-only", action="store_true", help="drop frames that arrive mid-processing")
-    p.add_argument("--out", help="also write the CSV here")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("send", help="stream a reports file to a receiver")
@@ -420,7 +378,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("recv", help="receive one report stream and decode it")
     p.add_argument("--addr", required=True)
-    p.add_argument("--out", help="write decoded summaries here")
     p.set_defaults(func=cmd_recv)
 
     p = sub.add_parser("overlay", help="render annotated boxes into a PPM image")

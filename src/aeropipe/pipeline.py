@@ -35,7 +35,7 @@ from .evaluate import nms
 from .geometry import BBox
 from .synth import SceneConfig, generate_sequence, render_intensity
 from .temporal import ActivityModel, TrackStore, predict
-from .wire import ReportMessage, build_report, encode_message
+from .wire import ReportMessage, build_report, check_header, encode_message
 
 STAGES = ("features", "decode", "attention", "temporal", "nms", "wire")
 BUDGET_STAGES = STAGES[1:]
@@ -269,14 +269,18 @@ class Pipeline:
 
     def run_frame(self, frame: FrameRecord) -> FrameResult:
         """Decode, build features, crop, predict, suppress and serialize one
-        frame. An intensity whose shape is not the maps' (height, width), or
-        that holds NaN, inf or a magnitude above MAX_INTENSITY, raises
-        ValueError before any stage runs; None stands for a zero frame."""
+        frame. Header fields that `check_header` rejects, a map grid with a
+        zero side, and an intensity whose shape is not the maps' (height,
+        width) or that holds NaN, inf or a magnitude above MAX_INTENSITY
+        raise ValueError before any stage runs; None stands for a zero frame."""
+        check_header(frame.frame_id, frame.drone_lat, frame.drone_lon, frame.drone_alt_m)
         if self.last_frame_id is not None and frame.frame_id <= self.last_frame_id:
             raise ValueError(
                 f"frame ids must increase: got {frame.frame_id} after {self.last_frame_id}"
             )
         grid = (frame.maps.height, frame.maps.width)
+        if 0 in grid:
+            raise ValueError(f"map grid {frame.maps.width}x{frame.maps.height} has a zero side")
         if frame.intensity is not None:
             if np.shape(frame.intensity) != grid:
                 raise ValueError(f"intensity shape {np.shape(frame.intensity)} != maps (height, width) {grid}")

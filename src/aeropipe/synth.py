@@ -140,21 +140,8 @@ def _place_boxes(cfg: SceneConfig, rng: SplitMix64, count: int) -> list[BBox]:
 
 
 def generate_scene(cfg: SceneConfig, seed: int) -> Scene:
-    """One labeled frame-0 scene with clean encoded maps; deterministic per seed."""
-    rng = SplitMix64(seed)
-    count = rng.randint(cfg.box_count[0], cfg.box_count[1])
-    boxes = _place_boxes(cfg, rng, count)
-    records = [
-        AnnotationRecord(
-            frame_id=0,
-            box=box,
-            track_id=k,
-            primary_action=rng.randint(0, _VOCAB.n_primary - 1),
-            secondary_action=rng.randint(0, _VOCAB.n_secondary - 1),
-        )
-        for k, box in enumerate(boxes)
-    ]
-    return Scene(frame_id=0, records=records, maps=encode(boxes, cfg.grid))
+    """One labeled scene with clean encoded maps: frame 0 of the seed's sequence."""
+    return generate_sequence(cfg, 1, seed)[0]
 
 
 @dataclass

@@ -29,10 +29,13 @@ other byte passed over is reported as skipped.
 
 from __future__ import annotations
 
+import math
 import struct
 import zlib
 from dataclasses import dataclass, field
 from typing import Iterable
+
+from .annotations import check_frame_id
 
 MAGIC = 0xAE70
 VERSION = 1
@@ -194,6 +197,18 @@ def decode_message(data: bytes) -> ReportMessage:
         entries=tuple(entries),
         flags=flags,
     )
+
+
+def check_header(frame_id: int, drone_lat: float, drone_lon: float, drone_alt_m: float) -> None:
+    """Raise ValueError naming the first field `build_report` cannot put in a
+    header: a frame id outside u32, a non-finite altitude, or a latitude or
+    longitude whose 1e-7 degree fixed point is non-finite or outside i32."""
+    check_frame_id(frame_id, "report header")
+    if not math.isfinite(drone_alt_m):
+        raise ValueError(f"drone_alt_m must be finite, got {drone_alt_m}")
+    for name, degrees in (("drone_lat", drone_lat), ("drone_lon", drone_lon)):
+        if not (math.isfinite(degrees) and -(2**31) <= round(degrees * 1e7) < 2**31):
+            raise ValueError(f"{name} {degrees} does not fit the header's i32 of 1e-7 degrees")
 
 
 def build_report(

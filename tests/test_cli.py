@@ -150,14 +150,6 @@ class TestSynthAndPipeline:
         assert main(["pipeline", "--manifest", str(manifest), "--out", str(tmp_path / "run")]) == 0
         assert rendered == [[BBox(4, 4, 20, 20)], boxes]
 
-    def test_synth_crops(self, tmp_path):
-        out = tmp_path / "crops"
-        assert main(["synth", "--kind", "crops", "--seed", "3", "--out", str(out)]) == 0
-        from aeropipe.tensorio import load_named_tensors
-
-        tensors = load_named_tensors(str(out / "crops.aero"))
-        assert set(tensors) == {"features", "primary_labels", "secondary_labels", "pedestrian"}
-
     @pytest.mark.parametrize(
         "flag",
         [["--config", "cfg.txt"], ["--delta", "0.8"], ["--iou", "0.4"], ["--addr", "h:1"]],
@@ -211,11 +203,10 @@ class TestTrainBenchOverlay:
         assert len(lines) == 4
         assert "holdout_primary_accuracy" in capsys.readouterr().out
 
-    def test_bench_csv(self, tmp_path, capsys):
-        out = tmp_path / "bench.csv"
-        code = main(["bench", "--frames", "4", "--boxes", "2", "--out", str(out)])
+    def test_bench_csv(self, capsys):
+        code = main(["bench", "--frames", "4", "--boxes", "2"])
         assert code == 0
-        lines = open(out).read().splitlines()
+        lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "stage,mean_ms,p95_ms"
         assert len(lines) == 8
 
@@ -242,11 +233,10 @@ class TestWireEndpoints:
         probe.close()
         addr = f"127.0.0.1:{port}"
 
-        recv_out = tmp_path / "recv.txt"
         codes = {}
 
         def run_recv():
-            codes["recv"] = main(["recv", "--addr", addr, "--out", str(recv_out)])
+            codes["recv"] = main(["recv", "--addr", addr])
 
         thread = threading.Thread(target=run_recv)
         thread.start()
@@ -264,7 +254,7 @@ class TestWireEndpoints:
         codes["send"] = code
         thread.join(timeout=10)
         assert codes == {"send": 0, "recv": 0}
-        lines = open(recv_out).read().splitlines()
+        lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("frame=")]
         assert len(lines) == 2
         assert lines[0].startswith("frame=0 entries=")
 
@@ -470,25 +460,25 @@ class TestExitCodes:
         assert "frame 0: box (4, 4, 9010, 20) outside 640x360 grid" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "flags, config",
+        "config",
         [
-            (["--delta", "0"], None),
-            ([], "boxgen.max_filter_window = 4\n"),
-            ([], "stub.scales = 0\n"),
-            ([], "nms.iou_threshold = 5\n"),
-            ([], "nms.score_floor = -0.1\n"),
-            ([], "associate.max_dist = -1\n"),
-            ([], "associate.max_age = -1\n"),
-            ([], "pipeline.frame_period_ms = -5\n"),
-            ([], "stub.local_window = 0\n"),
-            ([], "boxgen.peak_floor = -1\n"),
-            ([], "boxgen.peak_floor = 1\n"),
-            ([], "boxgen.max_box_diag = 0\n"),
-            ([], "attention.sigma_scale = nan\n"),
-            ([], "attention.expand_ratio = inf\n"),
-            ([], "attention.expand_ratio = 1e18\n"),
-            ([], "attention.expand_ratio = nan\n"),
-            ([], "temporal.hidden_size = 1000000000\n"),
+            "boxgen.delta = 0\n",
+            "boxgen.max_filter_window = 4\n",
+            "stub.scales = 0\n",
+            "nms.iou_threshold = 5\n",
+            "nms.score_floor = -0.1\n",
+            "associate.max_dist = -1\n",
+            "associate.max_age = -1\n",
+            "pipeline.frame_period_ms = -5\n",
+            "stub.local_window = 0\n",
+            "boxgen.peak_floor = -1\n",
+            "boxgen.peak_floor = 1\n",
+            "boxgen.max_box_diag = 0\n",
+            "attention.sigma_scale = nan\n",
+            "attention.expand_ratio = inf\n",
+            "attention.expand_ratio = 1e18\n",
+            "attention.expand_ratio = nan\n",
+            "temporal.hidden_size = 1000000000\n",
         ],
         ids=[
             "delta-0", "max-filter-window-4", "stub-scales-0", "nms-iou-5", "nms-score-floor-neg",
@@ -497,12 +487,11 @@ class TestExitCodes:
             "expand-ratio-1e18", "expand-ratio-nan", "removed-temporal-hidden-size",
         ],
     )
-    def test_bad_config_value_is_data_error(self, tmp_path, capsys, flags, config):
+    def test_bad_config_value_is_data_error(self, tmp_path, capsys, config):
         save_maps(str(tmp_path / "maps.aero"), encode([BBox(8, 6, 30, 28)], (40, 36)))
-        if config is not None:
-            (tmp_path / "cfg.txt").write_text(config)
-            flags = [*flags, "--config", str(tmp_path / "cfg.txt")]
-        args = ["detect", "--maps", str(tmp_path / "maps.aero"), "--out", str(tmp_path / "o.txt"), *flags]
+        (tmp_path / "cfg.txt").write_text(config)
+        args = ["detect", "--maps", str(tmp_path / "maps.aero"), "--out", str(tmp_path / "o.txt")]
+        args += ["--config", str(tmp_path / "cfg.txt")]
         assert main(args) == 2
         assert "error:" in capsys.readouterr().err
 
@@ -528,9 +517,9 @@ class TestExitCodes:
 # runs long or allocates much.
 _NUMERIC_FLAGS = {
     "synth": {"--seed": 2**70, "--frames": 3, "--noise": 1e300},
-    "bench": {"--seed": 2**70, "--frames": 3, "--boxes": 12, "--delta": 1e300, "--iou": 1e300},
+    "bench": {"--seed": 2**70, "--frames": 3, "--boxes": 12},
     "train": {"--seed": 2**70, "--epochs": 20},
-    "detect": {"--delta": 1e300, "--frame-id": 2**70},
+    "detect": {"--frame-id": 2**70},
     "overlay": {"--frame-id": 2**70, "--grid": 200},
 }
 

@@ -163,6 +163,43 @@ class TestRunFrame:
             assert len(result.detections) == 4
             assert all(math.isfinite(d.confidence) for d in result.detections)
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"frame_id": 2**32}, "frame id 4294967296 outside 0..4294967295"),
+            ({"frame_id": -1}, "frame id -1 outside 0..4294967295"),
+            ({"drone_lon": 300.0}, "drone_lon 300.0 does not fit"),
+            ({"drone_lat": math.nan}, "drone_lat nan does not fit"),
+        ],
+        ids=["frame-id-2**32", "frame-id-neg", "lon-300", "lat-nan"],
+    )
+    def test_header_fields_are_checked_before_any_stage(self, monkeypatch, fields, message):
+        """Each once failed only in `encode_message` (`struct.error`, or an
+        unnamed ValueError for NaN), after the track store had spawned the
+        frame's tracks and the frame had taken its id."""
+        scene = generate_scene(SceneConfig(box_count=(4, 4)), 22)
+        pipeline = Pipeline(PipelineConfig())
+        with monkeypatch.context() as patch:
+            for stage in ("box_generator", "feature_stub"):
+                patch.setattr(f"aeropipe.pipeline.{stage}", mock.Mock(side_effect=AssertionError(stage)))
+            with pytest.raises(ValueError, match=message):
+                pipeline.run_frame(FrameRecord(**{"frame_id": 0, "maps": scene.maps, **fields}))
+        assert pipeline.last_frame_id is None
+        assert pipeline.store.tracks == [] and pipeline.store._next_id == 0
+        assert len(pipeline.run_frame(FrameRecord(frame_id=0, maps=scene.maps)).detections) == 4
+
+    @pytest.mark.parametrize("grid", [(10, 0), (0, 0), (0, 10)], ids=["10x0", "0x0", "0x10"])
+    def test_map_grid_with_a_zero_side_is_rejected(self, monkeypatch, grid):
+        """`load_maps` rejects these grids; at `run_frame` they once raised
+        IndexError, a numpy indexing ValueError, or ran."""
+        pipeline = Pipeline(PipelineConfig())
+        with monkeypatch.context() as patch:
+            for stage in ("box_generator", "feature_stub"):
+                patch.setattr(f"aeropipe.pipeline.{stage}", mock.Mock(side_effect=AssertionError(stage)))
+            with pytest.raises(ValueError, match=f"map grid {grid[0]}x{grid[1]} has a zero side"):
+                pipeline.run_frame(FrameRecord(frame_id=0, maps=zero_maps(grid)))
+        assert pipeline.last_frame_id is None
+
     def test_frame_working_set_stays_under_six_frame_arrays(self):
         # A seeded crowd_noisy frame, built as perfbench/gen.py builds it.
         cfg = SceneConfig(grid=(640, 360), box_count=(27, 27))

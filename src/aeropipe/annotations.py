@@ -12,6 +12,7 @@ omit it and readers default it to 1.0.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -45,7 +46,10 @@ class AnnotationRecord:
 
 
 def check_frame_id(frame_id: int, where: str) -> int:
-    """`frame_id` if it fits the report header's u32, else ValueError naming `where`."""
+    """`frame_id` if it is an integer that fits the report header's u32,
+    else ValueError naming `where`."""
+    if not isinstance(frame_id, numbers.Integral):
+        raise ValueError(f"frame id {frame_id!r} is not an integer: {where}")
     if not 0 <= frame_id <= 0xFFFFFFFF:
         raise ValueError(f"frame id {frame_id} outside 0..{0xFFFFFFFF}: {where}")
     return frame_id

@@ -32,6 +32,7 @@ from scipy import ndimage
 
 from .densemaps import DenseMaps
 from .geometry import BBox, PixelCoord
+from .worker import both
 
 _EIGHT_CONNECTED = np.ones((3, 3), dtype=int)
 # Neighbour values the peak ring test gathers per piece (at least one offset's worth).
@@ -90,11 +91,18 @@ class CornerCandidates:
 def mask_maps(maps: DenseMaps) -> np.ndarray:
     """Elementwise product S * R per channel; zero outside segmentation.
 
-    Raises ValueError when the product holds a NaN or an infinity.
+    Raises ValueError when the product holds a NaN or an infinity. The
+    worker thread takes channel 1.
     """
-    with np.errstate(invalid="ignore", over="ignore"):  # reported below
-        masked = maps.reg * maps.seg[None, :, :]
-    if not np.isfinite(masked).all():
+    masked = np.empty(maps.reg.shape, np.result_type(maps.reg, maps.seg))
+
+    def channel(c: int) -> bool:
+        # errstate is per thread, so each task sets its own.
+        with np.errstate(invalid="ignore", over="ignore"):  # reported below
+            np.multiply(maps.reg[c], maps.seg, out=masked[c])
+        return bool(np.isfinite(masked[c]).all())
+
+    if not all(both(lambda: channel(0), lambda: channel(1))):
         raise ValueError("dense maps hold non-finite values")
     return masked
 

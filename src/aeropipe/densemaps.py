@@ -33,6 +33,7 @@ import numpy as np
 
 from . import tensorio
 from .geometry import BBox, PixelCoord
+from .worker import both
 
 SEG_CHANNEL = 0
 REG0_CHANNEL = 1
@@ -132,9 +133,12 @@ def load_maps(path: str) -> DenseMaps:
         raise tensorio.TensorFormatError(f"expected dims (3, W, H), got {tensor.shape}")
     if 0 in tensor.shape:
         raise tensorio.TensorFormatError(f"map grid {tensor.shape[1]}x{tensor.shape[2]} has a zero dimension")
-    return DenseMaps(
-        seg=np.ascontiguousarray(tensor[SEG_CHANNEL].T, dtype=np.float64),
-        reg=np.ascontiguousarray(
-            tensor[REG0_CHANNEL : REG1_CHANNEL + 1].transpose(0, 2, 1), dtype=np.float64
-        ),
-    )
+    # One (3, H, W) buffer that `seg` and `reg` view; the worker thread
+    # transposes and widens the last channel while the caller does the rest.
+    grids = np.empty((3, tensor.shape[2], tensor.shape[1]))
+
+    def convert(channels: slice) -> None:
+        grids[channels] = tensor[channels].transpose(0, 2, 1)
+
+    both(lambda: convert(slice(None, REG1_CHANNEL)), lambda: convert(slice(REG1_CHANNEL, None)))
+    return DenseMaps(seg=grids[SEG_CHANNEL], reg=grids[REG0_CHANNEL : REG1_CHANNEL + 1])

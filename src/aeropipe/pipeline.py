@@ -12,8 +12,15 @@ the intensity), and in this order the decode's frame-sized grids (masked
 maps, denoised copy, labels, padded peak channels) are freed before the
 stub allocates its levels, so a frame holds one stage's working set at a
 time, not both. The larger is the stub's: its scale-1 level plus its
-row-sweep buffer, five frame-sized float64 arrays. `run_frame` peaks at 5.1
-of them on a noisy 27-box 640x360 frame, against 8.7 with the stub first.
+row-sweep buffer, five frame-sized float64 arrays, while the worker thread
+takes the coarser block means (half an array more). `run_frame` peaks at
+5.4 to 5.6 of them on a noisy 27-box 640x360 frame, against 8.7 with the
+stub first.
+
+One worker thread (`worker.both`) gives a frame a second core: it runs the
+stub's coarser block means, its second level and half its scale-1 rows,
+the mask's channel 1 and one map channel's conversion in `load_maps`, each
+into arrays nothing else writes, so the bytes are those of a serial run.
 """
 
 from __future__ import annotations
@@ -36,6 +43,7 @@ from .geometry import BBox
 from .synth import SceneConfig, generate_sequence, render_intensity
 from .temporal import ActivityModel, TrackStore, predict
 from .wire import ReportMessage, build_report, check_header, encode_message
+from .worker import both
 
 STAGES = ("features", "decode", "attention", "temporal", "nms", "wire")
 BUDGET_STAGES = STAGES[1:]
@@ -172,8 +180,9 @@ def _downsample(frame: np.ndarray, factor: int) -> np.ndarray:
     if factor >= 8 or out_w < 2 or not frame.flags.c_contiguous:
         return frame.reshape(out_h, factor, out_w, factor).mean(axis=(1, 3))
     out = np.zeros((out_h, out_w))
+    row = np.empty_like(out)
     for a in range(factor):
-        row = frame[a::factor, 0::factor].copy()
+        np.copyto(row, frame[a::factor, 0::factor])
         for b in range(1, factor):
             row += frame[a::factor, b::factor]
         out += row
@@ -214,6 +223,29 @@ def _sweep_rows(stack: np.ndarray, size: int) -> None:
     np.divide(sums, size, out=stack)
 
 
+def _swept_level(down: np.ndarray, level: np.ndarray | None = None) -> np.ndarray:
+    """A level's (intensity, mean, square) stack with the vertical pass of
+    the mean and the square done, in `level` when given."""
+    if level is None:
+        level = np.empty((3, *down.shape))
+    level[0] = level[1] = down
+    np.multiply(down, down, out=level[2])
+    _sweep_rows(level[1:], LOCAL_WINDOW)
+    return level
+
+
+def _finish_rows(level: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
+    """Horizontal pass, then variance, over `rows` of a swept level. Each
+    line of the stack is filtered on its own, so any split of the rows
+    gives the same bytes."""
+    local = level[1:, rows]
+    ndimage.uniform_filter1d(local, LOCAL_WINDOW, axis=2, mode="nearest", output=local)
+    mean, var = level[1, rows], level[2, rows]
+    var -= mean * mean
+    np.clip(var, 0.0, None, out=var)
+    return level
+
+
 def feature_stub(intensity: np.ndarray) -> FeatureGrid:
     """Deterministic multiscale features from a grayscale frame.
 
@@ -225,22 +257,30 @@ def feature_stub(intensity: np.ndarray) -> FeatureGrid:
     The vertical pass of the box filter is `_sweep_rows`, which repeats
     scipy's running sum in scipy's order and so gives scipy's bytes; scipy
     runs the horizontal pass.
+
+    While the caller builds and sweeps the first scale's level, the worker
+    thread takes the coarser block means. Then the worker finishes the lower
+    half of the first level's rows and builds the second scale's level; the
+    caller finishes the upper half and builds the rest.
     """
     frame = np.asarray(intensity, dtype=np.float64)
-    levels = []
-    for scale in STUB_SCALES:
-        down = _downsample(frame, scale)
-        level = np.empty((3, *down.shape))
-        level[0] = level[1] = down
-        np.multiply(down, down, out=level[2])
-        # One pass for both: each line of the stack is filtered on its own.
-        local = level[1:]
-        _sweep_rows(local, LOCAL_WINDOW)
-        ndimage.uniform_filter1d(local, LOCAL_WINDOW, axis=2, mode="nearest", output=local)
-        level[2] -= level[1] * level[1]
-        np.clip(level[2], 0.0, None, out=level[2])
-        levels.append((scale, level))
-    return FeatureGrid(frame.shape, levels)
+    first, *coarse = STUB_SCALES
+    fine, downs = both(
+        lambda: _swept_level(_downsample(frame, first)),
+        lambda: [_downsample(frame, scale) for scale in coarse],
+    )
+    half = fine.shape[1] // 2
+    # The caller allocates the worker's levels too, in the memory the first
+    # level's sweep buffer just freed; a worker thread's own allocations
+    # grow a heap of their own.
+    coarser = [(down, np.empty((3, *down.shape))) for down in downs]
+
+    def finish(rows: slice, pairs: list) -> list[np.ndarray]:
+        _finish_rows(fine, rows)
+        return [_finish_rows(_swept_level(down, level)) for down, level in pairs]
+
+    rest, second = both(lambda: finish(slice(None, half), coarser[1:]), lambda: finish(slice(half, None), coarser[:1]))
+    return FeatureGrid(frame.shape, list(zip(STUB_SCALES, [fine, *second, *rest])))
 
 
 @dataclass
@@ -272,7 +312,8 @@ class Pipeline:
         frame. Header fields that `check_header` rejects, a map grid with a
         zero side, and an intensity whose shape is not the maps' (height,
         width) or that holds NaN, inf or a magnitude above MAX_INTENSITY
-        raise ValueError before any stage runs; None stands for a zero frame."""
+        raise ValueError before any stage runs; None stands for a zero frame.
+        A frame takes its id only once the decode has accepted its maps."""
         check_header(frame.frame_id, frame.drone_lat, frame.drone_lon, frame.drone_alt_m)
         if self.last_frame_id is not None and frame.frame_id <= self.last_frame_id:
             raise ValueError(
@@ -288,7 +329,6 @@ class Pipeline:
             lo, hi = np.min(frame.intensity, initial=0.0), np.max(frame.intensity, initial=0.0)
             if not -MAX_INTENSITY <= lo <= hi <= MAX_INTENSITY:
                 raise ValueError(f"intensity must be finite and within +-2**500, got values in [{lo}, {hi}]")
-        self.last_frame_id = frame.frame_id
         timings: dict[str, float] = {}
 
         # Decode first: its frame-sized grids are freed before the stub
@@ -296,6 +336,8 @@ class Pipeline:
         start = time.perf_counter()
         boxes = box_generator(frame.maps, self.cfg.boxgen)
         timings["decode"] = (time.perf_counter() - start) * 1e3
+        # Maps the decode rejects (ValueError) leave the frame id free.
+        self.last_frame_id = frame.frame_id
 
         start = time.perf_counter()
         intensity = frame.intensity if frame.intensity is not None else np.zeros(grid)

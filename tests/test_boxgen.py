@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -93,6 +94,24 @@ class TestNonFiniteMaps:
         maps.seg[0, 0] = bad  # outside the box, where the regression is 0
         with pytest.raises(ValueError, match="non-finite"):
             box_generator(maps)
+
+
+    @pytest.mark.parametrize("channel", [0, 1])
+    @pytest.mark.parametrize(
+        "reg, seg",
+        [(np.nan, 1.0), (np.inf, 1.0), (-np.inf, 1.0), (np.inf, 0.0), (1e200, 1e200), (-1e200, 1e200)],
+        ids=["nan", "inf", "-inf", "inf-times-0", "overflow", "-overflow"],
+    )
+    def test_non_finite_product_rejected_without_a_warning(self, channel, reg, seg):
+        """Each channel's product is taken on its own thread, each under
+        its own errstate, so neither may warn."""
+        maps = encode([BBox(8, 6, 30, 28)], (40, 36))
+        maps.reg[channel, 12, 12] = reg
+        maps.seg[12, 12] = seg
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite"):
+                mask_maps(maps)
 
 
 class TestRemoveNoise:

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import sys
+import threading
 import tracemalloc
 from unittest import mock
 
@@ -168,10 +170,11 @@ class TestRunFrame:
         [
             ({"frame_id": 2**32}, "frame id 4294967296 outside 0..4294967295"),
             ({"frame_id": -1}, "frame id -1 outside 0..4294967295"),
+            ({"frame_id": 1.5}, "frame id 1.5 is not an integer"),
             ({"drone_lon": 300.0}, "drone_lon 300.0 does not fit"),
             ({"drone_lat": math.nan}, "drone_lat nan does not fit"),
         ],
-        ids=["frame-id-2**32", "frame-id-neg", "lon-300", "lat-nan"],
+        ids=["frame-id-2**32", "frame-id-neg", "frame-id-1.5", "lon-300", "lat-nan"],
     )
     def test_header_fields_are_checked_before_any_stage(self, monkeypatch, fields, message):
         """Each once failed only in `encode_message` (`struct.error`, or an
@@ -187,6 +190,21 @@ class TestRunFrame:
         assert pipeline.last_frame_id is None
         assert pipeline.store.tracks == [] and pipeline.store._next_id == 0
         assert len(pipeline.run_frame(FrameRecord(frame_id=0, maps=scene.maps)).detections) == 4
+
+    def test_maps_the_decode_rejects_leave_the_frame_id_free(self):
+        """Such a frame once took its id, so a retry with good maps failed
+        "frame ids must increase"."""
+        scene = generate_scene(SceneConfig(box_count=(4, 4)), 22)
+        bad = dataclasses.replace(scene.maps, reg=scene.maps.reg.copy())
+        bad.reg[1, 5, 7] = np.nan
+        pipeline = Pipeline(PipelineConfig())
+        pipeline.run_frame(FrameRecord(frame_id=4, maps=scene.maps))
+        tracks = [(t.track_id, t.last_box, t.age) for t in pipeline.store.tracks]
+        with pytest.raises(ValueError, match="non-finite"):
+            pipeline.run_frame(FrameRecord(frame_id=5, maps=bad))
+        assert pipeline.last_frame_id == 4
+        assert [(t.track_id, t.last_box, t.age) for t in pipeline.store.tracks] == tracks
+        assert len(pipeline.run_frame(FrameRecord(frame_id=5, maps=scene.maps)).detections) == 4
 
     @pytest.mark.parametrize("grid", [(10, 0), (0, 0), (0, 10)], ids=["10x0", "0x0", "0x10"])
     def test_map_grid_with_a_zero_side_is_rejected(self, monkeypatch, grid):
@@ -219,8 +237,9 @@ class TestRunFrame:
         # Decode runs first and frees its grids (masked maps, denoised copy,
         # labels, padded peak channels) before the stub starts, so the most
         # any stage holds is the stub's scale-1 level (3 frame-sized float64
-        # arrays) plus its row-sweep buffer (2). One array of headroom; with
-        # the stub first the two stages' arrays overlapped, at 8.7 arrays.
+        # arrays) plus its row-sweep buffer (2), while the worker thread
+        # takes the coarser block means (0.5). Half an array of headroom;
+        # with the stub first the two stages' arrays overlapped, at 8.7.
         assert peak <= 6 * 360 * 640 * 8
 
     def test_frame_order_enforced(self):
@@ -286,6 +305,37 @@ class TestRunFrame:
                 run.append(pipeline.run_frame(frame).payload)
             payloads.append(b"".join(run))
         assert payloads[0] == payloads[1]
+
+    def test_pipelines_on_several_threads_match_serial_runs(self):
+        """Three pipelines on three threads, more than the cores, share the
+        one worker thread, whose tasks then queue; none may wait on another's
+        task or read another's arrays."""
+        grid = (320, 180)
+        sequences = [generate_sequence(SceneConfig(grid=grid, box_count=(5, 5)), frames=4, seed=s) for s in (31, 32, 33)]
+
+        def run(scenes):
+            pipeline = Pipeline(model=ActivityModel.build(math.prod(CROP_SHAPE), seed=9))
+            return [
+                pipeline.run_frame(FrameRecord(s.frame_id, s.maps, render_intensity(s.records, grid))).payload
+                for s in scenes
+            ]
+
+        together: list = [None] * len(sequences)
+        threads = [
+            threading.Thread(target=lambda i=i: together.__setitem__(i, run(sequences[i])), daemon=True)
+            for i in range(len(sequences))
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert together == [run(scenes) for scenes in sequences]
 
     def test_detections_are_annotation_records_that_round_trip(self, tmp_path):
         scenes = generate_sequence(SceneConfig(box_count=(4, 4)), frames=4, seed=26)

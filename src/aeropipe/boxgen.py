@@ -1,11 +1,14 @@
 """Decode dense maps back into bounding boxes.
 
 The decode runs four stages: mask the regression grid with the
-segmentation grid, drop tiny connected patches, find the pixels of each
-channel that are the maximum of their window (channel 0 maxima are
-top-left corner candidates, channel 1 maxima bottom-right), then combine
-corner pairs into boxes and keep those whose enclosed area is at least a
-``delta`` fraction segmented.
+segmentation grid, drop connected patches under MIN_PATCH_AREA pixels,
+find the pixels of each channel above PEAK_FLOOR that are the maximum of
+their PEAK_WINDOW window (channel 0 maxima are top-left corner
+candidates, channel 1 maxima bottom-right), then combine corner pairs into
+boxes and keep those whose enclosed area is at least a ``delta`` fraction
+segmented. Only ``delta`` is configurable. A pair whose diagonal exceeds
+half the grid diagonal is not a candidate, so a box that large is not
+decoded.
 
 Only masking and denoising pass over the whole grid. Peak finding tests
 only the pixels above the peak floor, against their window ring by ring,
@@ -39,45 +42,29 @@ _EIGHT_CONNECTED = np.ones((3, 3), dtype=int)
 _GATHER_LIMIT = 1 << 20
 
 
+# The decode's geometry follows from the map encoding and the scene rules.
+# A true corner carries a regression value of exactly 1, so a floor in
+# [0, 1) rejects mid-box plateaus without touching real corners. The peak
+# window must stay small enough that same-channel corners of distinct boxes
+# never share a window: half the window below min box side + gap keeps
+# clean decodes exact. It must also be large enough that regression noise
+# cannot raise a duplicate peak outside the true corner's window; 13 holds
+# both for boxes >= 8 px with >= 3 px gaps under 0.05-amplitude noise.
+# Support patches smaller than MIN_PATCH_AREA pixels are noise.
+PEAK_WINDOW = 13
+PEAK_FLOOR = 0.5
+MIN_PATCH_AREA = 9
+
+
 @dataclass
 class BoxGeneratorConfig:
-    """Decode knobs.
-
-    delta is the minimum segmented fraction a candidate box must enclose.
-    A true corner carries a regression value of exactly 1, so a peak_floor
-    in [0, 1) rejects mid-box plateaus without touching real corners.
-    max_box_diag of None means "half the grid diagonal", resolved per call.
-
-    The window must stay small enough that same-channel corners of
-    distinct boxes never share a window: half the window below
-    min box side + gap keeps clean decodes exact. It must also be large
-    enough that regression noise cannot raise a duplicate peak outside the
-    true corner's window; 13 holds both for boxes >= 8 px with >= 3 px
-    gaps under 0.05-amplitude noise.
-    """
+    """delta is the minimum segmented fraction a candidate box must enclose."""
 
     delta: float = 0.9
-    max_filter_window: int = 13
-    min_patch_area: int = 9
-    max_box_diag: float | None = None
-    peak_floor: float = 0.5
 
     def __post_init__(self) -> None:
         if not 0.0 < self.delta <= 1.0:
             raise ValueError(f"delta must be in (0, 1], got {self.delta}")
-        if self.max_filter_window < 3 or self.max_filter_window % 2 == 0:
-            raise ValueError(f"max_filter_window must be odd and >= 3, got {self.max_filter_window}")
-        if self.min_patch_area < 1:
-            raise ValueError(f"min_patch_area must be >= 1, got {self.min_patch_area}")
-        if not 0.0 <= self.peak_floor < 1.0:
-            raise ValueError(f"peak_floor must be in [0, 1), got {self.peak_floor}")
-        if self.max_box_diag is not None and not self.max_box_diag > 0.0:
-            raise ValueError(f"max_box_diag must be positive, got {self.max_box_diag}")
-
-    def resolved_diag(self, grid: tuple[int, int]) -> float:
-        if self.max_box_diag is not None:
-            return self.max_box_diag
-        return math.hypot(grid[0], grid[1]) / 2.0
 
 
 @dataclass
@@ -210,15 +197,15 @@ def _channel_peaks(values: np.ndarray, window: int, floor: float) -> list[PixelC
     return list(zip(xs[heads].tolist(), ys[heads].tolist()))
 
 
-def find_peaks(masked: np.ndarray, cfg: BoxGeneratorConfig) -> CornerCandidates:
+def find_peaks(masked: np.ndarray) -> CornerCandidates:
     """Per-channel local maxima of the masked regression grid.
 
     Masking guarantees any pixel above the (nonnegative) floor lies on
     segmented support.
     """
     return CornerCandidates(
-        p1=_channel_peaks(masked[0], cfg.max_filter_window, cfg.peak_floor),
-        p2=_channel_peaks(masked[1], cfg.max_filter_window, cfg.peak_floor),
+        p1=_channel_peaks(masked[0], PEAK_WINDOW, PEAK_FLOOR),
+        p2=_channel_peaks(masked[1], PEAK_WINDOW, PEAK_FLOOR),
     )
 
 
@@ -229,14 +216,14 @@ def generate_boxes(
 
     A pair (a, b) forms a candidate only when b lies strictly right of and
     below a by at least the 2 px minimum box side, with diagonal at most
-    max_box_diag. The kept set is deduplicated and sorted by
+    half the grid diagonal. The kept set is deduplicated and sorted by
     (y0, x0, y1, x1).
 
     All p1 x p2 pairs are tested in one broadcast; the segmented pixels of
     each surviving pair are counted directly on the segmentation grid.
     """
     height, width = seg.shape
-    max_diag = cfg.resolved_diag((width, height))
+    max_diag = math.hypot(width, height) / 2.0
     p1 = np.array(candidates.p1, dtype=np.int64).reshape(-1, 2)
     p2 = np.array(candidates.p2, dtype=np.int64).reshape(-1, 2)
     dx = p2[None, :, 0] - p1[:, 0, None]
@@ -258,6 +245,6 @@ def box_generator(maps: DenseMaps, cfg: BoxGeneratorConfig | None = None) -> lis
     """Full decode: mask, denoise, peak-find, combine, filter."""
     cfg = cfg or BoxGeneratorConfig()
     masked = mask_maps(maps)
-    masked = remove_noise(masked, cfg.min_patch_area)
-    candidates = find_peaks(masked, cfg)
+    masked = remove_noise(masked, MIN_PATCH_AREA)
+    candidates = find_peaks(masked)
     return generate_boxes(candidates, maps.seg, cfg)

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 import time
-import types
 import typing
 from dataclasses import dataclass, field
 
@@ -101,13 +100,6 @@ class PipelineConfig:
     pipeline: LoopConfig = field(default_factory=LoopConfig)
 
 
-def _parse_value(hint, raw: str):
-    """Parse `raw` as the annotated type, `X | None` as X."""
-    if isinstance(hint, types.UnionType):
-        (hint,) = (arg for arg in typing.get_args(hint) if arg is not type(None))
-    return hint(raw)
-
-
 def parse_config_file(path: str) -> dict[str, str]:
     """Flat `section.key = value` pairs; blank lines and # comments skipped."""
     values: dict[str, str] = {}
@@ -123,7 +115,7 @@ def parse_config_file(path: str) -> dict[str, str]:
     return values
 
 
-def config_keys() -> dict[str, object]:
+def config_keys() -> dict[str, type]:
     """Every valid config-file key, `section.field`, with its annotated type."""
     return {
         f"{name}.{attr}": hint
@@ -142,7 +134,7 @@ def config_from_mapping(values: dict[str, str]) -> PipelineConfig:
         if key not in keys:
             raise ValueError(f"unknown config key {key!r}")
         section, _, attr = key.partition(".")
-        overrides[section][attr] = _parse_value(keys[key], raw)
+        overrides[section][attr] = keys[key](raw)
     return PipelineConfig(**{name: sections[name](**kw) for name, kw in overrides.items()})
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from aeropipe.boxgen import (
+    PEAK_FLOOR,
     BoxGeneratorConfig,
     CornerCandidates,
     box_generator,
@@ -47,16 +48,7 @@ class TestConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             BoxGeneratorConfig(delta=0.0)
-        with pytest.raises(ValueError):
-            BoxGeneratorConfig(max_filter_window=4)
-        with pytest.raises(ValueError):
-            BoxGeneratorConfig(min_patch_area=0)
         BoxGeneratorConfig(delta=1.0)
-
-    def test_default_diag_is_half_grid_diagonal(self):
-        cfg = BoxGeneratorConfig()
-        assert cfg.resolved_diag((640, 360)) == pytest.approx(np.hypot(640, 360) / 2)
-        assert BoxGeneratorConfig(max_box_diag=50.0).resolved_diag((640, 360)) == 50.0
 
 
 class TestMaskMaps:
@@ -159,32 +151,33 @@ class TestFindPeaks:
     def test_single_box_single_peak_per_channel(self):
         box = BBox(5, 7, 25, 30)
         maps = encode([box], (40, 40))
-        cands = find_peaks(mask_maps(maps), BoxGeneratorConfig())
+        cands = find_peaks(mask_maps(maps))
         assert cands.p1 == [(box.x0, box.y0)]
         assert cands.p2 == [(box.x1, box.y1)]
 
     def test_zero_grid_no_candidates(self):
-        cands = find_peaks(np.zeros((2, 20, 20)), BoxGeneratorConfig())
+        cands = find_peaks(np.zeros((2, 20, 20)))
         assert cands.p1 == [] and cands.p2 == []
 
     def test_two_disjoint_boxes(self):
         a = BBox(2, 2, 14, 14)
         b = BBox(24, 20, 36, 34)
         maps = encode([a, b], (48, 48))
-        cands = find_peaks(mask_maps(maps), BoxGeneratorConfig())
+        cands = find_peaks(mask_maps(maps))
         assert sorted(cands.p1) == sorted([(a.x0, a.y0), (b.x0, b.y0)])
         assert sorted(cands.p2) == sorted([(a.x1, a.y1), (b.x1, b.y1)])
 
     def test_peak_floor_rejects_low_values(self):
         grid = np.zeros((2, 20, 20))
-        grid[0, 10, 10] = 0.4
-        assert find_peaks(grid, BoxGeneratorConfig(peak_floor=0.5)).p1 == []
-        assert find_peaks(grid, BoxGeneratorConfig(peak_floor=0.3)).p1 == [(10, 10)]
+        grid[0, 10, 10] = PEAK_FLOOR
+        assert find_peaks(grid).p1 == []
+        grid[0, 10, 10] = np.nextafter(PEAK_FLOOR, 1.0)
+        assert find_peaks(grid).p1 == [(10, 10)]
 
     def test_plateau_keeps_lexicographically_smallest(self):
         grid = np.zeros((2, 20, 20))
         grid[0, 8, 9:12] = 0.8  # flat 3-pixel plateau
-        cands = find_peaks(grid, BoxGeneratorConfig())
+        cands = find_peaks(grid)
         assert cands.p1 == [(9, 8)]
 
 
@@ -198,11 +191,12 @@ class TestGenerateBoxes:
     def test_cross_combinations_fail_delta(self):
         a = BBox(2, 2, 14, 14)
         b = BBox(40, 40, 52, 52)
-        maps = encode([a, b], (64, 64))
+        # On 160x160 the cross pair (diagonal 70.7) passes the diagonal test.
+        maps = encode([a, b], (160, 160))
         cands = CornerCandidates(
             p1=[(a.x0, a.y0), (b.x0, b.y0)], p2=[(a.x1, a.y1), (b.x1, b.y1)]
         )
-        out = generate_boxes(cands, maps.seg, BoxGeneratorConfig(max_box_diag=1000.0))
+        out = generate_boxes(cands, maps.seg, BoxGeneratorConfig())
         assert out == [a, b]
 
     def test_reversed_pair_skipped(self):
@@ -212,8 +206,9 @@ class TestGenerateBoxes:
 
     def test_delta_fraction_matches_brute_force(self):
         rng = np.random.default_rng(5)
-        seg = (rng.random((30, 30)) < 0.7).astype(float)
-        cfg = BoxGeneratorConfig(delta=0.72, max_box_diag=100.0)
+        # Padded to 80x80 so that every pair passes the diagonal test.
+        seg = np.pad(rng.random((30, 30)) < 0.7, (0, 50)).astype(float)
+        cfg = BoxGeneratorConfig(delta=0.72)
         p1 = [(2, 3), (10, 1)]
         p2 = [(25, 27), (14, 9)]
         out = generate_boxes(CornerCandidates(p1, p2), seg, cfg)
@@ -232,19 +227,21 @@ class TestGenerateBoxes:
         assert out == sorted(expected, key=lambda b: (b.y0, b.x0, b.y1, b.x1))
 
     def test_diagonal_cap(self):
-        maps = encode([BBox(0, 0, 30, 30)], (40, 40))
+        """The box's diagonal, 42.4, exceeds half of 40x40's (28.3) and not
+        half of 64x64's (45.3)."""
         cands = CornerCandidates(p1=[(0, 0)], p2=[(30, 30)])
-        assert generate_boxes(cands, maps.seg, BoxGeneratorConfig(max_box_diag=10.0)) == []
-        assert generate_boxes(cands, maps.seg, BoxGeneratorConfig(max_box_diag=50.0)) != []
-
+        for side, decoded in ((40, []), (64, [BBox(0, 0, 30, 30)])):
+            maps = encode([BBox(0, 0, 30, 30)], (side, side))
+            assert generate_boxes(cands, maps.seg, BoxGeneratorConfig()) == decoded
 
     def test_diagonal_cap_is_inclusive_to_the_last_bit(self):
-        # np.hypot(17, 27) rounds one ulp above math.hypot(17, 27).
+        # np.hypot(17, 27) rounds one ulp above math.hypot(17, 27), which is
+        # exactly half the diagonal of a 34x54 grid.
+        assert math.hypot(34, 54) / 2 == math.hypot(17, 27)
         box = BBox(3, 2, 20, 29)
-        maps = encode([box], (32, 32))
+        maps = encode([box], (34, 54))
         cands = CornerCandidates(p1=[(3, 2)], p2=[(20, 29)])
-        cfg = BoxGeneratorConfig(max_box_diag=math.hypot(17, 27))
-        assert generate_boxes(cands, maps.seg, cfg) == [box]
+        assert generate_boxes(cands, maps.seg, BoxGeneratorConfig()) == [box]
 
 
 class TestBoxGenerator:

@@ -5,11 +5,14 @@ implementation: a maximum filter and a labelling pass over the whole grid
 per channel, a summed-area table and a Python loop over corner pairs. The
 decode must return exactly what they return, on maps built to stress the
 support-only paths: support on every grid edge, tied plateaus, regression
-noise, segmentation bit flips and empty maps.
+noise, segmentation bit flips and empty maps. The peak window, peak
+floor and patch area are constants of `aeropipe.boxgen`; the tests patch
+them to reach other values.
 """
 
 import math
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -118,11 +121,11 @@ def _full_grid_generate_boxes(
 
     A pair (a, b) forms a candidate only when b lies strictly right of and
     below a by at least the 2 px minimum box side, with diagonal at most
-    max_box_diag. The kept set is deduplicated and sorted by
+    half the grid diagonal. The kept set is deduplicated and sorted by
     (y0, x0, y1, x1).
     """
     height, width = seg.shape
-    max_diag = cfg.resolved_diag((width, height))
+    max_diag = math.hypot(width, height) / 2.0
     # Summed-area table: occupied(y1, x1) - ... gives segmented pixel counts.
     integral = np.zeros((height + 1, width + 1), dtype=np.int64)
     integral[1:, 1:] = np.cumsum(np.cumsum(seg > 0, axis=0), axis=1)
@@ -146,16 +149,22 @@ def _full_grid_generate_boxes(
     return [BBox(*t) for t in sorted(kept, key=lambda t: (t[1], t[0], t[3], t[2]))]
 
 
-def _full_grid_find_peaks(masked, cfg):
+def _full_grid_find_peaks(masked, window, floor):
     return CornerCandidates(
-        p1=_full_grid_channel_peaks(masked[0], cfg.max_filter_window, cfg.peak_floor),
-        p2=_full_grid_channel_peaks(masked[1], cfg.max_filter_window, cfg.peak_floor),
+        p1=_full_grid_channel_peaks(masked[0], window, floor),
+        p2=_full_grid_channel_peaks(masked[1], window, floor),
     )
 
 
-def _full_grid_box_generator(maps, cfg):
-    masked = _full_grid_remove_noise(mask_maps(maps), cfg.min_patch_area)
-    return _full_grid_generate_boxes(_full_grid_find_peaks(masked, cfg), maps.seg, cfg)
+def _full_grid_box_generator(maps, cfg, knobs):
+    masked = _full_grid_remove_noise(mask_maps(maps), knobs["MIN_PATCH_AREA"])
+    candidates = _full_grid_find_peaks(masked, knobs["PEAK_WINDOW"], knobs["PEAK_FLOOR"])
+    return _full_grid_generate_boxes(candidates, maps.seg, cfg)
+
+
+def _knobs(window=boxgen.PEAK_WINDOW, floor=boxgen.PEAK_FLOOR, area=boxgen.MIN_PATCH_AREA):
+    """Values for the decode's constants, to patch in with `mock.patch.multiple`."""
+    return {"PEAK_WINDOW": window, "PEAK_FLOOR": floor, "MIN_PATCH_AREA": area}
 
 
 @st.composite
@@ -171,7 +180,8 @@ def _boxes(draw, width, height):
 @st.composite
 def _decode_inputs(draw):
     """Encoded boxes, then optional noise, quantisation, bit flips and a
-    support frame around the whole grid; plus a decode config."""
+    support frame around the whole grid; plus a decode config and values
+    for the decode's constants."""
     width = draw(st.integers(8, 48))
     height = draw(st.integers(8, 40))
     boxes = draw(st.lists(_boxes(width, height), max_size=6))
@@ -190,16 +200,16 @@ def _decode_inputs(draw):
         edge[1:-1, 1:-1] = False
         seg[edge] = 1.0
         reg[:, edge] = np.round(rng.random((2, int(edge.sum()))) * 4) / 4
-    cfg = BoxGeneratorConfig(
-        delta=draw(st.sampled_from([0.5, 0.9, 1.0])),
-        max_filter_window=draw(st.sampled_from([3, 5, 13, 21, 101])),
-        min_patch_area=draw(st.sampled_from([1, 9])),
-        peak_floor=draw(st.sampled_from([0.0, 0.3, 0.5])),
+    cfg = BoxGeneratorConfig(delta=draw(st.sampled_from([0.5, 0.9, 1.0])))
+    knobs = _knobs(
+        window=draw(st.sampled_from([3, 5, 13, 21, 101])),
+        area=draw(st.sampled_from([1, 9])),
+        floor=draw(st.sampled_from([0.0, 0.3, 0.5])),
     )
-    return DenseMaps(seg=seg, reg=reg), cfg
+    return DenseMaps(seg=seg, reg=reg), cfg, knobs
 
 
-_EMPTY = (encode([], (20, 12)), BoxGeneratorConfig())
+_EMPTY = (encode([], (20, 12)), BoxGeneratorConfig(), _knobs())
 _SETTINGS = settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
 
@@ -207,22 +217,24 @@ _SETTINGS = settings(max_examples=300, deadline=None, suppress_health_check=[Hea
 @given(_decode_inputs())
 @example(_EMPTY)
 def test_remove_noise_matches_full_grid(inputs):
-    maps, cfg = inputs
+    maps, _, knobs = inputs
     masked = mask_maps(maps)
     before = masked.copy()
-    out = remove_noise(masked, cfg.min_patch_area)
+    out = remove_noise(masked, knobs["MIN_PATCH_AREA"])
     np.testing.assert_array_equal(masked, before)
-    np.testing.assert_array_equal(out, _full_grid_remove_noise(masked, cfg.min_patch_area))
+    np.testing.assert_array_equal(out, _full_grid_remove_noise(masked, knobs["MIN_PATCH_AREA"]))
 
 
 @_SETTINGS
 @given(_decode_inputs())
 @example(_EMPTY)
 def test_find_peaks_matches_full_grid(inputs):
-    maps, cfg = inputs
-    masked = remove_noise(mask_maps(maps), cfg.min_patch_area)
+    maps, _, knobs = inputs
+    masked = remove_noise(mask_maps(maps), knobs["MIN_PATCH_AREA"])
     before = masked.copy()
-    assert find_peaks(masked, cfg) == _full_grid_find_peaks(masked, cfg)
+    with mock.patch.multiple(boxgen, **knobs):
+        found = find_peaks(masked)
+    assert found == _full_grid_find_peaks(masked, knobs["PEAK_WINDOW"], knobs["PEAK_FLOOR"])
     np.testing.assert_array_equal(masked, before)
 
 
@@ -230,7 +242,7 @@ def test_find_peaks_matches_full_grid(inputs):
 @given(_decode_inputs(), st.data())
 def test_generate_boxes_matches_full_grid(inputs, data):
     """Arbitrary corner lists, repeats included."""
-    maps, cfg = inputs
+    maps, cfg, _ = inputs
     corner = st.tuples(st.integers(0, maps.width - 1), st.integers(0, maps.height - 1))
     cands = CornerCandidates(
         p1=data.draw(st.lists(corner, max_size=12)), p2=data.draw(st.lists(corner, max_size=12))
@@ -242,8 +254,10 @@ def test_generate_boxes_matches_full_grid(inputs, data):
 @given(_decode_inputs())
 @example(_EMPTY)
 def test_box_generator_matches_full_grid(inputs):
-    maps, cfg = inputs
-    assert box_generator(maps, cfg) == _full_grid_box_generator(maps, cfg)
+    maps, cfg, knobs = inputs
+    with mock.patch.multiple(boxgen, **knobs):
+        decoded = box_generator(maps, cfg)
+    assert decoded == _full_grid_box_generator(maps, cfg, knobs)
 
 
 @pytest.mark.parametrize("window", [13, 21, 41])
@@ -261,21 +275,23 @@ def test_higher_pixel_exactly_half_a_window_away(window, direction):
         for step, value in enumerate((0.7, 0.8, 0.9)):
             values[y + dy * half * step, x + dx * half * step] = value
         masked = np.stack([values, values.T])
-        cfg = BoxGeneratorConfig(max_filter_window=window)
-        assert find_peaks(masked, cfg) == _full_grid_find_peaks(masked, cfg)
+        with mock.patch.multiple(boxgen, **_knobs(window=window)):
+            found = find_peaks(masked)
+        assert found == _full_grid_find_peaks(masked, window, boxgen.PEAK_FLOOR)
 
 
 @pytest.mark.parametrize("window", [3, 13, 101])
 def test_ring_gathered_in_small_pieces(monkeypatch, window):
     """Rings split into pieces of a few offsets give the same peaks."""
     monkeypatch.setattr(boxgen, "_GATHER_LIMIT", 7)
+    monkeypatch.setattr(boxgen, "PEAK_WINDOW", window)
+    monkeypatch.setattr(boxgen, "PEAK_FLOOR", 0.3)
     rng = np.random.default_rng(window)
     for levels in (2, 8, 0):
         values = rng.random((2, 30, 44))
         if levels:
             values = np.round(values * levels) / levels
-        cfg = BoxGeneratorConfig(max_filter_window=window, peak_floor=0.3)
-        assert find_peaks(values, cfg) == _full_grid_find_peaks(values, cfg)
+        assert find_peaks(values) == _full_grid_find_peaks(values, window, 0.3)
 
 
 def test_window_far_wider_than_the_grid():
@@ -285,11 +301,11 @@ def test_window_far_wider_than_the_grid():
     half-window loop would take."""
     rng = np.random.default_rng(16)
     values = np.round(rng.random((2, 36, 40)) * 4) / 4
-    cfg = BoxGeneratorConfig(max_filter_window=10**6 + 1)
     start = time.perf_counter()
-    found = find_peaks(values, cfg)
+    with mock.patch.multiple(boxgen, **_knobs(window=10**6 + 1)):
+        found = find_peaks(values)
     assert time.perf_counter() - start < 5.0
-    assert found == _full_grid_find_peaks(values, cfg)
+    assert found == _full_grid_find_peaks(values, 10**6 + 1, boxgen.PEAK_FLOOR)
 
 
 @settings(max_examples=100, deadline=None)

@@ -4,6 +4,7 @@ import re
 import socket
 import tempfile
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -73,7 +74,7 @@ class TestSynthAndPipeline:
         main(["synth", "--seed", "5", "--frames", "3", "--out", str(data)])
         run = tmp_path / "run"
         assert main(["pipeline", "--manifest", str(data / "manifest.txt"), "--out", str(run)]) == 0
-        reports = open(run / "reports.bin", "rb").read()
+        reports = (run / "reports.bin").read_bytes()
         messages, skipped = unframe_stream(reports)
         assert skipped == 0
         assert len(messages) == 3
@@ -198,7 +199,7 @@ class TestTrainBenchOverlay:
         ])
         assert code == 0
         assert model_path.exists()
-        lines = open(curve_path).read().splitlines()
+        lines = curve_path.read_text().splitlines()
         assert lines[0] == "epoch,loss"
         assert len(lines) == 4
         assert "holdout_primary_accuracy" in capsys.readouterr().out
@@ -215,7 +216,7 @@ class TestTrainBenchOverlay:
         _write_gt(ann, [BBox(4, 4, 20, 20)])
         out = tmp_path / "frame.ppm"
         assert main(["overlay", "--ann", str(ann), "--grid", "64x48", "--out", str(out)]) == 0
-        raw = open(out, "rb").read()
+        raw = out.read_bytes()
         assert raw.startswith(b"P6\n64 48\n255\n")
         assert len(raw) == len(b"P6\n64 48\n255\n") + 64 * 48 * 3
 
@@ -564,13 +565,13 @@ def test_generated_argv_never_exits_with_an_internal_error(case):
         assert main([command, *required, *flags]) in (0, 1, 2)
 
 
-_README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+_README = Path(__file__).parent.parent / "README.md"
 
 
 def _readme_commands():
     """Each `aeropipe ...` line of README.md's command-line block, without
     its comment and a trailing `&`."""
-    text = open(_README, encoding="utf-8").read()
+    text = _README.read_text(encoding="utf-8")
     block = re.search(r"## Command line\n.*?```bash\n(.*?)```", text, re.S).group(1)
     lines = [line.split("#")[0].strip().removesuffix("&").split() for line in block.splitlines()]
     return [line[1:] for line in lines if line[:1] == ["aeropipe"]]
@@ -586,16 +587,15 @@ def test_readme_commands_parse():
 
 
 def test_readme_config_keys_exist():
-    """The config text of README.md's command-line section names only keys
-    that `config_keys()` accepts, and lists exactly `PipelineConfig`'s
+    """The config text of README.md's command-line section names exactly
+    the keys `config_keys()` accepts, and lists exactly `PipelineConfig`'s
     sections."""
-    text = open(_README, encoding="utf-8").read()
+    text = _README.read_text(encoding="utf-8")
     section = re.search(r"## Command line\n(.*?)\n## ", text, re.S).group(1)
     prose = re.sub(r"```.*?```", "", section, flags=re.S)
     named = re.findall(r"`([a-z_]+\.[a-z_]+)(?:\s*=[^`]*)?`", prose)
     keys = [key for key in named if not key.startswith("section.")]
-    assert len(keys) >= 5
-    assert set(keys) <= set(pipeline.config_keys())
+    assert set(keys) == set(pipeline.config_keys())
     listed = re.search(r"`PipelineConfig`, whose \w+ sections are (.*?);", prose, re.S).group(1)
     sections = [f.name for f in dataclasses.fields(pipeline.PipelineConfig)]
     assert re.findall(r"`(\w+)`", listed) == sections

@@ -1,4 +1,5 @@
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -218,7 +219,7 @@ class TestMapsFile:
 
 def _load_tensor_reference(path: str) -> np.ndarray:
     """A well-formed single-tensor file decoded from its bytes in one piece."""
-    raw = open(path, "rb").read()
+    raw = Path(path).read_bytes()
     tag, rank = raw[5], raw[6]
     dims = struct.unpack_from(f"<{rank}I", raw, 7)
     dtype = np.dtype("<f4") if tag == 0 else np.dtype("<f8")

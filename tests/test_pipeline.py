@@ -378,10 +378,6 @@ class TestConfigFile:
     def test_derived_keys(self):
         assert sorted(config_keys()) == sorted([
             "boxgen.delta",
-            "boxgen.max_filter_window",
-            "boxgen.min_patch_area",
-            "boxgen.max_box_diag",
-            "boxgen.peak_floor",
             "attention.expand_ratio",
             "attention.sigma_scale",
             "nms.iou_threshold",
@@ -393,27 +389,24 @@ class TestConfigFile:
 
     def test_default_values_round_trip(self):
         defaults = PipelineConfig()
-        checked = 0
         for key in config_keys():
             section, _, attr = key.partition(".")
             value = getattr(getattr(defaults, section), attr)
-            if value is None:
-                continue
             cfg = config_from_mapping({key: str(value)})
             got = getattr(getattr(cfg, section), attr)
             assert got == value and type(got) is type(value), key
             assert cfg == defaults, key
-            checked += 1
-        assert checked == 11
-
-    def test_optional_keys_parse_as_their_type(self):
-        cfg = config_from_mapping({"boxgen.max_box_diag": "30"})
-        assert cfg.boxgen.max_box_diag == 30.0
-        assert type(cfg.boxgen.max_box_diag) is float
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown config key"):
             config_from_mapping({"nope.nope": "1"})
+
+    @pytest.mark.parametrize(
+        "key", ["boxgen.max_filter_window", "boxgen.min_patch_area", "boxgen.max_box_diag", "boxgen.peak_floor"]
+    )
+    def test_decode_constants_have_no_key(self, key):
+        with pytest.raises(ValueError, match=f"unknown config key '{key}'"):
+            config_from_mapping({key: "13"})
 
     def test_frame_period_keeps_every_u32_frame_timestamp_in_u64(self):
         top = config_from_mapping({"pipeline.frame_period_ms": "4294967297"})

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -423,7 +424,7 @@ class TestModelPersistence:
         # deterministic bytes
         path2 = str(tmp_path / "model2.aero")
         save_model(path2, model)
-        assert open(path, "rb").read() == open(path2, "rb").read()
+        assert Path(path).read_bytes() == Path(path2).read_bytes()
 
     @pytest.mark.parametrize(
         "name, shape", [("cell.bn_c.gamma", (1,)), ("heads.w_conf", (1, 1)), ("heads.w_primary", (5,))]

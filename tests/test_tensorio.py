@@ -1,5 +1,6 @@
 import io
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -52,7 +53,7 @@ def test_bad_magic(tmp_path):
 def test_truncated_payload(tmp_path):
     path = str(tmp_path / "t.aero")
     tensorio.save_tensor(path, np.ones((4, 4), dtype=np.float32))
-    data = open(path, "rb").read()
+    data = Path(path).read_bytes()
     with open(path, "wb") as fh:
         fh.write(data[:-8])
     with pytest.raises(tensorio.TensorFormatError, match="truncated"):
@@ -77,7 +78,7 @@ def test_dense_maps_file_layout(tmp_path):
     """The normative header: magic, version, f32 tag, rank, u32 dims."""
     path = str(tmp_path / "t.aero")
     tensorio.save_tensor(path, np.zeros((3, 5, 2), dtype=np.float32))
-    raw = open(path, "rb").read()
+    raw = Path(path).read_bytes()
     assert raw[:4] == b"AERO"
     assert raw[4] == 1  # version
     assert raw[5] == 0  # dtype tag f32
@@ -118,7 +119,7 @@ def test_declared_size_checked_before_reading():
 def test_non_utf8_record_name_is_format_error(tmp_path):
     path = str(tmp_path / "params.aero")
     tensorio.save_named_tensors(path, {"w": np.ones(2)})
-    data = bytearray(open(path, "rb").read())
+    data = bytearray(Path(path).read_bytes())
     data[11] = 0xFF  # the one-byte name "w"
     with pytest.raises(tensorio.TensorFormatError, match="utf-8"):
         tensorio.load_named_tensors(_write(path, bytes(data)))

@@ -292,6 +292,9 @@ class Pipeline:
         self.model = model or ActivityModel.build(size)
         if self.model.cell.input_size != size:
             raise ValueError(f"model input size {self.model.cell.input_size} != crop size {size}")
+        vocab = self.model.heads.vocab
+        if max(vocab.n_primary, vocab.n_secondary) > 256:
+            raise ValueError(f"model has {vocab.n_primary} and {vocab.n_secondary} action labels; u8 report actions hold 256")
         self.store = TrackStore(
             hidden_size=self.model.cell.hidden_size,
             max_dist=self.cfg.associate.max_dist,
@@ -302,18 +305,19 @@ class Pipeline:
     def run_frame(self, frame: FrameRecord) -> FrameResult:
         """Decode, build features, crop, predict, suppress and serialize one
         frame. Header fields that `check_header` rejects, a map grid with a
-        zero side, and an intensity whose shape is not the maps' (height,
-        width) or that holds NaN, inf or a magnitude above MAX_INTENSITY
-        raise ValueError before any stage runs; None stands for a zero frame.
-        A frame takes its id only once the decode has accepted its maps."""
+        zero side or one above 65536 px (report boxes are u16), and an
+        intensity whose shape is not the maps' (height, width) or that holds
+        NaN, inf or a magnitude above MAX_INTENSITY raise ValueError before
+        any stage runs; None stands for a zero frame. A frame takes its id
+        only once the decode has accepted its maps."""
         check_header(frame.frame_id, frame.drone_lat, frame.drone_lon, frame.drone_alt_m)
         if self.last_frame_id is not None and frame.frame_id <= self.last_frame_id:
             raise ValueError(
                 f"frame ids must increase: got {frame.frame_id} after {self.last_frame_id}"
             )
         grid = (frame.maps.height, frame.maps.width)
-        if 0 in grid:
-            raise ValueError(f"map grid {frame.maps.width}x{frame.maps.height} has a zero side")
+        if not 0 < min(grid) <= max(grid) <= 2**16:
+            raise ValueError(f"map grid {frame.maps.width}x{frame.maps.height} has a zero side or one above 65536 px")
         if frame.intensity is not None:
             if np.shape(frame.intensity) != grid:
                 raise ValueError(f"intensity shape {np.shape(frame.intensity)} != maps (height, width) {grid}")

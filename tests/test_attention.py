@@ -15,9 +15,6 @@ from aeropipe.attention import (
     LOCAL_WINDOW,
     STUB_SCALES,
     AttentionConfig,
-    CropFeature,
-    CropWindow,
-    FeatureGrid,
     attention_map,
     crop_and_resize,
     expanded_window,
@@ -25,6 +22,15 @@ from aeropipe.attention import (
 from aeropipe.geometry import BBox, center
 from aeropipe import pipeline
 from aeropipe.pipeline import _downsample, _sweep_rows, feature_stub
+from reference import (
+    _crop_and_resize_reference,
+    _dense,
+    _feature_stub_reference,
+    _grid,
+    _reshape_mean_reference,
+    _stacked_stub_reference,
+    _two_temporary_crop_reference,
+)
 
 
 def _scalar_attention(box, cfg, ix, iy):
@@ -36,21 +42,6 @@ def _scalar_attention(box, cfg, ix, iy):
         (iy - cy) / (cfg.sigma_scale * box.height)
     ) ** 2
     return math.exp(-0.5 * q)
-
-
-def _grid(dense):
-    """A dense (D, H, W) array as a one-level, scale-1 feature grid."""
-    dense = np.asarray(dense, dtype=np.float64)
-    return FeatureGrid(dense.shape[1:], [(1, dense)])
-
-
-def _dense(grid):
-    """The (D, H, W) tensor of a feature grid, each level upsampled."""
-    height, width = grid.shape
-    return np.concatenate([
-        np.repeat(np.repeat(array, scale, axis=1), scale, axis=2)[:, :height, :width]
-        for scale, array in grid.levels
-    ])
 
 
 class TestExpandedWindow:
@@ -223,92 +214,10 @@ class TestCropAndResize:
 
 
 # ---------------------------------------------------------------------------
-# Reference: the dense-tensor stub and crop path, kept verbatim. The stub
-# upsampled every scale to a (D, H, W) tensor; crops copied the whole
+# The stub and crops against the dense-tensor path (`reference.py`): the
+# stub upsampled every scale to a (D, H, W) tensor; crops copied the whole
 # expanded window and resized it.
 # ---------------------------------------------------------------------------
-
-
-def _downsample_reference(frame: np.ndarray, factor: int) -> np.ndarray:
-    """Block-average by `factor`, edge-padding to a multiple first."""
-    if factor == 1:
-        return frame
-    h, w = frame.shape
-    pad_h = (-h) % factor
-    pad_w = (-w) % factor
-    padded = np.pad(frame, ((0, pad_h), (0, pad_w)), mode="edge")
-    return padded.reshape(
-        (h + pad_h) // factor, factor, (w + pad_w) // factor, factor
-    ).mean(axis=(1, 3))
-
-
-def _upsample_reference(grid: np.ndarray, factor: int, shape: tuple[int, int]) -> np.ndarray:
-    if factor == 1:
-        return grid
-    full = np.repeat(np.repeat(grid, factor, axis=0), factor, axis=1)
-    return full[: shape[0], : shape[1]]
-
-
-def _feature_stub_reference(intensity: np.ndarray) -> np.ndarray:
-    """Deterministic (D, H, W) dense features from a grayscale frame.
-
-    Per scale: the block-averaged intensity upsampled back to frame size,
-    its local mean, and its local variance (window `LOCAL_WINDOW` at the
-    downsampled resolution, nearest-edge handling).
-    """
-    frame = np.asarray(intensity, dtype=np.float64)
-    shape = frame.shape
-    channels: list[np.ndarray] = []
-    for scale in STUB_SCALES:
-        down = _downsample_reference(frame, scale)
-        mean = ndimage.uniform_filter(down, size=LOCAL_WINDOW, mode="nearest")
-        sq_mean = ndimage.uniform_filter(down * down, size=LOCAL_WINDOW, mode="nearest")
-        var = np.clip(sq_mean - mean * mean, 0.0, None)
-        channels.append(_upsample_reference(down, scale, shape))
-        channels.append(_upsample_reference(mean, scale, shape))
-        channels.append(_upsample_reference(var, scale, shape))
-    return np.stack(channels)
-
-
-def _extract_window_reference(features: np.ndarray, win: CropWindow) -> np.ndarray:
-    """Copy the window from a (C, H, W) grid, zero-filling beyond the frame."""
-    channels, height, width = features.shape
-    out = np.zeros((channels, win.size, win.size), dtype=np.float64)
-    x_lo, x_hi = max(win.x0, 0), min(win.x0 + win.size, width)
-    y_lo, y_hi = max(win.y0, 0), min(win.y0 + win.size, height)
-    if x_lo < x_hi and y_lo < y_hi:
-        out[:, y_lo - win.y0 : y_hi - win.y0, x_lo - win.x0 : x_hi - win.x0] = features[
-            :, y_lo:y_hi, x_lo:x_hi
-        ]
-    return out
-
-
-def _resize_square_reference(stack: np.ndarray, out_size: int) -> np.ndarray:
-    """Bilinear (C, M, M) -> (C, out, out) with half-pixel-center sampling."""
-    m = stack.shape[-1]
-    if m == out_size:
-        return stack.copy()
-    src = (np.arange(out_size, dtype=np.float64) + 0.5) * (m / out_size) - 0.5
-    src = np.clip(src, 0.0, m - 1.0)
-    lo = np.floor(src).astype(int)
-    hi = np.minimum(lo + 1, m - 1)
-    frac = src - lo
-    rows = stack[:, lo, :] * (1.0 - frac)[None, :, None] + stack[:, hi, :] * frac[None, :, None]
-    return rows[:, :, lo] * (1.0 - frac)[None, None, :] + rows[:, :, hi] * frac[None, None, :]
-
-
-def _crop_and_resize_reference(features: np.ndarray, b: BBox, cfg: AttentionConfig) -> CropFeature:
-    """Expanded-window crop of the feature grid with its attention channel.
-
-    The window is cut from the (D, H, W) grid with zero fill outside the
-    frame, resized square-to-square to CROP_SIDE, and the equally resized
-    attention map is appended as channel D + 1.
-    """
-    attn = attention_map(b, cfg)
-    window = _extract_window_reference(np.asarray(features, dtype=np.float64), attn.window)
-    stack = np.concatenate([window, attn.values[None, :, :]], axis=0)
-    resized = _resize_square_reference(stack, CROP_SIDE)
-    return CropFeature(resized)
 
 
 # Frames from 1x1 up, with sides below the largest scale, in C order, in
@@ -386,26 +295,10 @@ def test_crops_equal_the_reference_crops_at_every_offset():
 
 
 # ---------------------------------------------------------------------------
-# Verbatim copy of the reshape-mean `_downsample` that the strided block sum
-# replaced. The strided sum must equal it byte for byte, signed zeros
-# included, not only under `np.array_equal`.
+# The strided block sum against the reshape-mean `_downsample` it replaced
+# (`reference.py`): byte for byte, signed zeros included, not only under
+# `np.array_equal`.
 # ---------------------------------------------------------------------------
-
-
-def _reshape_mean_reference(frame: np.ndarray, factor: int) -> np.ndarray:
-    """Block-average by `factor`, edge-padding to a multiple first."""
-    if factor == 1:
-        return frame
-    h, w = frame.shape
-    pad_h = (-h) % factor
-    pad_w = (-w) % factor
-    # np.pad returns a copy; without padding a C-ordered frame already has
-    # the copy's layout, so the block means sum in the same order.
-    if pad_h or pad_w or not frame.flags.c_contiguous:
-        frame = np.pad(frame, ((0, pad_h), (0, pad_w)), mode="edge")
-    return frame.reshape(
-        (h + pad_h) // factor, factor, (w + pad_w) // factor, factor
-    ).mean(axis=(1, 3))
 
 
 @st.composite
@@ -473,26 +366,10 @@ def test_stub_levels_are_the_two_call_levels_byte_for_byte(case):
 
 
 # ---------------------------------------------------------------------------
-# Verbatim copy of the stub before levels took their vertical pass from
-# `_sweep_rows`: one stacked scipy call per level.
-# The row sweep must equal it byte for byte, signed zeros included.
+# The row sweep against the stub before levels took their vertical pass
+# from `_sweep_rows`, one stacked scipy call per level (`reference.py`):
+# byte for byte, signed zeros included.
 # ---------------------------------------------------------------------------
-
-
-def _stacked_stub_reference(intensity: np.ndarray) -> FeatureGrid:
-    frame = np.asarray(intensity, dtype=np.float64)
-    levels = []
-    for scale in STUB_SCALES:
-        down = _downsample(frame, scale)
-        level = np.empty((3, *down.shape))
-        level[0] = level[1] = down
-        np.multiply(down, down, out=level[2])
-        # One call for both: scipy filters each line of the stack on its own.
-        ndimage.uniform_filter(level[1:], size=LOCAL_WINDOW, axes=(1, 2), mode="nearest", output=level[1:])
-        level[2] -= level[1] * level[1]
-        np.clip(level[2], 0.0, None, out=level[2])
-        levels.append((scale, level))
-    return FeatureGrid(frame.shape, levels)
 
 
 def _signed_values(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
@@ -568,46 +445,11 @@ def test_every_level_is_swept(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Verbatim copy of `crop_and_resize` before it took its taps from
+# The crops against `crop_and_resize` before it took its taps from
 # `_resize_taps`, its gather index became one `np.add.outer` and each resize
-# pass one product plus an in-place add. The crops must equal it byte for
-# byte, signed zeros included, not only under `np.array_equal`.
+# pass one product plus an in-place add (`reference.py`): byte for byte,
+# signed zeros included, not only under `np.array_equal`.
 # ---------------------------------------------------------------------------
-
-
-def _two_temporary_crop_reference(features: FeatureGrid, b: BBox, cfg: AttentionConfig) -> CropFeature:
-    height, width = features.shape
-    win = expanded_window(b, cfg)
-    m, n = win.size, CROP_SIDE
-    if m == n:
-        taps = np.arange(m)
-    else:
-        src = np.minimum(np.maximum((np.arange(n) + 0.5) * (m / n) - 0.5, 0.0), m - 1.0)
-        lo = src.astype(int)
-        frac = src - lo
-        taps = np.concatenate([lo, np.minimum(lo + 1, m - 1)])
-    ys = win.y0 + taps
-    xs = win.x0 + taps
-    iy = np.minimum(np.maximum(ys, 0), height - 1)
-    ix = np.minimum(np.maximum(xs, 0), width - 1)
-    stack = np.empty((features.depth + 1, len(taps), len(taps)))
-    c = 0
-    for scale, array in features.levels:
-        flat = (iy // scale * array.shape[2])[:, None] + ix // scale
-        k = len(array)
-        # The indices are in range; mode "clip" lets take write into out
-        # without an intermediate buffer.
-        np.take(array.reshape(k, -1), flat, axis=1, out=stack[c : c + k], mode="clip")
-        c += k
-    if win.y0 < 0 or win.y1 >= height:
-        stack[:c, (ys < 0) | (ys >= height), :] = 0.0
-    if win.x0 < 0 or win.x1 >= width:
-        stack[:c, :, (xs < 0) | (xs >= width)] = 0.0
-    stack[c] = attention._attention_at(b, cfg, xs, ys)
-    if m != n:
-        rows = stack[:, :n, :] * (1.0 - frac)[None, :, None] + stack[:, n:, :] * frac[None, :, None]
-        stack = rows[:, :, :n] * (1.0 - frac)[None, None, :] + rows[:, :, n:] * frac[None, None, :]
-    return CropFeature(stack)
 
 
 @st.composite

@@ -1,6 +1,6 @@
 """The support-only decode against the full-grid decode it replaced.
 
-The `_full_grid_*` functions below are verbatim copies of the full-grid
+The `_full_grid_*` functions in `reference.py` are the full-grid
 implementation: a maximum filter and a labelling pass over the whole grid
 per channel, a summed-area table and a Python loop over corner pairs. The
 decode must return exactly what they return, on maps built to stress the
@@ -10,7 +10,6 @@ floor and patch area are constants of `aeropipe.boxgen`; the tests patch
 them to reach other values.
 """
 
-import math
 import time
 from unittest import mock
 
@@ -18,7 +17,6 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
-from scipy import ndimage
 
 from aeropipe import boxgen
 from aeropipe.boxgen import (
@@ -31,140 +29,15 @@ from aeropipe.boxgen import (
     remove_noise,
 )
 from aeropipe.densemaps import DenseMaps, encode
-from aeropipe.geometry import BBox, PixelCoord
+from aeropipe.geometry import BBox
 from aeropipe.synth import SceneConfig, SceneGenerationError, generate_scene
-
-_EIGHT_CONNECTED = np.ones((3, 3), dtype=int)
-
-
-def _full_grid_remove_noise(masked: np.ndarray, min_patch_area: int) -> np.ndarray:
-    """Zero 8-connected support patches smaller than min_patch_area.
-
-    Support is the set of pixels where either channel is nonzero; both
-    channels of a removed patch are cleared.
-    """
-    support = (masked[0] > 0) | (masked[1] > 0)
-    labels, count = ndimage.label(support, structure=_EIGHT_CONNECTED)
-    if count == 0:
-        return masked.copy()
-    areas = np.bincount(labels.ravel(), minlength=count + 1)
-    tiny = areas < min_patch_area
-    tiny[0] = False
-    out = masked.copy()
-    out[:, tiny[labels]] = 0.0
-    return out
-
-
-class _UnionFind:
-    def __init__(self, n: int) -> None:
-        self.parent = list(range(n))
-
-    def find(self, i: int) -> int:
-        while self.parent[i] != i:
-            self.parent[i] = self.parent[self.parent[i]]
-            i = self.parent[i]
-        return i
-
-    def union(self, i: int, j: int) -> None:
-        self.parent[self.find(j)] = self.find(i)
-
-
-def _full_grid_channel_peaks(values: np.ndarray, window: int, floor: float) -> list[PixelCoord]:
-    """Window-maximum pixels above the floor, one per tied plateau.
-
-    Candidates carrying the same value inside each other's window both
-    equal the shared window maximum, so they are one plateau; plateaus are
-    grouped transitively (8-connected flats first, then equal-valued
-    groups whose pixels come within half a window of each other) and each
-    group keeps its lexicographically smallest (i_y, i_x) pixel. Equal
-    peaks farther apart, such as corners of distinct boxes, stay separate.
-    """
-    local_max = ndimage.maximum_filter(values, size=window, mode="constant", cval=0.0)
-    cand = (values == local_max) & (values > floor)
-    if not cand.any():
-        return []
-    labels, _ = ndimage.label(cand, structure=_EIGHT_CONNECTED)
-    ys, xs = np.nonzero(cand)  # row-major: lexicographic (i_y, i_x) order
-    comp = labels[ys, xs]
-    comp_ids, first, comp_index = np.unique(comp, return_index=True, return_inverse=True)
-
-    half = window // 2
-    uf = _UnionFind(len(comp_ids))
-    by_value: dict[float, list[int]] = {}
-    for i in range(len(ys)):
-        by_value.setdefault(float(values[ys[i], xs[i]]), []).append(i)
-    for members in by_value.values():
-        if len({int(comp_index[m]) for m in members}) == 1:
-            continue
-        my = ys[members]
-        mx = xs[members]
-        close = (np.abs(my[:, None] - my[None, :]) <= half) & (
-            np.abs(mx[:, None] - mx[None, :]) <= half
-        )
-        for a, b in zip(*np.nonzero(close)):
-            uf.union(int(comp_index[members[a]]), int(comp_index[members[b]]))
-
-    best: dict[int, int] = {}
-    for k, f in enumerate(first):
-        root = uf.find(k)
-        if root not in best or f < best[root]:
-            best[root] = int(f)
-    peaks = [(int(xs[i]), int(ys[i])) for i in best.values()]
-    peaks.sort(key=lambda p: (p[1], p[0]))
-    return peaks
-
-
-def _full_grid_generate_boxes(
-    candidates: CornerCandidates, seg: np.ndarray, cfg: BoxGeneratorConfig
-) -> list[BBox]:
-    """Combine corner candidates and keep delta-segmented boxes.
-
-    A pair (a, b) forms a candidate only when b lies strictly right of and
-    below a by at least the 2 px minimum box side, with diagonal at most
-    half the grid diagonal. The kept set is deduplicated and sorted by
-    (y0, x0, y1, x1).
-    """
-    height, width = seg.shape
-    max_diag = math.hypot(width, height) / 2.0
-    # Summed-area table: occupied(y1, x1) - ... gives segmented pixel counts.
-    integral = np.zeros((height + 1, width + 1), dtype=np.int64)
-    integral[1:, 1:] = np.cumsum(np.cumsum(seg > 0, axis=0), axis=1)
-
-    kept: set[tuple[int, int, int, int]] = set()
-    for ax, ay in candidates.p1:
-        for bx, by in candidates.p2:
-            if bx - ax < 2 or by - ay < 2:
-                continue
-            if math.hypot(bx - ax, by - ay) > max_diag:
-                continue
-            total = (bx - ax + 1) * (by - ay + 1)
-            occupied = int(
-                integral[by + 1, bx + 1]
-                - integral[ay, bx + 1]
-                - integral[by + 1, ax]
-                + integral[ay, ax]
-            )
-            if occupied / total >= cfg.delta:
-                kept.add((ax, ay, bx, by))
-    return [BBox(*t) for t in sorted(kept, key=lambda t: (t[1], t[0], t[3], t[2]))]
-
-
-def _full_grid_find_peaks(masked, window, floor):
-    return CornerCandidates(
-        p1=_full_grid_channel_peaks(masked[0], window, floor),
-        p2=_full_grid_channel_peaks(masked[1], window, floor),
-    )
-
-
-def _full_grid_box_generator(maps, cfg, knobs):
-    masked = _full_grid_remove_noise(mask_maps(maps), knobs["MIN_PATCH_AREA"])
-    candidates = _full_grid_find_peaks(masked, knobs["PEAK_WINDOW"], knobs["PEAK_FLOOR"])
-    return _full_grid_generate_boxes(candidates, maps.seg, cfg)
-
-
-def _knobs(window=boxgen.PEAK_WINDOW, floor=boxgen.PEAK_FLOOR, area=boxgen.MIN_PATCH_AREA):
-    """Values for the decode's constants, to patch in with `mock.patch.multiple`."""
-    return {"PEAK_WINDOW": window, "PEAK_FLOOR": floor, "MIN_PATCH_AREA": area}
+from reference import (
+    _full_grid_box_generator,
+    _full_grid_find_peaks,
+    _full_grid_generate_boxes,
+    _full_grid_remove_noise,
+    _knobs,
+)
 
 
 @st.composite

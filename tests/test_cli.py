@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import os
 import re
 import socket
@@ -12,11 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aeropipe import cli, pipeline
+from aeropipe.attention import CROP_SHAPE
 from aeropipe.annotations import AnnotationRecord, read_annotations, write_annotations
 from aeropipe.cli import build_parser, main
 from aeropipe.densemaps import encode, load_maps, save_maps
 from aeropipe.geometry import BBox
 from aeropipe.synth import SceneGenerationError, render_intensity
+from aeropipe.temporal import ActionVocabulary, ActivityModel, save_model
 from aeropipe.wire import unframe_stream
 
 
@@ -131,6 +134,20 @@ class TestSynthAndPipeline:
         assert code == 0
         preds = read_annotations(str(run / "predictions.txt"))
         assert preds and all(0.0 <= p.confidence <= 1.0 for p in preds)
+
+    def test_pipeline_rejects_a_model_with_more_action_labels_than_a_report_byte(self, tmp_path, capsys):
+        labels = ActionVocabulary(primary_labels=tuple(f"p{i}" for i in range(300)))
+        model = ActivityModel.build(math.prod(CROP_SHAPE), hidden_size=2, vocab=labels)
+        model.heads.b_primary[-1] = 1.0
+        save_model(str(tmp_path / "model.aero"), model)
+        main(["synth", "--seed", "6", "--frames", "2", "--out", str(tmp_path / "data")])
+        capsys.readouterr()
+        code = main([
+            "pipeline", "--manifest", str(tmp_path / "data" / "manifest.txt"),
+            "--model", str(tmp_path / "model.aero"), "--out", str(tmp_path / "run"),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == "error: model has 300 and 5 action labels; u8 report actions hold 256\n"
 
     def test_pipeline_reads_each_lines_annotation_file(self, tmp_path, monkeypatch):
         grid = (64, 48)

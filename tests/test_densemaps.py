@@ -1,6 +1,3 @@
-import struct
-from pathlib import Path
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -9,10 +6,6 @@ from hypothesis.extra import numpy as hnp
 
 from aeropipe import tensorio
 from aeropipe.densemaps import (
-    REG0_CHANNEL,
-    REG1_CHANNEL,
-    SEG_CHANNEL,
-    DenseMaps,
     decode_pixel,
     encode,
     load_maps,
@@ -20,6 +13,7 @@ from aeropipe.densemaps import (
     zero_maps,
 )
 from aeropipe.geometry import BBox
+from reference import _encode_two_pass, _load_maps_reference
 
 
 def _random_box(rng, grid=(64, 64), max_side=30):
@@ -217,27 +211,6 @@ class TestMapsFile:
             load_maps(path)
 
 
-def _load_tensor_reference(path: str) -> np.ndarray:
-    """A well-formed single-tensor file decoded from its bytes in one piece."""
-    raw = Path(path).read_bytes()
-    tag, rank = raw[5], raw[6]
-    dims = struct.unpack_from(f"<{rank}I", raw, 7)
-    dtype = np.dtype("<f4") if tag == 0 else np.dtype("<f8")
-    return np.frombuffer(raw, dtype=dtype, offset=7 + 4 * rank).reshape(dims).copy()
-
-
-def _load_maps_reference(path: str) -> DenseMaps:
-    """The loader that converted all three channels, then copied again."""
-    tensor = _load_tensor_reference(path)
-    if tensor.ndim != 3 or tensor.shape[0] != 3:
-        raise tensorio.TensorFormatError(f"expected dims (3, W, H), got {tensor.shape}")
-    grids = tensor.transpose(0, 2, 1).astype(np.float64)
-    return DenseMaps(
-        seg=np.ascontiguousarray(grids[SEG_CHANNEL]),
-        reg=np.ascontiguousarray(grids[[REG0_CHANNEL, REG1_CHANNEL]]),
-    )
-
-
 @st.composite
 def _map_tensors(draw):
     dtype = draw(st.sampled_from([np.float32, np.float64]))
@@ -256,55 +229,6 @@ def test_load_maps_equals_reference_loader(tmp_path_factory, tensor):
         assert got.dtype == want.dtype == np.float64 and got.shape == want.shape
         assert got.flags.c_contiguous
         assert got.tobytes() == want.tobytes()
-
-
-def _encode_two_pass(boxes, grid):
-    """The two-pass `encode` (assign every pixel, then fill), kept verbatim
-    as the reference for the one-pass version."""
-    width, height = grid
-    for b in boxes:
-        if not b.within_grid(width, height):
-            raise ValueError(f"box {b.as_tuple()} outside {width}x{height} grid")
-
-    maps = zero_maps(grid)
-    if not boxes:
-        return maps
-
-    # Assignment pass: nearest box center wins each contested pixel.
-    owner = np.full((height, width), -1, dtype=np.int32)
-    best_d2 = np.full((height, width), np.inf, dtype=np.float64)
-    best_area = np.full((height, width), np.inf, dtype=np.float64)
-    for k, b in enumerate(boxes):
-        ys = np.arange(b.y0, b.y1 + 1, dtype=np.float64)
-        xs = np.arange(b.x0, b.x1 + 1, dtype=np.float64)
-        cx = (b.x0 + b.x1) / 2.0
-        cy = (b.y0 + b.y1) / 2.0
-        d2 = (ys[:, None] - cy) ** 2 + (xs[None, :] - cx) ** 2
-        win = (slice(b.y0, b.y1 + 1), slice(b.x0, b.x1 + 1))
-        closer = d2 < best_d2[win]
-        tie_smaller = (d2 == best_d2[win]) & (b.area < best_area[win])
-        take = closer | tie_smaller
-        owner[win][take] = k
-        best_d2[win][take] = d2[take]
-        best_area[win][take] = b.area
-
-    # Fill pass: write each box's projections on the pixels it owns.
-    # cos(theta) = W / alpha and sin(theta) = H / alpha, so each channel is
-    # an integer numerator over the integer W^2 + H^2: corner peaks come
-    # out exactly 1.0 and values never leave [0, 1].
-    for k, b in enumerate(boxes):
-        alpha_sq = float(b.width**2 + b.height**2)
-        ys = np.arange(b.y0, b.y1 + 1, dtype=np.float64)
-        xs = np.arange(b.x0, b.x1 + 1, dtype=np.float64)
-        r0 = ((b.x1 - xs)[None, :] * b.width + (b.y1 - ys)[:, None] * b.height) / alpha_sq
-        r1 = ((xs - b.x0)[None, :] * b.width + (ys - b.y0)[:, None] * b.height) / alpha_sq
-        win = (slice(b.y0, b.y1 + 1), slice(b.x0, b.x1 + 1))
-        mine = owner[win] == k
-        maps.reg[0][win][mine] = r0[mine]
-        maps.reg[1][win][mine] = r1[mine]
-
-    maps.seg[owner >= 0] = 1.0
-    return maps
 
 
 @st.composite

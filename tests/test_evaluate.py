@@ -6,13 +6,13 @@ from hypothesis import strategies as st
 from aeropipe.annotations import AnnotationRecord
 from aeropipe.evaluate import (
     EvalConfig,
-    _ap_from_flags,
     _interpolated_ap,
     action_map,
     evaluate_map,
     nms,
 )
 from aeropipe.geometry import BBox, iou
+from reference import _reference_action_map, _reference_interpolated_ap, _reference_nms
 
 
 def _det(x0, y0, x1, y1, conf, primary=None, secondary=None, frame=0, track=-1):
@@ -24,31 +24,6 @@ def _det(x0, y0, x1, y1, conf, primary=None, secondary=None, frame=0, track=-1):
         secondary_action=-1 if secondary is None else int(np.argmax(secondary)),
         confidence=conf,
     )
-
-
-def _reference_nms(detections, iou_threshold, score_floor):
-    """Pick-highest-then-delete formulation with its own overlap arithmetic."""
-    pool = [d for d in detections if d.confidence >= score_floor]
-    kept = []
-    while pool:
-        best = min(pool, key=lambda d: (-d.confidence, d.box.y0, d.box.x0))
-        kept.append(best)
-        survivors = []
-        for d in pool:
-            if d is best:
-                continue
-            iw = min(best.box.x1, d.box.x1) - max(best.box.x0, d.box.x0)
-            ih = min(best.box.y1, d.box.y1) - max(best.box.y0, d.box.y0)
-            inter = iw * ih if (iw > 0 and ih > 0) else 0
-            union = (
-                (best.box.x1 - best.box.x0) * (best.box.y1 - best.box.y0)
-                + (d.box.x1 - d.box.x0) * (d.box.y1 - d.box.y0)
-                - inter
-            )
-            if inter / union <= iou_threshold:
-                survivors.append(d)
-        pool = survivors
-    return kept
 
 
 class TestNms:
@@ -248,120 +223,8 @@ class TestActionMap:
         assert secondary_ap == pytest.approx(1.0, abs=1e-9)
 
 
-# Verbatim copy of the per-action AP before it read labels by attribute
-# name; the current `action_map` must give exactly the same numbers.
-def _reference_match_predictions(
-    predictions: dict[int, list[AnnotationRecord]],
-    ground_truth: dict[int, list[AnnotationRecord]],
-    iou_threshold: float,
-    gt_label=None,
-    det_label=None,
-    wanted_label: int | None = None,
-) -> tuple[np.ndarray, int]:
-    """Global confidence-sorted TP flags plus the ground-truth count.
-
-    When wanted_label is given, only predictions whose extracted label
-    equals it participate and only ground truth with that label counts.
-    """
-    gts: dict[int, list[AnnotationRecord]] = {}
-    total_gt = 0
-    for fid, records in ground_truth.items():
-        rows = [r for r in records if wanted_label is None or gt_label(r) == wanted_label]
-        gts[fid] = rows
-        total_gt += len(rows)
-
-    flat: list[tuple[float, int, int, AnnotationRecord]] = []
-    for fid, dets in predictions.items():
-        for k, det in enumerate(dets):
-            if wanted_label is not None and det_label(det) != wanted_label:
-                continue
-            flat.append((det.confidence, fid, k, det))
-    # Highest confidence first; frame and in-frame order break ties.
-    flat.sort(key=lambda item: (-item[0], item[1], item[2]))
-
-    tp = np.zeros(len(flat), dtype=bool)
-    used: dict[int, set[int]] = {fid: set() for fid in gts}
-    for rank, (_, fid, _, det) in enumerate(flat):
-        candidates = gts.get(fid, [])
-        best_iou, best_idx = 0.0, -1
-        for gi, record in enumerate(candidates):
-            if gi in used.get(fid, set()):
-                continue
-            value = iou(det.box, record.box)
-            if value > best_iou:
-                best_iou, best_idx = value, gi
-        if best_idx >= 0 and best_iou >= iou_threshold:
-            tp[rank] = True
-            used.setdefault(fid, set()).add(best_idx)
-    return tp, total_gt
-
-
-def _reference_per_class_ap(
-    predictions: dict[int, list[AnnotationRecord]],
-    ground_truth: dict[int, list[AnnotationRecord]],
-    iou_threshold: float,
-    gt_label,
-    det_label,
-    classes: list[int],
-) -> float:
-    """Macro-average AP over classes that appear in the ground truth."""
-    aps = []
-    for cls in classes:
-        tp, total_gt = _reference_match_predictions(
-            predictions,
-            ground_truth,
-            iou_threshold,
-            gt_label=gt_label,
-            det_label=det_label,
-            wanted_label=cls,
-        )
-        if total_gt == 0:
-            continue
-        ap, _ = _ap_from_flags(tp, total_gt)
-        aps.append(ap)
-    return float(np.mean(aps)) if aps else 0.0
-
-
-def _reference_action_map(
-    predictions: dict[int, list[AnnotationRecord]],
-    ground_truth: dict[int, list[AnnotationRecord]],
-    cfg: EvalConfig | None = None,
-) -> tuple[float, float]:
-    """Per-action AP for the two vocabularies.
-
-    A prediction is a true positive for class c only when its argmax action
-    is c, the matched ground truth carries label c, and the boxes overlap at
-    the IoU threshold. Classes absent from the ground truth are skipped in
-    the macro average.
-    """
-    cfg = cfg or EvalConfig()
-    primary_classes = sorted(
-        {r.primary_action for rows in ground_truth.values() for r in rows}
-        | {d.primary_action for dets in predictions.values() for d in dets}
-    )
-    secondary_classes = sorted(
-        {r.secondary_action for rows in ground_truth.values() for r in rows}
-        | {d.secondary_action for dets in predictions.values() for d in dets}
-    )
-    primary_ap = _reference_per_class_ap(
-        predictions,
-        ground_truth,
-        cfg.iou_threshold,
-        gt_label=lambda r: r.primary_action,
-        det_label=lambda d: d.primary_action,
-        classes=primary_classes,
-    )
-    secondary_ap = _reference_per_class_ap(
-        predictions,
-        ground_truth,
-        cfg.iou_threshold,
-        gt_label=lambda r: r.secondary_action,
-        det_label=lambda d: d.secondary_action,
-        classes=secondary_classes,
-    )
-    return primary_ap, secondary_ap
-
-
+# The current `action_map` must give exactly the numbers of the per-action
+# AP before it read labels by attribute name (`reference.py`).
 _box = st.builds(
     lambda x, y, w, h: BBox(x, y, x + w, y + h),
     st.integers(0, 30), st.integers(0, 30), st.integers(2, 12), st.integers(2, 12),
@@ -405,17 +268,6 @@ def _scored_frames(draw):
 def test_action_map_equals_reference(inputs):
     preds, gt, cfg = inputs
     assert action_map(preds, gt, cfg) == _reference_action_map(preds, gt, cfg)
-
-
-# Verbatim copy of `_interpolated_ap` before it used np.maximum.accumulate.
-def _reference_interpolated_ap(recall: np.ndarray, precision: np.ndarray) -> float:
-    """Area under the all-point-interpolated precision envelope."""
-    r = np.concatenate([[0.0], recall, [1.0]])
-    p = np.concatenate([[0.0], precision, [0.0]])
-    for i in range(len(p) - 2, -1, -1):
-        p[i] = max(p[i], p[i + 1])
-    steps = np.nonzero(r[1:] != r[:-1])[0]
-    return float(((r[steps + 1] - r[steps]) * p[steps + 1]).sum())
 
 
 @settings(max_examples=300, deadline=None)

@@ -24,10 +24,12 @@ from aeropipe.pipeline import (
     feature_stub,
     parse_config_file,
 )
-from aeropipe.densemaps import zero_maps
+from aeropipe.densemaps import encode, zero_maps
+from aeropipe.geometry import BBox
 from aeropipe.synth import SceneConfig, corrupt_maps, generate_scene, generate_sequence, render_intensity
-from aeropipe.temporal import ActivityModel, TrackStore, predict
+from aeropipe.temporal import ActionVocabulary, ActivityModel, TrackStore, predict
 from aeropipe.wire import decode_message
+from reference import _dense
 
 
 def _stub_reference(frame, scales, window):
@@ -62,15 +64,6 @@ def _stub_reference(frame, scales, window):
             up = np.repeat(np.repeat(grid, s, axis=0), s, axis=1)[:h, :w]
             channels.append(up)
     return np.stack(channels)
-
-
-def _dense(grid):
-    """The (D, H, W) tensor of a feature grid, each level upsampled."""
-    height, width = grid.shape
-    return np.concatenate([
-        np.repeat(np.repeat(array, scale, axis=1), scale, axis=2)[:, :height, :width]
-        for scale, array in grid.levels
-    ])
 
 
 class TestFeatureStub:
@@ -217,6 +210,45 @@ class TestRunFrame:
             with pytest.raises(ValueError, match=f"map grid {grid[0]}x{grid[1]} has a zero side"):
                 pipeline.run_frame(FrameRecord(frame_id=0, maps=zero_maps(grid)))
         assert pipeline.last_frame_id is None
+
+    def test_map_grid_wider_than_a_report_box_is_rejected(self):
+        """Report boxes are u16. A wider grid (`.aero` dims are u32) once
+        took the frame id and spawned tracks, then failed in the report."""
+        pipeline = Pipeline(PipelineConfig())
+        maps = encode([BBox(4, 2, 16, 14)], (40, 20))
+        pipeline.run_frame(FrameRecord(frame_id=4, maps=maps))
+        tracks = [(t.track_id, t.last_box, t.age) for t in pipeline.store.tracks]
+        wide = encode([BBox(65600, 2, 65612, 14)], (65700, 20))
+        with pytest.raises(ValueError, match="map grid 65700x20 has a zero side or one above 65536 px"):
+            pipeline.run_frame(FrameRecord(frame_id=5, maps=wide))
+        assert pipeline.last_frame_id == 4
+        assert [(t.track_id, t.last_box, t.age) for t in pipeline.store.tracks] == tracks
+        assert [d.box for d in pipeline.run_frame(FrameRecord(frame_id=5, maps=maps)).detections] == [BBox(4, 2, 16, 14)]
+
+    def test_map_grid_of_65536_px_reports_its_last_column(self):
+        maps = encode([BBox(65520, 2, 65535, 14)], (65536, 17))
+        result = Pipeline(PipelineConfig()).run_frame(FrameRecord(frame_id=0, maps=maps))
+        assert [e.box for e in decode_message(result.payload).entries] == [(65520, 2, 65535, 14)]
+
+    def test_model_with_more_action_labels_than_a_report_byte_is_rejected(self):
+        """Report actions are u8. A model whose argmax passed 255 once took
+        the frame id and spawned tracks, then failed in the report."""
+        size = math.prod(CROP_SHAPE)
+
+        def model(primary, secondary):
+            labels = ActionVocabulary(tuple(f"p{i}" for i in range(primary)), tuple(f"s{i}" for i in range(secondary)))
+            built = ActivityModel.build(size, hidden_size=2, vocab=labels)
+            built.heads.b_primary[-1] = built.heads.b_secondary[-1] = 1.0
+            return built
+
+        for primary, secondary in ((300, 5), (4, 257)):
+            with pytest.raises(ValueError, match=f"model has {primary} and {secondary} action labels"):
+                Pipeline(PipelineConfig(), model(primary, secondary))
+        result = Pipeline(PipelineConfig(), model(256, 256)).run_frame(
+            FrameRecord(frame_id=0, maps=encode([BBox(4, 2, 16, 14)], (40, 20)))
+        )
+        [entry] = decode_message(result.payload).entries
+        assert (entry.primary_action, entry.secondary_action) == (255, 255)
 
     def test_frame_working_set_stays_under_six_frame_arrays(self):
         # A seeded crowd_noisy frame, built as perfbench/gen.py builds it.

@@ -22,35 +22,7 @@ from aeropipe.synth import (
     render_intensity,
     write_manifest,
 )
-
-
-# The cross-fill certificate as a pure-Python loop over ordered box pairs,
-# one overlap sum per pair: the reference for the vectorized `_cross_fill_ok`.
-def _rect_overlap(box: BBox, x0: int, y0: int, x1: int, y1: int) -> int:
-    """Inclusive pixel count of box ∩ rectangle."""
-    w = min(box.x1, x1) - max(box.x0, x0) + 1
-    h = min(box.y1, y1) - max(box.y0, y0) + 1
-    return w * h if (w > 0 and h > 0) else 0
-
-
-def _span_fill(boxes: list[BBox], x0: int, y0: int, x1: int, y1: int) -> float:
-    total = (x1 - x0 + 1) * (y1 - y0 + 1)
-    occupied = sum(_rect_overlap(b, x0, y0, x1, y1) for b in boxes)
-    return occupied / total
-
-
-def _reference_cross_fill_ok(boxes: list[BBox], threshold: float) -> bool:
-    """Check the decodability certificate over all ordered corner pairs."""
-    if threshold >= 1.0:
-        return True
-    for i, a in enumerate(boxes):
-        for j, b in enumerate(boxes):
-            if i == j:
-                continue
-            if b.x1 - a.x0 >= 2 and b.y1 - a.y0 >= 2:
-                if _span_fill(boxes, a.x0, a.y0, b.x1, b.y1) >= threshold:
-                    return False
-    return True
+from reference import _reference_cross_fill_ok
 
 
 # Small coordinates so that drawn boxes often overlap, touch or align.

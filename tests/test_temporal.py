@@ -13,7 +13,6 @@ from aeropipe.temporal import (
     ActivityModel,
     Adam,
     AdamConfig,
-    Association,
     BnLstmCell,
     LossBatch,
     Track,
@@ -27,6 +26,7 @@ from aeropipe.temporal import (
     save_model,
     softmax,
 )
+from reference import _reference_associate
 
 BN_EPS = 1e-5
 
@@ -175,40 +175,6 @@ def _brute_force_greedy(dist, max_dist):
 
 def _track_at(track_id, box):
     return Track(track_id, np.zeros(4), np.zeros(4), box)
-
-
-# Verbatim copy of `associate` before it ordered pairs with np.lexsort.
-def _reference_associate(tracks: list[Track], detections: list[BBox], max_dist: float) -> Association:
-    """Repeatedly pair the globally closest (track, detection) by center
-    distance, never exceeding max_dist; each side is used at most once.
-
-    Distance ties break on (track index, detection index) for determinism.
-    """
-    if not tracks or not detections:
-        return Association([], list(range(len(tracks))), list(range(len(detections))))
-    t_centers = np.array([center(t.last_box) for t in tracks])
-    d_centers = np.array([center(d) for d in detections])
-    dist = np.sqrt(((t_centers[:, None, :] - d_centers[None, :, :]) ** 2).sum(axis=2))
-    pairs = sorted(
-        ((dist[ti, di], ti, di) for ti in range(len(tracks)) for di in range(len(detections))),
-        key=lambda p: (p[0], p[1], p[2]),
-    )
-    matches: list[tuple[int, int]] = []
-    used_t: set[int] = set()
-    used_d: set[int] = set()
-    for d, ti, di in pairs:
-        if d > max_dist:
-            break
-        if ti in used_t or di in used_d:
-            continue
-        matches.append((ti, di))
-        used_t.add(ti)
-        used_d.add(di)
-    return Association(
-        matches=matches,
-        unmatched_tracks=[i for i in range(len(tracks)) if i not in used_t],
-        unmatched_detections=[i for i in range(len(detections)) if i not in used_d],
-    )
 
 
 class TestAssociate:

@@ -27,6 +27,7 @@ from aeropipe.wire import (
     parse_address,
     unframe_stream,
 )
+from reference import _reference_decode_message, _reference_entry, _reference_unframe_stream
 
 
 def _random_message(rng, count=None):
@@ -299,76 +300,10 @@ def test_header_layout_is_bit_exact():
 # The single-scan receiver against the two-path receiver it replaced
 # ---------------------------------------------------------------------------
 
-# The two-path receiver (framed fast path plus magic resync), copied
-# verbatim, is the reference the single scan must equal on every input.
+# The two-path receiver (framed fast path plus magic resync) in
+# `reference.py` is what the single scan must equal on every input.
 _MAGIC_BYTES = wire._MAGIC_BYTES
 HEADER_SIZE = wire.HEADER_SIZE
-CRC_SIZE = wire.CRC_SIZE
-
-
-def _try_raw_decode(data: bytes, pos: int) -> ReportMessage | None:
-    """Attempt to decode a message starting exactly at `pos`."""
-    if pos + HEADER_SIZE + CRC_SIZE > len(data):
-        return None
-    count = data[pos + HEADER_SIZE - 1]
-    end = pos + message_size(count)
-    if end > len(data):
-        return None
-    try:
-        return decode_message(data[pos:end])
-    except WireError:
-        return None
-
-
-def _reference_unframe_stream(data: bytes) -> tuple[list[ReportMessage], int]:
-    """Recover framed messages; returns (messages, skipped byte count).
-
-    After a framing error the parser scans forward for the message magic,
-    validates the candidate message in place, and counts everything passed
-    over as skipped. A matching length prefix directly before a recovered
-    message is treated as framing, not garbage.
-    """
-    messages: list[ReportMessage] = []
-    skipped = 0
-    pos = 0
-    n = len(data)
-    while pos < n:
-        framed = None
-        if pos + 2 <= n:
-            (length,) = struct.unpack_from("<H", data, pos)
-            if pos + 2 + length <= n:
-                try:
-                    framed = decode_message(data[pos + 2 : pos + 2 + length])
-                except WireError:
-                    framed = None
-        if framed is not None:
-            messages.append(framed)
-            pos += 2 + length
-            continue
-        # Resync: find the next decodable message by its magic bytes.
-        scan = pos
-        recovered = None
-        while True:
-            idx = data.find(_MAGIC_BYTES, scan)
-            if idx < 0:
-                break
-            recovered = _try_raw_decode(data, idx)
-            if recovered is not None:
-                break
-            scan = idx + 1
-        if recovered is None:
-            skipped += n - pos
-            break
-        count = data[idx + HEADER_SIZE - 1]
-        end = idx + message_size(count)
-        prefix_start = idx - 2
-        if prefix_start >= pos and struct.unpack_from("<H", data, prefix_start)[0] == message_size(count):
-            skipped += prefix_start - pos
-        else:
-            skipped += idx - pos
-        messages.append(recovered)
-        pos = end
-    return messages, skipped
 
 
 _u = st.integers
@@ -487,68 +422,10 @@ def test_decode_message_raises_only_wire_error(data):
 
 
 # The field checks and the decode that entries had before they were checked
-# by packing, copied verbatim: the references the struct-checked constructor
-# and the one-call unpack must equal on every input. The constructor also
-# rejects, after those checks, what still does not pack.
-def _reference_entry_checks(box, track_id, primary_action, secondary_action, confidence_q) -> None:
-    for coord in box:
-        if not 0 <= coord <= 0xFFFF:
-            raise ValueError(f"box coordinate {coord} does not fit u16")
-    if not 0 <= track_id <= 0xFFFFFFFF:
-        raise ValueError(f"track id {track_id} does not fit u32")
-    for value in (primary_action, secondary_action, confidence_q):
-        if not 0 <= value <= 0xFF:
-            raise ValueError(f"byte field value {value} out of range")
-
-
+# by packing (`reference.py`) are what the struct-checked constructor and
+# the one-call unpack must equal on every input.
 ENTRY_SIZE = wire.ENTRY_SIZE
 _ENTRY = wire._ENTRY
-
-
-def _reference_entry(box, track_id, primary_action, secondary_action, confidence_q) -> None:
-    _reference_entry_checks(box, track_id, primary_action, secondary_action, confidence_q)
-    try:
-        _ENTRY.pack(*box, track_id, primary_action, secondary_action, confidence_q)
-    except struct.error as exc:
-        raise ValueError(f"report entry does not pack: {exc}") from None
-_HEADER = wire._HEADER
-MAGIC = wire.MAGIC
-VERSION = wire.VERSION
-
-
-def _reference_decode_message(data: bytes) -> ReportMessage:
-    """Strict decode: magic, version, entry count, exact length, then CRC."""
-    if len(data) < HEADER_SIZE + CRC_SIZE:
-        raise LengthMismatchError(f"{len(data)} bytes is shorter than any valid message")
-    magic, version, flags, frame_id, ts, lat, lon, alt, count = _HEADER.unpack_from(data, 0)
-    if magic != MAGIC:
-        raise BadMagicError(f"magic 0x{magic:04X} != 0x{MAGIC:04X}")
-    if version != VERSION:
-        raise BadVersionError(f"version {version} unsupported")
-    if count > MAX_ENTRIES:
-        raise BadCountError(f"count {count} exceeds the cap of {MAX_ENTRIES}")
-    expected = message_size(count)
-    if len(data) != expected:
-        raise LengthMismatchError(f"{len(data)} bytes but count {count} implies {expected}")
-    (crc_stored,) = struct.unpack_from("<I", data, expected - CRC_SIZE)
-    crc_actual = zlib.crc32(data[: expected - CRC_SIZE])
-    if crc_stored != crc_actual:
-        raise ChecksumError(f"crc 0x{crc_stored:08X} != computed 0x{crc_actual:08X}")
-    entries = []
-    for k in range(count):
-        x0, y0, x1, y1, track_id, primary, secondary, conf_q = _ENTRY.unpack_from(
-            data, HEADER_SIZE + k * ENTRY_SIZE
-        )
-        entries.append(ReportEntry((x0, y0, x1, y1), track_id, primary, secondary, conf_q))
-    return ReportMessage(
-        frame_id=frame_id,
-        timestamp_ms=ts,
-        drone_lat_e7=lat,
-        drone_lon_e7=lon,
-        drone_alt_dm=alt,
-        entries=tuple(entries),
-        flags=flags,
-    )
 
 
 def _outcome(fn, *args):

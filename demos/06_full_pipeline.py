@@ -14,7 +14,7 @@ from aeropipe.synth import SceneConfig, corrupt_maps, generate_sequence, render_
 from aeropipe.wire import decode_message
 
 cfg = SceneConfig(box_count=(4, 8))
-scenes = generate_sequence(cfg, frames=30, seed=5)
+scenes = list(generate_sequence(cfg, frames=30, seed=5))
 pipeline = Pipeline(PipelineConfig())
 
 predictions = {}

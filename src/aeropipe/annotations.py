@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, TextIO
 
 from .geometry import BBox
 
@@ -88,8 +88,13 @@ def write_annotations(
     path: str, records: Iterable[AnnotationRecord], with_confidence: bool = False
 ) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(rec.to_line(with_confidence=with_confidence) + "\n")
+        append_annotations(fh, records, with_confidence)
+
+
+def append_annotations(fh: TextIO, records: Iterable[AnnotationRecord], with_confidence: bool = False) -> None:
+    """Write the records' lines to an open file and flush them."""
+    fh.writelines(rec.to_line(with_confidence) + "\n" for rec in records)
+    fh.flush()
 
 
 def group_by_frame(records: Iterable[AnnotationRecord]) -> dict[int, list[AnnotationRecord]]:

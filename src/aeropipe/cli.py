@@ -24,7 +24,7 @@ import traceback
 import numpy as np
 
 from . import synth, wire
-from .annotations import AnnotationRecord, check_frame_id, group_by_frame, read_annotations, write_annotations
+from .annotations import AnnotationRecord, append_annotations, check_frame_id, group_by_frame, read_annotations
 from .boxgen import box_generator
 from .densemaps import encode, load_maps, save_maps
 from .evaluate import EvalConfig, action_map, evaluate_map
@@ -131,14 +131,16 @@ def cmd_detect(args: argparse.Namespace) -> int:
     cfg = _load_pipeline_config(args)
     if args.frame_id is not None and os.path.isdir(args.maps):
         raise ValueError(f"--frame-id is for single-file input, but {args.maps} is a directory")
-    records: list[AnnotationRecord] = []
-    for fid, path in _maps_inputs(args.maps):
-        if args.frame_id is not None:
-            fid = args.frame_id
-        for box in box_generator(load_maps(path), cfg.boxgen):
-            records.append(AnnotationRecord(frame_id=fid, box=box))
-    write_annotations(args.out, records)
-    print(f"wrote {len(records)} boxes to {args.out}")
+    inputs = _maps_inputs(args.maps)
+    count = 0
+    with open(args.out, "w", encoding="utf-8") as fh:
+        for fid, path in inputs:
+            if args.frame_id is not None:
+                fid = args.frame_id
+            boxes = box_generator(load_maps(path), cfg.boxgen)
+            append_annotations(fh, (AnnotationRecord(frame_id=fid, box=box) for box in boxes))
+            count += len(boxes)
+    print(f"wrote {count} boxes to {args.out}")
     return 0
 
 
@@ -146,19 +148,17 @@ def cmd_synth(args: argparse.Namespace) -> int:
     os.makedirs(args.out, exist_ok=True)
     scene_cfg = SceneConfig()
     scenes = generate_sequence(scene_cfg, args.frames, args.seed)
-    entries = []
-    all_records: list[AnnotationRecord] = []
-    for k, scene in enumerate(scenes):
-        maps = scene.maps
-        if args.noise > 0.0:
-            maps = corrupt_maps(maps, args.noise, synth.FLIP_PROBABILITY, args.seed + 1000 + k)
-        maps_name = _MAPS_NAME.format(scene.frame_id)
-        save_maps(os.path.join(args.out, maps_name), maps)
-        all_records.extend(scene.records)
-        entries.append((scene.frame_id, "annotations.txt", maps_name))
-    write_annotations(os.path.join(args.out, "annotations.txt"), all_records)
+    with open(os.path.join(args.out, "annotations.txt"), "w", encoding="utf-8") as fh:
+        for k, scene in enumerate(scenes):
+            maps = scene.maps
+            if args.noise > 0.0:
+                maps = corrupt_maps(maps, args.noise, synth.FLIP_PROBABILITY, args.seed + 1000 + k)
+            save_maps(os.path.join(args.out, _MAPS_NAME.format(scene.frame_id)), maps)
+            append_annotations(fh, scene.records)
+    # Last, so a manifest exists only for a complete fixture.
+    entries = ((fid, "annotations.txt", _MAPS_NAME.format(fid)) for fid in range(args.frames))
     synth.write_manifest(os.path.join(args.out, "manifest.txt"), args.seed, scene_cfg.grid, entries)
-    print(f"wrote {len(scenes)} frames to {args.out}")
+    print(f"wrote {args.frames} frames to {args.out}")
     return 0
 
 
@@ -176,25 +176,22 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     os.makedirs(args.out, exist_ok=True)
     model = load_model(args.model) if args.model else None
     pipeline = Pipeline(cfg, model=model)
-    predictions: list[AnnotationRecord] = []
-    messages = []
-    for fid, ann_name, maps_name in entries:
-        maps = load_maps(os.path.join(base, maps_name))
-        intensity = render_intensity(by_file[ann_name].get(fid, []), (maps.width, maps.height))
-        result = pipeline.run_frame(FrameRecord(frame_id=fid, maps=maps, intensity=intensity))
-        predictions.extend(result.detections)
-        messages.append(result.message)
-        total = sum(result.timings_ms.values())
-        print(
-            f"frame {fid}: {len(result.detections)} detections, "
-            f"{len(result.payload)} B report, {total:.1f} ms",
-            file=sys.stderr,
-        )
     pred_path = os.path.join(args.out, "predictions.txt")
-    write_annotations(pred_path, predictions, with_confidence=True)
     reports_path = os.path.join(args.out, "reports.bin")
-    with open(reports_path, "wb") as fh:
-        fh.write(wire.frame_stream(messages))
+    with open(pred_path, "w", encoding="utf-8") as preds, open(reports_path, "wb") as reports:
+        for fid, ann_name, maps_name in entries:
+            maps = load_maps(os.path.join(base, maps_name))
+            intensity = render_intensity(by_file[ann_name].get(fid, []), (maps.width, maps.height))
+            result = pipeline.run_frame(FrameRecord(frame_id=fid, maps=maps, intensity=intensity))
+            reports.write(wire.frame_payload(result.payload))
+            reports.flush()
+            append_annotations(preds, result.detections, with_confidence=True)
+            total = sum(result.timings_ms.values())
+            print(
+                f"frame {fid}: {len(result.detections)} detections, "
+                f"{len(result.payload)} B report, {total:.1f} ms",
+                file=sys.stderr,
+            )
     print(f"wrote {pred_path} and {reports_path}")
     return 0
 

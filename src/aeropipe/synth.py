@@ -17,6 +17,7 @@ keeps, and the decode roundtrip would not be bijective.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -141,7 +142,7 @@ def _place_boxes(cfg: SceneConfig, rng: SplitMix64, count: int) -> list[BBox]:
 
 def generate_scene(cfg: SceneConfig, seed: int) -> Scene:
     """One labeled scene with clean encoded maps: frame 0 of the seed's sequence."""
-    return generate_sequence(cfg, 1, seed)[0]
+    return next(generate_sequence(cfg, 1, seed))
 
 
 @dataclass
@@ -162,18 +163,19 @@ class _MovingTrack:
         return BBox(x0, y0, x0 + self.w, y0 + self.h)
 
 
-def generate_sequence(cfg: SceneConfig, frames: int, seed: int) -> list[Scene]:
+def generate_sequence(cfg: SceneConfig, frames: int, seed: int) -> Iterator[Scene]:
     """Frames of the same tracks moving at constant velocity.
 
     Boxes reflect off the frame edges. A move that would break the scene
     invariants against another track is resolved by reflecting the
     velocity, or skipped for one frame when even that collides; track ids,
-    sizes and labels persist throughout.
+    sizes and labels persist throughout. Placement and every random draw
+    run at the call, so a packing failure raises here; each frame is moved
+    and encoded only as the iterator reaches it.
     """
     rng = SplitMix64(seed)
     count = rng.randint(cfg.box_count[0], cfg.box_count[1])
     boxes = _place_boxes(cfg, rng, count)
-    width, height = cfg.grid
     tracks = []
     for k, b in enumerate(boxes):
         tracks.append(
@@ -189,8 +191,11 @@ def generate_sequence(cfg: SceneConfig, frames: int, seed: int) -> list[Scene]:
                 secondary=rng.randint(0, _VOCAB.n_secondary - 1),
             )
         )
+    return _moving_frames(cfg.grid, tracks, frames)
 
-    scenes: list[Scene] = []
+
+def _moving_frames(grid: tuple[int, int], tracks: list[_MovingTrack], frames: int) -> Iterator[Scene]:
+    width, height = grid
     for t in range(frames):
         if t > 0:
             for idx, track in enumerate(tracks):
@@ -212,10 +217,7 @@ def generate_sequence(cfg: SceneConfig, frames: int, seed: int) -> list[Scene]:
             )
             for track in tracks
         ]
-        scenes.append(
-            Scene(frame_id=t, records=records, maps=encode([r.box for r in records], cfg.grid))
-        )
-    return scenes
+        yield Scene(frame_id=t, records=records, maps=encode([r.box for r in records], grid))
 
 
 def _reflect(pos: float, vel: float, limit: float) -> tuple[float, float]:
@@ -312,7 +314,7 @@ def crop_dataset(
 # ---------------------------------------------------------------------------
 
 
-def write_manifest(path: str, seed: int, grid: tuple[int, int], entries: list[tuple[int, str, str]]) -> None:
+def write_manifest(path: str, seed: int, grid: tuple[int, int], entries: Iterable[tuple[int, str, str]]) -> None:
     """Frame index for a generated sequence: annotation and map files."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"seed {seed}\n")

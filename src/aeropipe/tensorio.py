@@ -68,7 +68,10 @@ def _read_record(fh: BinaryIO) -> np.ndarray:
     fh.seek(here)
     if size > left:
         raise TensorFormatError(f"truncated tensor file: dims {dims} need {size} bytes, {left} left")
-    array = np.empty(dims, dtype=dtype)
+    try:
+        array = np.empty(dims, dtype=dtype)
+    except ValueError:
+        raise TensorFormatError(f"rank {rank} exceeds the dimensions numpy supports") from None
     got = fh.readinto(array)
     if got != size:
         raise TensorFormatError(f"truncated tensor file: wanted {size} bytes, got {got}")

@@ -253,14 +253,14 @@ def build_report(
 # ---------------------------------------------------------------------------
 
 
+def frame_payload(payload: bytes) -> bytes:
+    """One encoded message prefixed with its u16 length."""
+    return struct.pack("<H", len(payload)) + payload
+
+
 def frame_stream(messages: Iterable[ReportMessage]) -> bytes:
-    """Concatenate messages, each prefixed with its u16 encoded length."""
-    out = bytearray()
-    for msg in messages:
-        payload = encode_message(msg)
-        out += struct.pack("<H", len(payload))
-        out += payload
-    return bytes(out)
+    """Concatenate messages, each framed by `frame_payload`."""
+    return b"".join(frame_payload(encode_message(msg)) for msg in messages)
 
 
 def unframe_stream(data: bytes) -> tuple[list[ReportMessage], int]:

@@ -412,7 +412,7 @@ def test_criterion_10_wire_protocol():
 
 def test_criterion_11_end_to_end_pipeline():
     scene_cfg = SceneConfig(box_count=(3, 8))
-    scenes = generate_sequence(scene_cfg, frames=100, seed=1111)
+    scenes = list(generate_sequence(scene_cfg, frames=100, seed=1111))
 
     # clean pass: bijection per frame, stable ids, valid reports
     pipeline = Pipeline(PipelineConfig())

@@ -1,10 +1,14 @@
 import dataclasses
+import io
 import math
 import os
 import re
+import shutil
 import socket
+import sys
 import tempfile
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +22,7 @@ from aeropipe.annotations import AnnotationRecord, read_annotations, write_annot
 from aeropipe.cli import build_parser, main
 from aeropipe.densemaps import encode, load_maps, save_maps
 from aeropipe.geometry import BBox
-from aeropipe.synth import SceneGenerationError, render_intensity
+from aeropipe.synth import SceneGenerationError, read_manifest, render_intensity, write_manifest
 from aeropipe.temporal import ActionVocabulary, ActivityModel, save_model
 from aeropipe.wire import unframe_stream
 
@@ -204,6 +208,92 @@ class TestSynthAndPipeline:
         assert main([command, *args, *flag]) == 1
         assert "usage error" in capsys.readouterr().err
         assert not os.path.exists(out)
+
+
+def _synth_with_a_non_finite_frame(tmp_path):
+    """Six synth frames; frame 3 holds a NaN in `reg`."""
+    data = tmp_path / "data"
+    assert main(["synth", "--seed", "5", "--frames", "6", "--out", str(data)]) == 0
+    path = str(data / "frame_000003.aero")
+    maps = load_maps(path)
+    maps.reg[0, 5, 5] = np.nan
+    save_maps(path, maps)
+    return data
+
+
+class _Discard(io.TextIOBase):
+    def write(self, text):
+        return len(text)
+
+
+class TestEachFrameWrittenAsItFinishes:
+    def test_pipeline_keeps_the_frames_before_a_failing_one(self, tmp_path, capsys):
+        data = _synth_with_a_non_finite_frame(tmp_path)
+        seed, grid, entries = read_manifest(str(data / "manifest.txt"))
+        write_manifest(str(data / "head.txt"), seed, grid, entries[:3])
+        run, head = tmp_path / "run", tmp_path / "head"
+        assert main(["pipeline", "--manifest", str(data / "manifest.txt"), "--out", str(run)]) == 2
+        assert "non-finite" in capsys.readouterr().err
+        messages, skipped = unframe_stream((run / "reports.bin").read_bytes())
+        assert [m.frame_id for m in messages] == [0, 1, 2]
+        assert skipped == 0
+        assert main(["pipeline", "--manifest", str(data / "head.txt"), "--out", str(head)]) == 0
+        for name in ("predictions.txt", "reports.bin"):
+            assert (run / name).read_bytes() == (head / name).read_bytes(), name
+
+    def test_detect_keeps_the_frames_before_a_failing_one(self, tmp_path, capsys):
+        data = _synth_with_a_non_finite_frame(tmp_path)
+        head = tmp_path / "head"
+        head.mkdir()
+        for fid in range(3):
+            shutil.copy(data / f"frame_{fid:06d}.aero", head)
+        out, expected = tmp_path / "boxes.txt", tmp_path / "head.txt"
+        assert main(["detect", "--maps", str(data), "--out", str(out)]) == 2
+        assert "non-finite" in capsys.readouterr().err
+        assert main(["detect", "--maps", str(head), "--out", str(expected)]) == 0
+        assert {r.frame_id for r in read_annotations(str(out))} == {0, 1, 2}
+        assert out.read_bytes() == expected.read_bytes()
+
+    @pytest.mark.parametrize("bad", [0, 2])
+    def test_synth_keeps_the_frames_before_a_failing_one_and_writes_no_manifest(self, tmp_path, capsys, monkeypatch, bad):
+        full, cut = tmp_path / "full", tmp_path / "cut"
+        assert main(["synth", "--seed", "5", "--frames", "4", "--out", str(full)]) == 0
+        save = cli.save_maps
+
+        def save_maps_until(path, maps):
+            if path.endswith(f"frame_{bad:06d}.aero"):
+                raise OSError(28, "No space left on device")
+            save(path, maps)
+
+        monkeypatch.setattr(cli, "save_maps", save_maps_until)
+        assert main(["synth", "--seed", "5", "--frames", "4", "--out", str(cut)]) == 2
+        assert "No space left on device" in capsys.readouterr().err
+        expected = [r for r in read_annotations(str(full / "annotations.txt")) if r.frame_id < bad]
+        assert read_annotations(str(cut / "annotations.txt")) == expected
+        assert not (cut / "manifest.txt").exists()
+
+    def test_pipeline_memory_does_not_grow_with_the_run(self, tmp_path, monkeypatch):
+        boxes = [BBox(2, 2, 12, 12), BBox(20, 4, 32, 16), BBox(4, 24, 16, 36), BBox(30, 26, 44, 40)]
+        save_maps(str(tmp_path / "maps.aero"), encode(boxes, (64, 48)))
+        (tmp_path / "gt.txt").write_text("")
+        monkeypatch.setattr(sys, "stderr", _Discard())
+
+        def peak(frames):
+            manifest = str(tmp_path / f"manifest{frames}.txt")
+            write_manifest(manifest, 0, (64, 48), [(fid, "gt.txt", "maps.aero") for fid in range(frames)])
+            tracemalloc.start()
+            try:
+                assert main(["pipeline", "--manifest", manifest, "--out", str(tmp_path / "run")]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(2)
+        assert len(read_annotations(str(tmp_path / "run" / "predictions.txt"))) == 2 * len(boxes)
+        # What grows is the manifest's own entries, read before the first
+        # frame: about 0.45 KiB each. Keeping each frame's detections and
+        # report until the run ends would add about 2 KiB more per frame.
+        assert peak(250) - peak(50) < 200 * 1024
 
 
 class TestTrainBenchOverlay:

@@ -253,7 +253,7 @@ class TestRunFrame:
     def test_frame_working_set_stays_under_six_frame_arrays(self):
         # A seeded crowd_noisy frame, built as perfbench/gen.py builds it.
         cfg = SceneConfig(grid=(640, 360), box_count=(27, 27))
-        scene = generate_sequence(cfg, 1, 71)[0]
+        scene = next(generate_sequence(cfg, 1, 71))
         maps = corrupt_maps(scene.maps, 0.05, 0.01, 71 + 1000)
         intensity = render_intensity(scene.records, cfg.grid)
         pipeline = Pipeline(PipelineConfig())
@@ -323,7 +323,7 @@ class TestRunFrame:
         )
 
     def test_end_to_end_determinism(self):
-        scenes = generate_sequence(SceneConfig(box_count=(4, 4)), frames=5, seed=24)
+        scenes = list(generate_sequence(SceneConfig(box_count=(4, 4)), frames=5, seed=24))
         payloads = []
         for _ in range(2):
             pipeline = Pipeline(model=ActivityModel.build(math.prod(CROP_SHAPE), seed=9))
@@ -343,7 +343,7 @@ class TestRunFrame:
         one worker thread, whose tasks then queue; none may wait on another's
         task or read another's arrays."""
         grid = (320, 180)
-        sequences = [generate_sequence(SceneConfig(grid=grid, box_count=(5, 5)), frames=4, seed=s) for s in (31, 32, 33)]
+        sequences = [list(generate_sequence(SceneConfig(grid=grid, box_count=(5, 5)), frames=4, seed=s)) for s in (31, 32, 33)]
 
         def run(scenes):
             pipeline = Pipeline(model=ActivityModel.build(math.prod(CROP_SHAPE), seed=9))

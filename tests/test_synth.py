@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -51,7 +52,7 @@ class TestCrossFill:
 
     def test_fixtures_match_the_pairwise_loop(self):
         def scenes():
-            sequence = generate_sequence(SceneConfig(box_count=(27, 27)), 3, 71)
+            sequence = list(generate_sequence(SceneConfig(box_count=(27, 27)), 3, 71))
             return sequence + [generate_scene(SceneConfig(), seed) for seed in range(5)]
 
         ours = scenes()
@@ -185,13 +186,13 @@ class TestGenerateScene:
 class TestGenerateSequence:
     def test_zero_velocity_static_frames(self):
         cfg = SceneConfig(box_count=(4, 4), velocity_range=(0.0, 0.0))
-        scenes = generate_sequence(cfg, frames=5, seed=2)
+        scenes = list(generate_sequence(cfg, frames=5, seed=2))
         first = [r.box for r in scenes[0].records]
         for scene in scenes[1:]:
             assert [r.box for r in scene.records] == first
 
     def test_track_ids_and_labels_persist(self):
-        scenes = generate_sequence(SceneConfig(box_count=(5, 5)), frames=10, seed=3)
+        scenes = list(generate_sequence(SceneConfig(box_count=(5, 5)), frames=10, seed=3))
         base = {r.track_id: (r.primary_action, r.secondary_action) for r in scenes[0].records}
         for scene in scenes:
             assert {r.track_id for r in scene.records} == set(base)
@@ -211,10 +212,28 @@ class TestGenerateSequence:
             assert _cross_fill_ok(boxes)
 
     def test_boxes_actually_move(self):
-        scenes = generate_sequence(SceneConfig(box_count=(3, 3)), frames=8, seed=5)
+        scenes = list(generate_sequence(SceneConfig(box_count=(3, 3)), frames=8, seed=5))
         first = [r.box for r in scenes[0].records]
         last = [r.box for r in scenes[-1].records]
         assert first != last
+
+
+    def test_packing_failure_raises_at_the_call(self):
+        cfg = SceneConfig(grid=(64, 64), box_count=(7, 7), side_range=(20, 20), max_attempts=500)
+        with pytest.raises(SceneGenerationError, match="failed to pack"):
+            generate_sequence(cfg, 3, 1)
+
+    def test_iterating_holds_a_few_frames_of_maps(self):
+        # Each frame is encoded as the iterator reaches it and dropped when
+        # the caller moves on; holding the whole run took 30.7 frames here.
+        tracemalloc.start()
+        try:
+            for _ in generate_sequence(SceneConfig(box_count=(10, 10)), frames=30, seed=6):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 3 * 640 * 360 * 8
 
 
 class TestCorruptMaps:

@@ -102,6 +102,20 @@ def test_dims_product_past_int64_is_format_error(tmp_path):
         tensorio.load_tensor(_write(tmp_path / "huge.aero", data))
 
 
+@pytest.mark.parametrize("named", [False, True])
+def test_rank_numpy_cannot_build_is_format_error(tmp_path, named):
+    # 65 dims of 1 and one float32: more dims than an ndarray holds.
+    record = bytes([0, 65]) + struct.pack("<65I", *[1] * 65) + bytes(4)
+    if named:
+        data = tensorio.MAGIC + struct.pack("<BIH", tensorio.VERSION, 1, 1) + b"w" + record
+        load = tensorio.load_named_tensors
+    else:
+        data = tensorio.MAGIC + bytes([tensorio.VERSION]) + record
+        load = tensorio.load_tensor
+    with pytest.raises(tensorio.TensorFormatError, match="rank 65"):
+        load(_write(tmp_path / "deep.aero", data))
+
+
 class _ReadGuard(io.BytesIO):
     """Fails any read asking for more bytes than are left."""
 

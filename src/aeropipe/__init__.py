@@ -17,7 +17,6 @@ from .pipeline import FrameRecord, Pipeline, PipelineConfig, bench_frames, featu
 from .rng import SplitMix64
 from .synth import SceneConfig, corrupt_maps, crop_dataset, generate_scene, generate_sequence
 from .temporal import (
-    ActionVocabulary,
     ActivityModel,
     Adam,
     AdamConfig,

@@ -120,7 +120,8 @@ def _maps_inputs(path: str) -> list[tuple[int, str]]:
         for name in sorted(os.listdir(path)):
             m = _MAPS_NAME_RE.fullmatch(name)
             if m:
-                entries.append((int(m.group(1)), os.path.join(path, name)))
+                file = os.path.join(path, name)
+                entries.append((check_frame_id(int(m.group(1)), file), file))
         if not entries:
             raise ValueError(f"no frame_*.aero files under {path}")
         return entries
@@ -181,6 +182,11 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     with open(pred_path, "w", encoding="utf-8") as preds, open(reports_path, "wb") as reports:
         for fid, ann_name, maps_name in entries:
             maps = load_maps(os.path.join(base, maps_name))
+            if (maps.width, maps.height) != grid:
+                raise ValueError(
+                    f"frame {fid}: map {maps_name} is {maps.width}x{maps.height}, "
+                    f"but {args.manifest} has grid {grid[0]}x{grid[1]}"
+                )
             intensity = render_intensity(by_file[ann_name].get(fid, []), (maps.width, maps.height))
             result = pipeline.run_frame(FrameRecord(frame_id=fid, maps=maps, intensity=intensity))
             reports.write(wire.frame_payload(result.payload))

@@ -140,7 +140,7 @@ def action_map(
     ground_truth: dict[int, list[AnnotationRecord]],
     cfg: EvalConfig | None = None,
 ) -> tuple[float, float]:
-    """Per-action AP for the two vocabularies.
+    """Per-action AP for the two action heads.
 
     A prediction is a true positive for class c only when its action is c,
     the matched ground truth carries label c, and the boxes overlap at the

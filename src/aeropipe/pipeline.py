@@ -292,9 +292,9 @@ class Pipeline:
         self.model = model or ActivityModel.build(size)
         if self.model.cell.input_size != size:
             raise ValueError(f"model input size {self.model.cell.input_size} != crop size {size}")
-        vocab = self.model.heads.vocab
-        if max(vocab.n_primary, vocab.n_secondary) > 256:
-            raise ValueError(f"model has {vocab.n_primary} and {vocab.n_secondary} action labels; u8 report actions hold 256")
+        n_primary, n_secondary = self.model.heads.w_primary.shape[1], self.model.heads.w_secondary.shape[1]
+        if max(n_primary, n_secondary) > 256:
+            raise ValueError(f"model has {n_primary} and {n_secondary} action labels; u8 report actions hold 256")
         self.store = TrackStore(
             hidden_size=self.model.cell.hidden_size,
             max_dist=self.cfg.associate.max_dist,

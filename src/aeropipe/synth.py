@@ -26,9 +26,7 @@ from .attention import CROP_SHAPE
 from .densemaps import DenseMaps, encode
 from .geometry import BBox, separation
 from .rng import SplitMix64
-from .temporal import ActionVocabulary
-
-_VOCAB = ActionVocabulary()
+from .temporal import PRIMARY_CLASSES, SECONDARY_CLASSES
 
 # Height / width bounds. Near-isotropic boxes match the overhead-view domain
 # and keep the regression ramp along the short axis steeper than the decode
@@ -187,8 +185,8 @@ def generate_sequence(cfg: SceneConfig, frames: int, seed: int) -> Iterator[Scen
                 h=b.height,
                 vx=rng.uniform(cfg.velocity_range[0], cfg.velocity_range[1]),
                 vy=rng.uniform(cfg.velocity_range[0], cfg.velocity_range[1]),
-                primary=rng.randint(0, _VOCAB.n_primary - 1),
-                secondary=rng.randint(0, _VOCAB.n_secondary - 1),
+                primary=rng.randint(0, PRIMARY_CLASSES - 1),
+                secondary=rng.randint(0, SECONDARY_CLASSES - 1),
             )
         )
     return _moving_frames(cfg.grid, tracks, frames)
@@ -282,7 +280,7 @@ def crop_dataset(
     radius, so a nearest-mean classifier is exact.
     """
     rng = SplitMix64(seed)
-    n_primary, n_secondary = _VOCAB.n_primary, _VOCAB.n_secondary
+    n_primary, n_secondary = PRIMARY_CLASSES, SECONDARY_CLASSES
     dim = int(np.prod(feature_shape))
     means = rng.random_array((n_primary * n_secondary, dim)) * 2.0 - 1.0
 
@@ -324,23 +322,29 @@ def write_manifest(path: str, seed: int, grid: tuple[int, int], entries: Iterabl
 
 
 def read_manifest(path: str) -> tuple[int, tuple[int, int], list[tuple[int, str, str]]]:
-    """Seed, grid and frame entries; a truncated line or a frame id outside
-    the report's u32 raises ValueError."""
+    """Seed, grid and frame entries; a line that is not a seed, grid or frame
+    line, a truncated one, a frame id outside the report's u32 or a missing
+    grid line raises ValueError."""
     seed = 0
-    grid = (0, 0)
+    grid: tuple[int, int] | None = None
     entries: list[tuple[int, str, str]] = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             parts = raw.split()
             if not parts or parts[0].startswith("#"):
                 continue
-            if len(parts) < {"seed": 2, "grid": 3, "frame": 4}.get(parts[0], 0):
+            fields = {"seed": 2, "grid": 3, "frame": 4}.get(parts[0])
+            if fields is None:
+                raise ValueError(f"{path} line {lineno}: {raw.strip()!r} is not a seed, grid or frame line")
+            if len(parts) < fields:
                 raise ValueError(f"{path} line {lineno}: truncated {parts[0]!r} line {raw.strip()!r}")
             if parts[0] == "seed":
                 seed = int(parts[1])
             elif parts[0] == "grid":
                 grid = (int(parts[1]), int(parts[2]))
-            elif parts[0] == "frame":
+            else:
                 fid = check_frame_id(int(parts[1]), f"{path} line {lineno}")
                 entries.append((fid, parts[2], parts[3]))
+    if grid is None:
+        raise ValueError(f"{path}: no 'grid' line")
     return seed, grid, entries

@@ -24,8 +24,11 @@ from .rng import SplitMix64
 LOG_FLOOR = 1e-12
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
-# Hidden size of a built model when the caller names none.
+# Hidden size and action class counts of a built model when the caller
+# names none.
 HIDDEN_SIZE = 64
+PRIMARY_CLASSES = 4
+SECONDARY_CLASSES = 5
 # The toy trainer's minibatch size and held-out share of the samples.
 BATCH_SIZE = 16
 HOLDOUT_FRACTION = 0.2
@@ -47,27 +50,6 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=-1, keepdims=True)
     ex = np.exp(shifted)
     return ex / ex.sum(axis=-1, keepdims=True)
-
-
-@dataclass(frozen=True)
-class ActionVocabulary:
-    primary_labels: tuple[str, ...] = ("walking", "standing", "sitting", "running")
-    secondary_labels: tuple[str, ...] = ("carrying", "pushing", "pulling", "reading", "none")
-
-    def __post_init__(self) -> None:
-        for labels in (self.primary_labels, self.secondary_labels):
-            if len(labels) < 2:
-                raise ValueError("vocabularies need at least 2 labels")
-            if len(set(labels)) != len(labels):
-                raise ValueError(f"duplicate labels in {labels}")
-
-    @property
-    def n_primary(self) -> int:
-        return len(self.primary_labels)
-
-    @property
-    def n_secondary(self) -> int:
-        return len(self.secondary_labels)
 
 
 class BatchNormStream:
@@ -124,7 +106,6 @@ class BnLstmCell:
         self.bn_x = BatchNormStream(4 * hidden_size)
         self.bn_h = BatchNormStream(4 * hidden_size)
         self.bn_c = BatchNormStream(hidden_size)
-        self.training = False
 
     def zero_state(self, batch: int = 1) -> tuple[np.ndarray, np.ndarray]:
         shape = (batch, self.hidden_size)
@@ -132,40 +113,41 @@ class BnLstmCell:
 
 
 def bnlstm_step(
-    cell: BnLstmCell, x: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray
+    cell: BnLstmCell, x: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray, training: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:
     """One recurrent step over a (batch, input) slab.
 
-    Returns (h, c_state). Training mode needs batch >= 2 for defined batch
-    variance.
+    Returns (h, c_state). Training mode normalizes with the batch statistics
+    and folds them into the running ones; it needs batch >= 2 for defined
+    batch variance.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    if x.shape[0] < 2 and cell.training:
+    if x.shape[0] < 2 and training:
         raise ValueError("training mode requires batch size >= 2")
     nh = cell.hidden_size
-    pre = (
-        cell.bn_x(x @ cell.w_xh, cell.training)
-        + cell.bn_h(h_prev @ cell.w_hh, cell.training)
-        + cell.bias
-    )
+    pre = cell.bn_x(x @ cell.w_xh, training) + cell.bn_h(h_prev @ cell.w_hh, training) + cell.bias
     gate_i = sigmoid(pre[:, 0 * nh : 1 * nh])
     gate_f = sigmoid(pre[:, 1 * nh : 2 * nh])
     cand_g = np.tanh(pre[:, 2 * nh : 3 * nh])
     gate_o = sigmoid(pre[:, 3 * nh : 4 * nh])
     c_state = gate_f * c_prev + gate_i * cand_g
-    h = gate_o * np.tanh(cell.bn_c(c_state, cell.training))
+    h = gate_o * np.tanh(cell.bn_c(c_state, training))
     return h, c_state
 
 
 class ActivityHeads:
-    """Linear readouts: two softmax action heads plus a sigmoid confidence."""
+    """Linear readouts: two softmax action heads plus a sigmoid confidence.
 
-    def __init__(self, hidden_size: int, vocab: ActionVocabulary) -> None:
-        self.vocab = vocab
-        self.w_primary = np.zeros((hidden_size, vocab.n_primary), dtype=np.float64)
-        self.b_primary = np.zeros(vocab.n_primary, dtype=np.float64)
-        self.w_secondary = np.zeros((hidden_size, vocab.n_secondary), dtype=np.float64)
-        self.b_secondary = np.zeros(vocab.n_secondary, dtype=np.float64)
+    An action head's class count is its weight matrix's column count.
+    """
+
+    def __init__(self, hidden_size: int, n_primary: int, n_secondary: int) -> None:
+        if min(n_primary, n_secondary) < 2:
+            raise ValueError(f"action heads need at least 2 classes, got {n_primary} and {n_secondary}")
+        self.w_primary = np.zeros((hidden_size, n_primary), dtype=np.float64)
+        self.b_primary = np.zeros(n_primary, dtype=np.float64)
+        self.w_secondary = np.zeros((hidden_size, n_secondary), dtype=np.float64)
+        self.b_secondary = np.zeros(n_secondary, dtype=np.float64)
         self.w_conf = np.zeros((hidden_size, 1), dtype=np.float64)
         self.b_conf = np.zeros(1, dtype=np.float64)
 
@@ -199,13 +181,13 @@ class ActivityModel:
         cls,
         input_size: int,
         hidden_size: int = HIDDEN_SIZE,
-        vocab: ActionVocabulary | None = None,
+        n_primary: int = PRIMARY_CLASSES,
+        n_secondary: int = SECONDARY_CLASSES,
         seed: int | None = None,
     ) -> "ActivityModel":
-        vocab = vocab or ActionVocabulary()
         return cls(
             cell=BnLstmCell(input_size, hidden_size, seed=seed),
-            heads=ActivityHeads(hidden_size, vocab),
+            heads=ActivityHeads(hidden_size, n_primary, n_secondary),
         )
 
 
@@ -473,23 +455,21 @@ def train_toy(
     Raises TrainingDiverged as DivergenceGuard describes.
     """
     adam_cfg = adam_cfg or AdamConfig()
-    vocab = model.heads.vocab
     n = features.shape[0]
     if n < 4:
         raise ValueError("dataset too small to split")
     flat = features.reshape(n, -1).astype(np.float64)
 
-    was_training = model.cell.training
-    model.cell.training = True
     h0, c0 = model.cell.zero_state(n)
-    hidden, _ = bnlstm_step(model.cell, flat, h0, c0)
-    model.cell.training = was_training
+    hidden, _ = bnlstm_step(model.cell, flat, h0, c0, training=True)
 
     split = max(1, int(round(n * (1.0 - HOLDOUT_FRACTION))))
     train_idx = np.arange(split)
     hold_idx = np.arange(split, n)
 
     heads = model.heads
+    eye_p = np.eye(heads.w_primary.shape[1])
+    eye_s = np.eye(heads.w_secondary.shape[1])
     optimizer = Adam(heads.parameters(), adam_cfg)
     result = TrainResult()
     guard = DivergenceGuard()
@@ -510,8 +490,8 @@ def train_toy(
             action_loss = 0.0
             n_ped = int(ped.sum())
             if n_ped:
-                tgt_p = np.eye(vocab.n_primary)[primary_labels[idx][ped]]
-                tgt_s = np.eye(vocab.n_secondary)[secondary_labels[idx][ped]]
+                tgt_p = eye_p[primary_labels[idx][ped]]
+                tgt_s = eye_s[secondary_labels[idx][ped]]
                 batch = LossBatch(
                     primary_pred=[pred_p[ped]],
                     secondary_pred=[pred_s[ped]],
@@ -577,9 +557,9 @@ def save_model(path: str, model: ActivityModel) -> None:
 
 
 def load_model(path: str) -> ActivityModel:
-    """Build the model the stored shapes describe, with labels p0.. and
-    s0.., and fill it in place; a missing record or one whose shape differs
-    from the model's raises TensorFormatError."""
+    """Build the model the stored shapes describe and fill it in place; a
+    missing record or one whose shape differs from the model's raises
+    TensorFormatError."""
     tensors = tensorio.load_named_tensors(path)
 
     def shape(name: str, rank: int) -> tuple[int, ...]:
@@ -591,20 +571,18 @@ def load_model(path: str) -> ActivityModel:
     hidden = four_h // 4
     # Check the records that grow with the hidden size before building, so
     # a small file cannot ask for a large model; an action head needs at
-    # least two labels.
+    # least two classes.
     for name in ("cell.w_hh", "heads.w_primary", "heads.w_secondary", "heads.w_conf"):
         rows, cols = shape(name, 2)
         narrow = cols < 2 and name in ("heads.w_primary", "heads.w_secondary")
         if hidden < 1 or rows != hidden or narrow or name == "cell.w_hh" and cols != 4 * hidden:
             raise tensorio.TensorFormatError(
                 f"{path}: {name!r} has shape {(rows, cols)}, which does not fit "
-                f"'cell.w_xh' {tensors['cell.w_xh'].shape} with at least 2 labels per action head"
+                f"'cell.w_xh' {tensors['cell.w_xh'].shape} with at least 2 classes per action head"
             )
-    vocab = ActionVocabulary(
-        primary_labels=tuple(f"p{i}" for i in range(shape("heads.w_primary", 2)[1])),
-        secondary_labels=tuple(f"s{i}" for i in range(shape("heads.w_secondary", 2)[1])),
-    )
-    model = ActivityModel.build(input_size, hidden, vocab)
+    n_primary = tensors["heads.w_primary"].shape[1]
+    n_secondary = tensors["heads.w_secondary"].shape[1]
+    model = ActivityModel.build(input_size, hidden, n_primary, n_secondary)
     for name, array in _parameters(model).items():
         if shape(name, array.ndim) != array.shape:
             raise tensorio.TensorFormatError(

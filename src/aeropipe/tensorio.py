@@ -127,6 +127,8 @@ def load_named_tensors(path: str) -> dict[str, np.ndarray]:
                 name = _read_exact(fh, name_len).decode("utf-8")
             except UnicodeDecodeError as exc:
                 raise TensorFormatError(f"record name is not utf-8: {exc}") from None
+            if name in out:
+                raise TensorFormatError(f"duplicate record name {name!r}")
             out[name] = _read_record(fh)
         if fh.read(1):
             raise TensorFormatError("trailing bytes after last record")

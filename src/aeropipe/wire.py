@@ -15,7 +15,7 @@ Wire layout, all little-endian:
     entries (15 bytes each)
         box        4 x u16  (x0, y0, x1, y1)
         track_id   u32
-        primary    u8    action vocabulary index
+        primary    u8    action class index
         secondary  u8
         confidence u8    round(value * 255)
     crc32 (4 bytes)  IEEE polynomial over all preceding bytes

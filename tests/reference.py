@@ -494,7 +494,7 @@ def _reference_action_map(
     ground_truth: dict[int, list[AnnotationRecord]],
     cfg: EvalConfig | None = None,
 ) -> tuple[float, float]:
-    """Per-action AP for the two vocabularies.
+    """Per-action AP for the two action heads.
 
     A prediction is a true positive for class c only when its argmax action
     is c, the matched ground truth carries label c, and the boxes overlap at

@@ -5,6 +5,7 @@ import os
 import re
 import shutil
 import socket
+import struct
 import sys
 import tempfile
 import threading
@@ -16,14 +17,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aeropipe import cli, pipeline
+from aeropipe import cli, pipeline, tensorio
 from aeropipe.attention import CROP_SHAPE
 from aeropipe.annotations import AnnotationRecord, read_annotations, write_annotations
 from aeropipe.cli import build_parser, main
 from aeropipe.densemaps import encode, load_maps, save_maps
 from aeropipe.geometry import BBox
 from aeropipe.synth import SceneGenerationError, read_manifest, render_intensity, write_manifest
-from aeropipe.temporal import ActionVocabulary, ActivityModel, save_model
+from aeropipe.temporal import ActivityModel, save_model
 from aeropipe.wire import unframe_stream
 
 
@@ -140,8 +141,7 @@ class TestSynthAndPipeline:
         assert preds and all(0.0 <= p.confidence <= 1.0 for p in preds)
 
     def test_pipeline_rejects_a_model_with_more_action_labels_than_a_report_byte(self, tmp_path, capsys):
-        labels = ActionVocabulary(primary_labels=tuple(f"p{i}" for i in range(300)))
-        model = ActivityModel.build(math.prod(CROP_SHAPE), hidden_size=2, vocab=labels)
+        model = ActivityModel.build(math.prod(CROP_SHAPE), hidden_size=2, n_primary=300)
         model.heads.b_primary[-1] = 1.0
         save_model(str(tmp_path / "model.aero"), model)
         main(["synth", "--seed", "6", "--frames", "2", "--out", str(tmp_path / "data")])
@@ -399,6 +399,53 @@ class TestExitCodes:
         manifest.write_text(f"{line}\n")
         assert main(["pipeline", "--manifest", str(manifest), "--out", str(tmp_path / "run")]) == 2
         assert f"line 1: truncated {line.split()[0]!r}" in capsys.readouterr().err
+
+    def test_unknown_manifest_line_is_data_error(self, tmp_path, capsys):
+        main(["synth", "--frames", "3", "--out", str(tmp_path / "data")])
+        manifest = tmp_path / "data" / "manifest.txt"
+        manifest.write_text(manifest.read_text().replace("frame 1 ", "fram 1 "))
+        assert main(["pipeline", "--manifest", str(manifest), "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert "line 4: 'fram 1 annotations.txt frame_000001.aero' is not a seed, grid or frame line" in err
+        assert not (tmp_path / "run").exists()
+
+    def test_pipeline_rejects_a_map_off_the_manifest_grid(self, tmp_path, capsys):
+        main(["synth", "--frames", "2", "--out", str(tmp_path / "data")])
+        manifest = tmp_path / "data" / "manifest.txt"
+        manifest.write_text(manifest.read_text().replace("grid 640 360", "grid 3 3"))
+        capsys.readouterr()
+        assert main(["pipeline", "--manifest", str(manifest), "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: frame 0: map frame_000000.aero is 640x360, but {manifest} has grid 3x3\n"
+        assert (tmp_path / "run" / "predictions.txt").read_text() == ""
+
+    def test_detect_rejects_a_map_file_whose_name_is_past_the_u32_frame_ids(self, tmp_path, capsys):
+        maps = encode([BBox(8, 6, 30, 28)], (64, 48))
+        for name in ("frame_000000.aero", "frame_99999999999.aero"):
+            save_maps(str(tmp_path / name), maps)
+        out = tmp_path / "boxes.txt"
+        assert main(["detect", "--maps", str(tmp_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"frame id 99999999999 outside 0..4294967295: {tmp_path / 'frame_99999999999.aero'}" in err
+        assert not out.exists()
+
+    def test_pipeline_rejects_a_model_file_with_a_repeated_record(self, tmp_path, capsys):
+        path = tmp_path / "model.aero"
+        save_model(str(path), ActivityModel.build(math.prod(CROP_SHAPE), hidden_size=2))
+        extra = io.BytesIO()
+        extra.write(struct.pack("<H", 15) + b"heads.w_primary")
+        tensorio._write_record(extra, np.ones((2, 4)))
+        data = path.read_bytes()
+        (count,) = struct.unpack_from("<I", data, 5)
+        path.write_bytes(data[:5] + struct.pack("<I", count + 1) + data[9:] + extra.getvalue())
+        main(["synth", "--frames", "1", "--out", str(tmp_path / "data")])
+        capsys.readouterr()
+        code = main([
+            "pipeline", "--manifest", str(tmp_path / "data" / "manifest.txt"),
+            "--model", str(path), "--out", str(tmp_path / "run"),
+        ])
+        assert code == 2
+        assert "duplicate record name 'heads.w_primary'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("frame_id", [-7, 2**32])
     def test_manifest_frame_id_outside_u32_is_data_error(self, tmp_path, capsys, frame_id):
@@ -676,17 +723,16 @@ _README = Path(__file__).parent.parent / "README.md"
 
 
 def _readme_commands():
-    """Each `aeropipe ...` line of README.md's command-line block, without
-    its comment and a trailing `&`."""
-    text = _README.read_text(encoding="utf-8")
-    block = re.search(r"## Command line\n.*?```bash\n(.*?)```", text, re.S).group(1)
-    lines = [line.split("#")[0].strip().removesuffix("&").split() for line in block.splitlines()]
+    """Each `aeropipe ...` line of README.md's bash blocks, without its
+    comment and a trailing `&`."""
+    blocks = re.findall(r"```bash\n(.*?)```", _README.read_text(encoding="utf-8"), re.S)
+    lines = [line.split("#")[0].strip().removesuffix("&").split() for block in blocks for line in block.splitlines()]
     return [line[1:] for line in lines if line[:1] == ["aeropipe"]]
 
 
 def test_readme_commands_parse():
     commands = _readme_commands()
-    assert len(commands) >= 10
+    assert len(commands) >= 11
     parser = build_parser()
     for argv in commands:
         args = parser.parse_args(argv)

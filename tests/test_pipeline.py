@@ -27,7 +27,7 @@ from aeropipe.pipeline import (
 from aeropipe.densemaps import encode, zero_maps
 from aeropipe.geometry import BBox
 from aeropipe.synth import SceneConfig, corrupt_maps, generate_scene, generate_sequence, render_intensity
-from aeropipe.temporal import ActionVocabulary, ActivityModel, TrackStore, predict
+from aeropipe.temporal import ActivityModel, TrackStore, predict
 from aeropipe.wire import decode_message
 from reference import _dense
 
@@ -236,8 +236,7 @@ class TestRunFrame:
         size = math.prod(CROP_SHAPE)
 
         def model(primary, secondary):
-            labels = ActionVocabulary(tuple(f"p{i}" for i in range(primary)), tuple(f"s{i}" for i in range(secondary)))
-            built = ActivityModel.build(size, hidden_size=2, vocab=labels)
+            built = ActivityModel.build(size, hidden_size=2, n_primary=primary, n_secondary=secondary)
             built.heads.b_primary[-1] = built.heads.b_secondary[-1] = 1.0
             return built
 

@@ -322,6 +322,17 @@ class TestRenderAndManifest:
         seed, grid, back = read_manifest(path)
         assert (seed, grid, back) == (42, (640, 360), entries)
 
+    def test_manifest_skips_blank_and_comment_lines_and_rejects_other_words(self, tmp_path):
+        path = tmp_path / "manifest.txt"
+        path.write_text("# fixture\n\nseed 2\ngrid 4 3\nframe 0 a.txt f.aero\n")
+        assert read_manifest(str(path)) == (2, (4, 3), [(0, "a.txt", "f.aero")])
+        path.write_text("seed 2\nframes 0 a.txt f.aero\n")
+        with pytest.raises(ValueError, match="line 2: 'frames 0 a.txt f.aero' is not a seed, grid or frame line"):
+            read_manifest(str(path))
+        path.write_text("seed 2\nframe 0 a.txt f.aero\n")
+        with pytest.raises(ValueError, match="no 'grid' line"):
+            read_manifest(str(path))
+
     @pytest.mark.parametrize("frame_id", [-7, 2**32])
     def test_manifest_frame_id_outside_u32_rejected(self, tmp_path, frame_id):
         path = tmp_path / "manifest.txt"

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from aeropipe.geometry import BBox, center
 from aeropipe.tensorio import TensorFormatError, load_named_tensors, save_named_tensors
 from aeropipe.temporal import (
-    ActionVocabulary,
     ActivityModel,
     Adam,
     AdamConfig,
@@ -47,7 +46,7 @@ def _scalar_bn(x, gamma, beta, training, running_mean, running_var):
     return out
 
 
-def _scalar_cell_step(cell, x, h_prev, c_prev):
+def _scalar_cell_step(cell, x, h_prev, c_prev, training):
     """Independent re-implementation of one recurrent step."""
     nh = cell.hidden_size
     xh = np.array([[sum(x[i, k] * cell.w_xh[k, j] for k in range(cell.input_size))
@@ -55,9 +54,9 @@ def _scalar_cell_step(cell, x, h_prev, c_prev):
     hh = np.array([[sum(h_prev[i, k] * cell.w_hh[k, j] for k in range(nh))
                     for j in range(4 * nh)] for i in range(x.shape[0])])
     pre = (
-        _scalar_bn(xh, cell.bn_x.gamma, cell.bn_x.beta, cell.training,
+        _scalar_bn(xh, cell.bn_x.gamma, cell.bn_x.beta, training,
                    cell.bn_x.running_mean, cell.bn_x.running_var)
-        + _scalar_bn(hh, cell.bn_h.gamma, cell.bn_h.beta, cell.training,
+        + _scalar_bn(hh, cell.bn_h.gamma, cell.bn_h.beta, training,
                      cell.bn_h.running_mean, cell.bn_h.running_var)
         + cell.bias
     )
@@ -67,7 +66,7 @@ def _scalar_cell_step(cell, x, h_prev, c_prev):
     g = np.tanh(pre[:, 2 * nh : 3 * nh])
     o_g = np.vectorize(sig)(pre[:, 3 * nh : 4 * nh])
     c = f_g * c_prev + i_g * g
-    c_norm = _scalar_bn(c, cell.bn_c.gamma, cell.bn_c.beta, cell.training,
+    c_norm = _scalar_bn(c, cell.bn_c.gamma, cell.bn_c.beta, training,
                         cell.bn_c.running_mean, cell.bn_c.running_var)
     return o_g * np.tanh(c_norm), c
 
@@ -90,23 +89,20 @@ class TestBnLstmCell:
 
     def test_train_mode_rejects_singleton_batch(self):
         cell = BnLstmCell(4, 3, seed=1)
-        cell.training = True
         h, c = cell.zero_state(1)
         with pytest.raises(ValueError, match="batch size"):
-            bnlstm_step(cell, np.ones((1, 4)), h, c)
+            bnlstm_step(cell, np.ones((1, 4)), h, c, training=True)
 
     @pytest.mark.parametrize("training", [False, True])
     def test_matches_scalar_reference(self, training):
         cell = BnLstmCell(5, 4, seed=11)
-        cell.training = training
         rng = np.random.default_rng(0)
         x = rng.normal(size=(3, 5))
         h_prev = rng.normal(size=(3, 4)) * 0.1
         c_prev = rng.normal(size=(3, 4)) * 0.1
         ref_cell = BnLstmCell(5, 4, seed=11)
-        ref_cell.training = training
-        h_ref, c_ref = _scalar_cell_step(ref_cell, x, h_prev, c_prev)
-        h_out, c_out = bnlstm_step(cell, x, h_prev, c_prev)
+        h_ref, c_ref = _scalar_cell_step(ref_cell, x, h_prev, c_prev, training)
+        h_out, c_out = bnlstm_step(cell, x, h_prev, c_prev, training=training)
         np.testing.assert_allclose(h_out, h_ref, atol=1e-6)
         np.testing.assert_allclose(c_out, c_ref, atol=1e-6)
         if training:
@@ -126,7 +122,6 @@ class TestBnLstmCell:
 
     def test_train_mode_normalization_statistics(self):
         cell = BnLstmCell(32, 16, seed=5)
-        cell.training = True
         rng = np.random.default_rng(2)
         x = rng.normal(size=(64, 32))
         pre = x @ cell.w_xh
@@ -436,8 +431,8 @@ class TestModelPersistence:
         with pytest.raises(TensorFormatError, match="cell.w_hh"):
             load_model(path)
 
-    def test_vocabulary_validation(self):
-        with pytest.raises(ValueError):
-            ActionVocabulary(primary_labels=("only",), secondary_labels=("a", "b"))
-        with pytest.raises(ValueError):
-            ActionVocabulary(primary_labels=("a", "a"), secondary_labels=("x", "y"))
+    def test_build_rejects_a_one_class_head(self):
+        with pytest.raises(ValueError, match="at least 2 classes"):
+            ActivityModel.build(input_size=8, hidden_size=4, n_primary=1)
+        with pytest.raises(ValueError, match="at least 2 classes"):
+            ActivityModel.build(input_size=8, hidden_size=4, n_secondary=1)

@@ -130,6 +130,15 @@ def test_declared_size_checked_before_reading():
         tensorio._read_record(_ReadGuard(record))
 
 
+def test_repeated_record_name_is_format_error(tmp_path):
+    def record(value):  # name "a", float64, one dim of 1
+        return struct.pack("<H", 1) + b"a" + bytes([1, 1]) + struct.pack("<Id", 1, value)
+
+    data = tensorio.MAGIC + struct.pack("<BI", tensorio.VERSION, 2) + record(2.0) + record(3.0)
+    with pytest.raises(tensorio.TensorFormatError, match="duplicate record name 'a'"):
+        tensorio.load_named_tensors(_write(tmp_path / "params.aero", data))
+
+
 def test_non_utf8_record_name_is_format_error(tmp_path):
     path = str(tmp_path / "params.aero")
     tensorio.save_named_tensors(path, {"w": np.ones(2)})

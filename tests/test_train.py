@@ -4,7 +4,6 @@ import pytest
 from aeropipe.synth import crop_dataset
 from aeropipe.temporal import (
     DivergenceGuard,
-    ActionVocabulary,
     ActivityModel,
     AdamConfig,
     TrainingDiverged,
@@ -40,8 +39,7 @@ class TestTrainToy:
 
     def test_two_class_separable_reaches_99_percent(self):
         features, labels = _two_class_dataset()
-        vocab = ActionVocabulary(primary_labels=("a", "b"), secondary_labels=("x", "y"))
-        model = ActivityModel.build(input_size=40, hidden_size=16, vocab=vocab, seed=3)
+        model = ActivityModel.build(input_size=40, hidden_size=16, n_primary=2, n_secondary=2, seed=3)
         result = train_toy(
             model,
             features,

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import re
 from dataclasses import dataclass
 from typing import Iterable, TextIO
 
@@ -55,11 +56,19 @@ def check_frame_id(frame_id: int, where: str) -> int:
     return frame_id
 
 
+def parse_int(text: str, where: str) -> int:
+    """`text` as an integer if it is ASCII `-?[0-9]+`, else ValueError naming
+    `where` (`int()` also takes `_`, non-ASCII digits, `+` and spaces)."""
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise ValueError(f"expected an integer in ASCII digits, got {text!r}: {where}")
+    return int(text)
+
+
 def parse_line(line: str) -> AnnotationRecord:
     parts = line.split()
     if len(parts) not in (8, 9):
         raise ValueError(f"expected 8 or 9 fields, got {len(parts)}: {line!r}")
-    ints = [int(p) for p in parts[:8]]
+    ints = [parse_int(p, repr(line)) for p in parts[:8]]
     conf = float(parts[8]) if len(parts) == 9 else 1.0
     if not math.isfinite(conf):
         raise ValueError(f"non-finite confidence: {line!r}")

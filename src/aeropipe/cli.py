@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import math
 import os
-import re
 import socket
 import sys
 import traceback
@@ -24,7 +23,7 @@ import traceback
 import numpy as np
 
 from . import synth, wire
-from .annotations import AnnotationRecord, append_annotations, check_frame_id, group_by_frame, read_annotations
+from .annotations import AnnotationRecord, append_annotations, check_frame_id, group_by_frame, parse_int, read_annotations
 from .boxgen import box_generator
 from .densemaps import encode, load_maps, save_maps
 from .evaluate import EvalConfig, action_map, evaluate_map
@@ -50,10 +49,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_grid(text: str) -> tuple[int, int]:
-    m = re.fullmatch(r"(\d+)x(\d+)", text)
-    if not m:
-        raise ValueError(f"expected WIDTHxHEIGHT, got {text!r}")
-    return int(m.group(1)), int(m.group(2))
+    width, _, height = text.partition("x")
+    grid = (parse_int(width, f"--grid {text!r}"), parse_int(height, f"--grid {text!r}"))
+    if min(grid) < 0:
+        raise ValueError(f"expected WIDTHxHEIGHT, got --grid {text!r}")
+    return grid
 
 
 def _at_least(low: int, parse=int):
@@ -83,7 +83,6 @@ _frame_id.__name__ = "int"
 
 # One map file per frame: `encode DIR` and `synth` write it, `detect DIR` reads it.
 _MAPS_NAME = "frame_{:06d}.aero"
-_MAPS_NAME_RE = re.compile(re.escape(_MAPS_NAME).replace(re.escape("{:06d}"), r"(\d+)"))
 
 
 def _load_pipeline_config(args: argparse.Namespace) -> PipelineConfig:
@@ -116,12 +115,15 @@ def cmd_encode(args: argparse.Namespace) -> int:
 
 def _maps_inputs(path: str) -> list[tuple[int, str]]:
     if os.path.isdir(path):
+        prefix, _, suffix = _MAPS_NAME.partition("{:06d}")
         entries = []
         for name in sorted(os.listdir(path)):
-            m = _MAPS_NAME_RE.fullmatch(name)
-            if m:
+            if name.startswith(prefix) and name.endswith(suffix):
                 file = os.path.join(path, name)
-                entries.append((check_frame_id(int(m.group(1)), file), file))
+                fid = check_frame_id(parse_int(name[len(prefix) : -len(suffix)], file), file)
+                if name != _MAPS_NAME.format(fid):
+                    raise ValueError(f"{file}: the map file of frame {fid} is named {_MAPS_NAME.format(fid)}")
+                entries.append((fid, file))
         if not entries:
             raise ValueError(f"no frame_*.aero files under {path}")
         return entries

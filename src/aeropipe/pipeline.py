@@ -10,17 +10,16 @@ on real data.
 Decode runs before the stub. The two read independent inputs (the maps and
 the intensity), and in this order the decode's frame-sized grids (masked
 maps, denoised copy, labels, padded peak channels) are freed before the
-stub allocates its levels, so a frame holds one stage's working set at a
-time, not both. The larger is the stub's: its scale-1 level plus its
-row-sweep buffer, five frame-sized float64 arrays, while the worker thread
-takes the coarser block means (half an array more). `run_frame` peaks at
-5.4 to 5.6 of them on a noisy 27-box 640x360 frame, against 8.7 with the
-stub first.
+stub allocates its levels. `run_frame` then peaks at 5.8 frame-sized
+float64 arrays on a noisy 27-box 640x360 frame, against 8.7 with the stub
+first: the stub's scale-1 level and row-sweep buffer (5) beside the
+worker's coarser block means, or its levels and variance temporary
+beside the worker's scale-2 sweep.
 
 One worker thread (`worker.both`) gives a frame a second core: it runs the
-stub's coarser block means, its second level and half its scale-1 rows,
-the mask's channel 1 and one map channel's conversion in `load_maps`, each
-into arrays nothing else writes, so the bytes are those of a serial run.
+stub's coarser block means and coarser levels, the mask's channel 1 and
+one map channel's conversion in `load_maps`, each into arrays nothing else
+writes, so the bytes are those of a serial run.
 """
 
 from __future__ import annotations
@@ -226,13 +225,10 @@ def _swept_level(down: np.ndarray, level: np.ndarray | None = None) -> np.ndarra
     return level
 
 
-def _finish_rows(level: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
-    """Horizontal pass, then variance, over `rows` of a swept level. Each
-    line of the stack is filtered on its own, so any split of the rows
-    gives the same bytes."""
-    local = level[1:, rows]
-    ndimage.uniform_filter1d(local, LOCAL_WINDOW, axis=2, mode="nearest", output=local)
-    mean, var = level[1, rows], level[2, rows]
+def _finish_level(level: np.ndarray) -> np.ndarray:
+    """Horizontal pass, then variance, over a swept level."""
+    _, mean, var = level
+    ndimage.uniform_filter1d(level[1:], LOCAL_WINDOW, axis=2, mode="nearest", output=level[1:])
     var -= mean * mean
     np.clip(var, 0.0, None, out=var)
     return level
@@ -251,9 +247,8 @@ def feature_stub(intensity: np.ndarray) -> FeatureGrid:
     runs the horizontal pass.
 
     While the caller builds and sweeps the first scale's level, the worker
-    thread takes the coarser block means. Then the worker finishes the lower
-    half of the first level's rows and builds the second scale's level; the
-    caller finishes the upper half and builds the rest.
+    thread takes the coarser block means. Then the caller finishes the
+    first level while the worker builds and finishes the coarser ones.
     """
     frame = np.asarray(intensity, dtype=np.float64)
     first, *coarse = STUB_SCALES
@@ -261,18 +256,12 @@ def feature_stub(intensity: np.ndarray) -> FeatureGrid:
         lambda: _swept_level(_downsample(frame, first)),
         lambda: [_downsample(frame, scale) for scale in coarse],
     )
-    half = fine.shape[1] // 2
     # The caller allocates the worker's levels too, in the memory the first
     # level's sweep buffer just freed; a worker thread's own allocations
     # grow a heap of their own.
     coarser = [(down, np.empty((3, *down.shape))) for down in downs]
-
-    def finish(rows: slice, pairs: list) -> list[np.ndarray]:
-        _finish_rows(fine, rows)
-        return [_finish_rows(_swept_level(down, level)) for down, level in pairs]
-
-    rest, second = both(lambda: finish(slice(None, half), coarser[1:]), lambda: finish(slice(half, None), coarser[:1]))
-    return FeatureGrid(frame.shape, list(zip(STUB_SCALES, [fine, *second, *rest])))
+    _, rest = both(lambda: _finish_level(fine), lambda: [_finish_level(_swept_level(*pair)) for pair in coarser])
+    return FeatureGrid(frame.shape, list(zip(STUB_SCALES, [fine, *rest])))
 
 
 @dataclass

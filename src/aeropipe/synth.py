@@ -21,7 +21,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .annotations import AnnotationRecord, check_frame_id
+from .annotations import AnnotationRecord, check_frame_id, parse_int
 from .attention import CROP_SHAPE
 from .densemaps import DenseMaps, encode
 from .geometry import BBox, separation
@@ -323,8 +323,8 @@ def write_manifest(path: str, seed: int, grid: tuple[int, int], entries: Iterabl
 
 def read_manifest(path: str) -> tuple[int, tuple[int, int], list[tuple[int, str, str]]]:
     """Seed, grid and frame entries; a line that is not a seed, grid or frame
-    line, a truncated one, a frame id outside the report's u32 or a missing
-    grid line raises ValueError."""
+    line, a truncated one, a number not in ASCII digits, a frame id outside
+    the report's u32 or a missing grid line raises ValueError."""
     seed = 0
     grid: tuple[int, int] | None = None
     entries: list[tuple[int, str, str]] = []
@@ -338,13 +338,13 @@ def read_manifest(path: str) -> tuple[int, tuple[int, int], list[tuple[int, str,
                 raise ValueError(f"{path} line {lineno}: {raw.strip()!r} is not a seed, grid or frame line")
             if len(parts) < fields:
                 raise ValueError(f"{path} line {lineno}: truncated {parts[0]!r} line {raw.strip()!r}")
+            where = f"{path} line {lineno}"
             if parts[0] == "seed":
-                seed = int(parts[1])
+                seed = parse_int(parts[1], where)
             elif parts[0] == "grid":
-                grid = (int(parts[1]), int(parts[2]))
+                grid = (parse_int(parts[1], where), parse_int(parts[2], where))
             else:
-                fid = check_frame_id(int(parts[1]), f"{path} line {lineno}")
-                entries.append((fid, parts[2], parts[3]))
+                entries.append((check_frame_id(parse_int(parts[1], where), where), parts[2], parts[3]))
     if grid is None:
         raise ValueError(f"{path}: no 'grid' line")
     return seed, grid, entries

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from aeropipe.annotations import (
@@ -39,6 +41,16 @@ def test_non_finite_confidence_rejected(value):
 def test_frame_id_outside_u32_rejected(frame_id):
     line = f"{frame_id} 1 1 9 9 -1 -1 -1"
     with pytest.raises(ValueError, match=f"frame id {frame_id} outside 0..4294967295: '{line}'"):
+        parse_line(line)
+
+
+@pytest.mark.parametrize(
+    "line", ["1_0 8 6 30 28 -1 -1 -1", "1 8 6 30 2_8 -1 -1 -1", "\u0663 8 6 30 28 -1 -1 -1", "+1 8 6 30 28 -1 -1 -1"]
+)
+def test_integers_outside_ascii_digits_rejected(line):
+    """`int()` takes `_` separators, non-ASCII digits and a `+` sign; a
+    record's integers are ASCII `-?[0-9]+` only."""
+    with pytest.raises(ValueError, match=f"expected an integer in ASCII digits, got .*: {re.escape(repr(line))}"):
         parse_line(line)
 
 

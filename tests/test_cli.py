@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import io
 import math
@@ -429,6 +430,40 @@ class TestExitCodes:
         assert f"frame id 99999999999 outside 0..4294967295: {tmp_path / 'frame_99999999999.aero'}" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "name, expected",
+        [
+            ("frame_1.aero", "frame_000001.aero"),
+            ("frame_0000001.aero", "frame_000001.aero"),
+            ("frame_-000001.aero", None),
+            ("frame_\u0663.aero", None),
+            ("frame_1_0.aero", None),
+            ("frame_.aero", None),
+        ],
+    )
+    def test_detect_rejects_a_map_file_name_no_writer_produces(self, tmp_path, capsys, name, expected):
+        """A directory's map file is named `frame_{:06d}.aero` by its ASCII
+        frame id, as `encode DIR` and `synth` write it; any other
+        frame_*.aero name would read a frame twice or under another id."""
+        maps = encode([BBox(8, 6, 30, 28)], (72, 48))
+        for each in ("frame_000001.aero", name):
+            save_maps(str(tmp_path / each), maps)
+        out = tmp_path / "boxes.txt"
+        assert main(["detect", "--maps", str(tmp_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert str(tmp_path / name) in err
+        if expected:
+            assert f"the map file of frame 1 is named {expected}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("grid", ["7_2x48", "\u0667\u0662x\u0664\u0668", "+72x48", "-72x48", "72x", "72x48x1"])
+    def test_encode_grid_outside_ascii_digits_is_data_error(self, tmp_path, capsys, grid):
+        ann = tmp_path / "gt.txt"
+        _write_gt(ann, [BBox(4, 4, 20, 20)])
+        assert main(["encode", "--ann", str(ann), f"--grid={grid}", "--out", str(tmp_path / "m.aero")]) == 2
+        assert f"--grid {grid!r}" in capsys.readouterr().err
+        assert not (tmp_path / "m.aero").exists()
+
     def test_pipeline_rejects_a_model_file_with_a_repeated_record(self, tmp_path, capsys):
         path = tmp_path / "model.aero"
         save_model(str(path), ActivityModel.build(math.prod(CROP_SHAPE), hidden_size=2))
@@ -752,6 +787,44 @@ def test_readme_config_keys_exist():
     listed = re.search(r"`PipelineConfig`, whose \w+ sections are (.*?);", prose, re.S).group(1)
     sections = [f.name for f in dataclasses.fields(pipeline.PipelineConfig)]
     assert re.findall(r"`(\w+)`", listed) == sections
+
+
+# Every option of the program. Adding, renaming or removing one means
+# editing these literals, so each change to the option surface is explicit.
+_FLAGS = {
+    "encode": ["--ann", "--grid", "--out"],
+    "detect": ["--config", "--maps", "--frame-id", "--out"],
+    "synth": ["--seed", "--frames", "--noise", "--out"],
+    "pipeline": ["--config", "--manifest", "--model", "--out"],
+    "eval": ["--pred", "--gt", "--iou", "--curve"],
+    "train": ["--seed", "--epochs", "--out", "--curve"],
+    "bench": ["--config", "--seed", "--frames", "--boxes", "--latest-only"],
+    "send": ["--addr", "--reports"],
+    "recv": ["--addr"],
+    "overlay": ["--ann", "--grid", "--frame-id", "--out"],
+}
+_CONFIG_KEYS = {
+    "boxgen.delta": float,
+    "attention.expand_ratio": float,
+    "attention.sigma_scale": float,
+    "nms.iou_threshold": float,
+    "nms.score_floor": float,
+    "associate.max_dist": float,
+    "associate.max_age": int,
+    "pipeline.frame_period_ms": int,
+}
+
+
+def test_the_option_list_is_pinned():
+    """35 flags over the 10 subcommands and 8 config keys."""
+    (subcommands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    flags = {
+        command: [opt for action in parser._actions for opt in action.option_strings if opt not in ("-h", "--help")]
+        for command, parser in subcommands.choices.items()
+    }
+    assert flags == _FLAGS
+    assert sum(map(len, flags.values())) == 35
+    assert pipeline.config_keys() == _CONFIG_KEYS
 
 
 # Manifest and annotation text for the input-boundary property: lines that

@@ -267,10 +267,13 @@ class TestRunFrame:
         assert len(result.detections) > 20
         # Decode runs first and frees its grids (masked maps, denoised copy,
         # labels, padded peak channels) before the stub starts, so the most
-        # any stage holds is the stub's scale-1 level (3 frame-sized float64
-        # arrays) plus its row-sweep buffer (2), while the worker thread
-        # takes the coarser block means (0.5). Half an array of headroom;
-        # with the stub first the two stages' arrays overlapped, at 8.7.
+        # any stage holds is the stub's: its scale-1 level (3 frame-sized
+        # float64 arrays) plus its row-sweep buffer (2) while the worker
+        # thread takes the coarser block means (0.5), then that level, the
+        # caller's variance temporary (1) and the coarser block means and
+        # levels (1.25) while the worker sweeps the scale-2 level (0.5).
+        # Measured at 5.5 to 5.8; with the stub first the two stages'
+        # arrays overlapped, at 8.7.
         assert peak <= 6 * 360 * 640 * 8
 
     def test_frame_order_enforced(self):

@@ -340,6 +340,15 @@ class TestRenderAndManifest:
         with pytest.raises(ValueError, match=f"frame id {frame_id} outside 0..4294967295: .* line 3"):
             read_manifest(str(path))
 
+    @pytest.mark.parametrize(
+        "line", ["grid 7_2 48", "grid 72 \u0664\u0668", "frame 1_0 a.txt f.aero", "frame \u0663 a.txt f.aero", "seed 1_0"]
+    )
+    def test_manifest_integers_outside_ascii_digits_rejected(self, tmp_path, line):
+        path = tmp_path / "manifest.txt"
+        path.write_text(f"seed 1\ngrid 72 48\n{line}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="expected an integer in ASCII digits, got .*: .* line 3"):
+            read_manifest(str(path))
+
     def test_manifest_takes_the_largest_u32_frame_id(self, tmp_path):
         path = str(tmp_path / "manifest.txt")
         write_manifest(path, 1, (64, 48), [(2**32 - 1, "a.txt", "f.aero")])

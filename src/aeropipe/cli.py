@@ -56,16 +56,24 @@ def _parse_grid(text: str) -> tuple[int, int]:
     return grid
 
 
-def _at_least(low: int, parse=int):
+def _int(text: str) -> int:
+    """An argparse type: an integer in ASCII digits."""
+    return parse_int(text, "flag value")
+
+
+_int.__name__ = "int"  # argparse's "invalid int value" names the type
+
+
+def _at_least(low: int, parse=_int):
     """An argparse type: `parse` the text and require a finite value >= `low`."""
     def check(text: str):
         value = parse(text)
         if not low <= value < math.inf:
-            noun = "an integer" if parse is int else "a finite number"
+            noun = "an integer" if parse is _int else "a finite number"
             raise argparse.ArgumentTypeError(f"expected {noun} >= {low}, got {value}")
         return value
 
-    check.__name__ = parse.__name__  # argparse's "invalid int value" names the type
+    check.__name__ = parse.__name__
     return check
 
 
@@ -341,7 +349,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_detect)
 
     p = sub.add_parser("synth", help="generate synthetic fixtures")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int, default=0)
     p.add_argument("--frames", type=_at_least(1), default=10)
     p.add_argument("--noise", type=_at_least(0, float), default=0.0, help="regression noise amplitude")
     p.add_argument("--out", required=True, help="output directory")
@@ -362,7 +370,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("train", help="toy Adam training of the linear heads")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int, default=0)
     p.add_argument("--epochs", type=_at_least(1), default=500)
     p.add_argument("--out", help="model parameter file")
     p.add_argument("--curve", help="write the loss curve CSV here")
@@ -370,7 +378,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("bench", help="per-stage latency statistics")
     p.add_argument("--config", help=config_help)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int, default=0)
     p.add_argument("--frames", type=_at_least(1), default=100)
     p.add_argument("--boxes", type=_at_least(0), default=10)
     p.add_argument("--latest-only", action="store_true", help="drop frames that arrive mid-processing")

@@ -20,10 +20,14 @@ One worker thread (`worker.both`) gives a frame a second core: it runs the
 stub's coarser block means and coarser levels, the mask's channel 1 and
 one map channel's conversion in `load_maps`, each into arrays nothing else
 writes, so the bytes are those of a serial run.
+
+A frame that raises leaves the loop as it was: `run_frame` commits its
+stepped copy of the track store and the frame id once the report is encoded.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 import time
 import typing
@@ -32,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import ndimage
 
-from .annotations import AnnotationRecord
+from .annotations import AnnotationRecord, parse_int
 from .attention import CROP_SHAPE, LOCAL_WINDOW, STUB_SCALES, AttentionConfig, FeatureGrid, crop_and_resize
 from .boxgen import BoxGeneratorConfig, box_generator
 from .densemaps import DenseMaps
@@ -133,7 +137,7 @@ def config_from_mapping(values: dict[str, str]) -> PipelineConfig:
         if key not in keys:
             raise ValueError(f"unknown config key {key!r}")
         section, _, attr = key.partition(".")
-        overrides[section][attr] = keys[key](raw)
+        overrides[section][attr] = parse_int(raw, key) if keys[key] is int else keys[key](raw)
     return PipelineConfig(**{name: sections[name](**kw) for name, kw in overrides.items()})
 
 
@@ -297,8 +301,8 @@ class Pipeline:
         zero side or one above 65536 px (report boxes are u16), and an
         intensity whose shape is not the maps' (height, width) or that holds
         NaN, inf or a magnitude above MAX_INTENSITY raise ValueError before
-        any stage runs; None stands for a zero frame. A frame takes its id
-        only once the decode has accepted its maps."""
+        any stage runs; None stands for a zero frame. A frame that raises
+        leaves the loop as it was."""
         check_header(frame.frame_id, frame.drone_lat, frame.drone_lon, frame.drone_alt_m)
         if self.last_frame_id is not None and frame.frame_id <= self.last_frame_id:
             raise ValueError(
@@ -321,8 +325,6 @@ class Pipeline:
         start = time.perf_counter()
         boxes = box_generator(frame.maps, self.cfg.boxgen)
         timings["decode"] = (time.perf_counter() - start) * 1e3
-        # Maps the decode rejects (ValueError) leave the frame id free.
-        self.last_frame_id = frame.frame_id
 
         start = time.perf_counter()
         intensity = frame.intensity if frame.intensity is not None else np.zeros(grid)
@@ -334,7 +336,8 @@ class Pipeline:
         timings["attention"] = (time.perf_counter() - start) * 1e3
 
         start = time.perf_counter()
-        detections = self._predict(boxes, crops, frame.frame_id)
+        store = copy.copy(self.store)
+        detections = self._predict(store, boxes, crops, frame.frame_id)
         timings["temporal"] = (time.perf_counter() - start) * 1e3
 
         start = time.perf_counter()
@@ -353,10 +356,11 @@ class Pipeline:
         payload = encode_message(message)
         timings["wire"] = (time.perf_counter() - start) * 1e3
 
+        self.store, self.last_frame_id = store, frame.frame_id
         return FrameResult(kept, message, payload, timings)
 
-    def _predict(self, boxes: list[BBox], crops, frame_id: int) -> list[AnnotationRecord]:
-        tracks = self.store.step(boxes)
+    def _predict(self, store: TrackStore, boxes: list[BBox], crops, frame_id: int) -> list[AnnotationRecord]:
+        tracks = store.step(boxes)
         if not tracks:
             return []
         x = np.stack([c.tensor.reshape(-1) for c in crops])

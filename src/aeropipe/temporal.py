@@ -218,44 +218,28 @@ class Track:
     age: int = 0
 
 
-@dataclass
-class Association:
-    """Greedy matching outcome over one frame."""
-
-    matches: list[tuple[int, int]]
-    unmatched_tracks: list[int]
-    unmatched_detections: list[int]
-
-
-def associate(tracks: list[Track], detections: list[BBox], max_dist: float) -> Association:
+def associate(tracks: list[Track], detections: list[BBox], max_dist: float) -> list[tuple[int, int]]:
     """Repeatedly pair the globally closest (track, detection) by center
     distance, never exceeding max_dist; each side is used at most once.
+    Returns the (track index, detection index) pairs in matching order.
 
-    Distance ties break on (track index, detection index) for determinism.
-    Only the pairs within max_dist are sorted: the greedy pass never reads
-    a farther one.
+    Distance ties break on (track index, detection index). Only the pairs
+    within max_dist are sorted: the greedy pass never reads a farther one.
     """
     if not tracks or not detections:
-        return Association([], list(range(len(tracks))), list(range(len(detections))))
+        return []
     t_centers = np.array([center(t.last_box) for t in tracks])
     d_centers = np.array([center(d) for d in detections])
     dist = np.sqrt(((t_centers[:, None, :] - d_centers[None, :, :]) ** 2).sum(axis=2))
     t_idx, d_idx = np.nonzero(dist <= max_dist)
     order = np.lexsort((d_idx, t_idx, dist[t_idx, d_idx]))
-    matches: list[tuple[int, int]] = []
-    used_t: set[int] = set()
+    matched: dict[int, int] = {}
     used_d: set[int] = set()
     for ti, di in zip(t_idx[order].tolist(), d_idx[order].tolist()):
-        if ti in used_t or di in used_d:
-            continue
-        matches.append((ti, di))
-        used_t.add(ti)
-        used_d.add(di)
-    return Association(
-        matches=matches,
-        unmatched_tracks=[i for i in range(len(tracks)) if i not in used_t],
-        unmatched_detections=[i for i in range(len(detections)) if i not in used_d],
-    )
+        if ti not in matched and di not in used_d:
+            matched[ti] = di
+            used_d.add(di)
+    return list(matched.items())
 
 
 class TrackStore:
@@ -273,24 +257,28 @@ class TrackStore:
         """Match detections to tracks and update lifecycle.
 
         Returns the per-detection track list, aligned with `detections`.
+        Held Tracks are never edited: `self.tracks` is rebound to new ones in
+        the old order, then the spawns in detection order. Spawns share one
+        zero row as `h` and `c`, which are only ever rebound, never written.
         """
-        assoc = associate(self.tracks, detections, self.max_dist)
-        by_detection: dict[int, Track] = {}
-        for ti, di in assoc.matches:
-            track = self.tracks[ti]
-            track.last_box = detections[di]
-            track.age = 0
-            by_detection[di] = track
-        for ti in assoc.unmatched_tracks:
-            self.tracks[ti].age += 1
-        self.tracks = [t for t in self.tracks if t.age <= self.max_age]
+        matched = dict(associate(self.tracks, detections, self.max_dist))
+        owned: list[Track | None] = [None] * len(detections)
+        tracks: list[Track] = []
+        for ti, t in enumerate(self.tracks):
+            di = matched.get(ti)
+            if di is not None:
+                owned[di] = Track(t.track_id, t.h, t.c, detections[di])
+                tracks.append(owned[di])
+            elif t.age < self.max_age:
+                tracks.append(Track(t.track_id, t.h, t.c, t.last_box, t.age + 1))
         zeros = np.zeros(self.hidden_size, dtype=np.float64)
-        for di in assoc.unmatched_detections:
-            track = Track(self._next_id, zeros.copy(), zeros.copy(), detections[di])
-            self._next_id += 1
-            self.tracks.append(track)
-            by_detection[di] = track
-        return [by_detection[i] for i in range(len(detections))]
+        for di, box in enumerate(detections):
+            if owned[di] is None:
+                owned[di] = Track(self._next_id, zeros, zeros, box)
+                self._next_id += 1
+                tracks.append(owned[di])
+        self.tracks = tracks
+        return owned
 
 
 # ---------------------------------------------------------------------------

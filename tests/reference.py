@@ -38,7 +38,7 @@ from aeropipe.densemaps import REG0_CHANNEL, REG1_CHANNEL, SEG_CHANNEL, DenseMap
 from aeropipe.evaluate import EvalConfig, _ap_from_flags
 from aeropipe.geometry import BBox, PixelCoord, center, iou
 from aeropipe.pipeline import AssociateConfig, FrameRecord, PipelineConfig, _downsample
-from aeropipe.temporal import ActivityModel, Association, Track, predict
+from aeropipe.temporal import ActivityModel, Track, predict
 from aeropipe.wire import (
     _ENTRY,
     _HEADER,
@@ -351,8 +351,18 @@ def _two_temporary_crop_reference(features: FeatureGrid, b: BBox, cfg: Attention
 
 
 # ---------------------------------------------------------------------------
-# Association: `associate` before it ordered pairs with np.lexsort.
+# Association: `associate` before it ordered pairs with np.lexsort and
+# before it returned only the matched pairs.
 # ---------------------------------------------------------------------------
+
+
+@dataclass
+class Association:
+    """Greedy matching outcome over one frame."""
+
+    matches: list[tuple[int, int]]
+    unmatched_tracks: list[int]
+    unmatched_detections: list[int]
 
 
 def _reference_associate(tracks: list[Track], detections: list[BBox], max_dist: float) -> Association:

@@ -65,6 +65,9 @@ class TestExpandedWindow:
             AttentionConfig(expand_ratio=0.9)
         with pytest.raises(ValueError):
             AttentionConfig(sigma_scale=0.0)
+        assert AttentionConfig(expand_ratio=2.0**30).expand_ratio == 2.0**30
+        with pytest.raises(ValueError, match="expand_ratio must be in"):
+            AttentionConfig(expand_ratio=math.nextafter(2.0**30, math.inf))
 
 
 class TestAttentionMap:

@@ -701,6 +701,25 @@ class TestExitCodes:
         assert main(["bench", "--frames", "1", "--boxes", "2", "--config", str(tmp_path / "cfg.txt")]) == 2
         assert f"error: {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "args, value",
+        [
+            (["synth", "--out", "{out}", "--frames"], "\u0663"),
+            (["synth", "--out", "{out}", "--seed"], "1_0"),
+            (["train", "--out", "{out}", "--epochs"], "1_0"),
+            (["bench", "--frames", "1", "--boxes"], "+2"),
+            (["detect", "--maps", "m.aero", "--out", "{out}", "--frame-id"], "1_2"),
+            (["overlay", "--ann", "gt.txt", "--grid", "64x48", "--out", "{out}", "--frame-id"], "\u0661"),
+        ],
+        ids=["synth-frames", "synth-seed", "train-epochs", "bench-boxes", "detect-frame-id", "overlay-frame-id"],
+    )
+    def test_integer_flag_outside_ascii_digits_is_usage_error(self, tmp_path, capsys, args, value):
+        """`int()` once read "\u0663" as 3 and "1_0" as 10."""
+        out = tmp_path / "out"
+        assert main([*(a.format(out=out) for a in args), value]) == 1
+        assert f"invalid int value: {value!r}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 # Each numeric flag of the subcommands that take one, with the cap of its
 # large values: frames, epochs, boxes and grid are capped so that no case

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import sys
 import threading
 import tracemalloc
@@ -166,8 +167,10 @@ class TestRunFrame:
             ({"frame_id": 1.5}, "frame id 1.5 is not an integer"),
             ({"drone_lon": 300.0}, "drone_lon 300.0 does not fit"),
             ({"drone_lat": math.nan}, "drone_lat nan does not fit"),
+            ({"drone_lat": -214.7483649}, "drone_lat -214.7483649 does not fit"),
+            ({"drone_lon": -214.7483649}, "drone_lon -214.7483649 does not fit"),
         ],
-        ids=["frame-id-2**32", "frame-id-neg", "frame-id-1.5", "lon-300", "lat-nan"],
+        ids=["frame-id-2**32", "frame-id-neg", "frame-id-1.5", "lon-300", "lat-nan", "lat-below-i32", "lon-below-i32"],
     )
     def test_header_fields_are_checked_before_any_stage(self, monkeypatch, fields, message):
         """Each once failed only in `encode_message` (`struct.error`, or an
@@ -182,7 +185,12 @@ class TestRunFrame:
                 pipeline.run_frame(FrameRecord(**{"frame_id": 0, "maps": scene.maps, **fields}))
         assert pipeline.last_frame_id is None
         assert pipeline.store.tracks == [] and pipeline.store._next_id == 0
-        assert len(pipeline.run_frame(FrameRecord(frame_id=0, maps=scene.maps)).detections) == 4
+        # The i32's lowest value is a valid latitude and longitude.
+        edge = {"drone_lat": -214.7483648, "drone_lon": -214.7483648}
+        result = pipeline.run_frame(FrameRecord(frame_id=0, maps=scene.maps, **edge))
+        assert len(result.detections) == 4
+        header = decode_message(result.payload)
+        assert header.drone_lat_e7 == header.drone_lon_e7 == -(2**31)
 
     def test_maps_the_decode_rejects_leave_the_frame_id_free(self):
         """Such a frame once took its id, so a retry with good maps failed
@@ -224,6 +232,33 @@ class TestRunFrame:
         assert pipeline.last_frame_id == 4
         assert [(t.track_id, t.last_box, t.age) for t in pipeline.store.tracks] == tracks
         assert [d.box for d in pipeline.run_frame(FrameRecord(frame_id=5, maps=maps)).detections] == [BBox(4, 2, 16, 14)]
+
+    @pytest.mark.parametrize(
+        "stage", ["feature_stub", "crop_and_resize", "predict", "nms", "build_report", "encode_message"]
+    )
+    def test_a_frame_that_raises_in_any_stage_leaves_the_loop_as_it_was(self, monkeypatch, stage):
+        """Such a frame once took its id after the decode and stepped the
+        tracks in place, so its retry failed "frame ids must increase" and
+        the next frames read half of its effects."""
+        grid = (160, 120)
+        scenes = generate_sequence(SceneConfig(grid=grid, box_count=(4, 4)), 3, 5)
+        frames = [FrameRecord(s.frame_id, s.maps, render_intensity(s.records, grid)) for s in scenes]
+        uninterrupted = Pipeline(PipelineConfig())
+        payloads = [uninterrupted.run_frame(f).payload for f in frames]
+
+        def loop_state(p):
+            tracks = [(t.track_id, t.last_box, t.age, t.h.tobytes(), t.c.tobytes()) for t in p.store.tracks]
+            return p.last_frame_id, p.store._next_id, tracks
+
+        pipeline = Pipeline(PipelineConfig())
+        assert pipeline.run_frame(frames[0]).payload == payloads[0]
+        state = loop_state(pipeline)
+        with monkeypatch.context() as patch:
+            patch.setattr(f"aeropipe.pipeline.{stage}", mock.Mock(side_effect=MemoryError(stage)))
+            with pytest.raises(MemoryError, match=stage):
+                pipeline.run_frame(frames[1])
+        assert loop_state(pipeline) == state
+        assert [pipeline.run_frame(f).payload for f in frames[1:]] == payloads[1:]
 
     def test_map_grid_of_65536_px_reports_its_last_column(self):
         maps = encode([BBox(65520, 2, 65535, 14)], (65536, 17))
@@ -449,6 +484,14 @@ class TestConfigFile:
         assert decode_message(result.payload).timestamp_ms == (2**32 - 1) * 4294967297 == 2**64 - 1
         with pytest.raises(ValueError, match="pipeline.frame_period_ms must be in 0..4294967297"):
             config_from_mapping({"pipeline.frame_period_ms": "4294967298"})
+
+    @pytest.mark.parametrize("value", ["1_0", "\u0663", "+3", " 3", "3.0"])
+    @pytest.mark.parametrize("key", ["pipeline.frame_period_ms", "associate.max_age"])
+    def test_integer_keys_take_only_ascii_digits(self, key, value):
+        """`int()` once read "1_0" as 10 and "\u0663" as 3."""
+        with pytest.raises(ValueError, match=re.escape(f"expected an integer in ASCII digits, got {value!r}: {key}")):
+            config_from_mapping({key: value})
+        assert config_from_mapping({key: "3"}) == config_from_mapping({key: "03"})
 
     def test_malformed_line_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"

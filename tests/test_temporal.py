@@ -1,3 +1,4 @@
+import copy
 import math
 from pathlib import Path
 
@@ -92,6 +93,11 @@ class TestBnLstmCell:
         h, c = cell.zero_state(1)
         with pytest.raises(ValueError, match="batch size"):
             bnlstm_step(cell, np.ones((1, 4)), h, c, training=True)
+        # Two rows are the smallest batch with a defined batch variance.
+        h, c = cell.zero_state(2)
+        h_out, c_out = bnlstm_step(cell, np.array([[1.0, 0, 0, 0], [0, 1.0, 0, 0]]), h, c, training=True)
+        assert h_out.shape == c_out.shape == (2, 3)
+        assert np.isfinite(h_out).all() and np.isfinite(c_out).all()
 
     @pytest.mark.parametrize("training", [False, True])
     def test_matches_scalar_reference(self, training):
@@ -176,15 +182,13 @@ class TestAssociate:
     def test_identity_matching(self):
         boxes = [BBox(0, 0, 10, 10), BBox(30, 30, 44, 40)]
         tracks = [_track_at(i, b) for i, b in enumerate(boxes)]
-        assoc = associate(tracks, boxes, max_dist=40)
-        assert sorted(assoc.matches) == [(0, 0), (1, 1)]
-        assert assoc.unmatched_tracks == [] and assoc.unmatched_detections == []
+        assert sorted(associate(tracks, boxes, max_dist=40)) == [(0, 0), (1, 1)]
 
     def test_no_tracks_spawns_everything(self):
         boxes = [BBox(0, 0, 10, 10), BBox(30, 30, 44, 40)]
-        assoc = associate([], boxes, max_dist=40)
-        assert assoc.matches == []
-        assert assoc.unmatched_detections == [0, 1]
+        assert associate([], boxes, max_dist=40) == []
+        store = TrackStore(hidden_size=4, max_dist=40, max_age=2)
+        assert [t.track_id for t in store.step(boxes)] == [0, 1]
 
     def test_matches_brute_force_on_random_instances(self):
         rng = np.random.default_rng(8)
@@ -206,13 +210,13 @@ class TestAssociate:
                     for t in tracks
                 ]
             )
-            assoc = associate(tracks, dets, max_dist=30)
-            assert sorted(assoc.matches) == _brute_force_greedy(dist, 30)
+            matches = associate(tracks, dets, max_dist=30)
+            assert sorted(matches) == _brute_force_greedy(dist, 30)
             # injective both ways, max_dist respected
-            ts = [t for t, _ in assoc.matches]
-            ds = [d for _, d in assoc.matches]
+            ts = [t for t, _ in matches]
+            ds = [d for _, d in matches]
             assert len(set(ts)) == len(ts) and len(set(ds)) == len(ds)
-            for t, d in assoc.matches:
+            for t, d in matches:
                 assert dist[t, d] <= 30
 
     @settings(max_examples=300, deadline=None)
@@ -230,7 +234,7 @@ class TestAssociate:
         # Coarse corners and fixed sizes make equal distances, so ties occur.
         tracks = [_track_at(i, BBox(x, y, x + 8, y + 6)) for i, (x, y) in enumerate(track_corners)]
         dets = [BBox(x, y, x + 8, y + 6) for x, y in det_corners]
-        assert associate(tracks, dets, max_dist) == _reference_associate(tracks, dets, max_dist)
+        assert associate(tracks, dets, max_dist) == _reference_associate(tracks, dets, max_dist).matches
 
     def test_track_store_lifecycle(self):
         store = TrackStore(hidden_size=4, max_dist=20, max_age=2)
@@ -244,6 +248,27 @@ class TestAssociate:
             store.step([])
         fresh = store.step([BBox(0, 0, 10, 10)])
         assert fresh[0].track_id == 1
+
+    def test_step_edits_no_track_it_held(self):
+        """A shallow copy of the store taken before a step reads the tracks
+        as they were: matched, aged, retired and spawned alike."""
+        store = TrackStore(hidden_size=4, max_dist=20, max_age=1)
+        store.step([BBox(0, 0, 10, 10), BBox(50, 50, 60, 60), BBox(90, 0, 99, 9)])
+        store.step([BBox(1, 1, 11, 11), BBox(51, 51, 61, 61)])
+        held = list(store.tracks)
+        before = [(t.track_id, t.h.tobytes(), t.c.tobytes(), t.last_box, t.age) for t in held]
+        old = copy.copy(store)
+        out = store.step([BBox(2, 2, 12, 12), BBox(120, 80, 130, 90)])
+        for t in out:
+            t.h, t.c = t.h + 1.0, t.c + 1.0
+        assert old.tracks is not store.tracks and old.tracks == held
+        assert [(t.track_id, t.h.tobytes(), t.c.tobytes(), t.last_box, t.age) for t in held] == before
+        assert [(t.track_id, t.last_box, t.age) for t in store.tracks] == [
+            (0, BBox(2, 2, 12, 12), 0),
+            (1, BBox(51, 51, 61, 61), 1),
+            (3, BBox(120, 80, 130, 90), 0),
+        ]
+        assert not {id(t) for t in store.tracks} & {id(t) for t in held}
 
 
 class TestMultiActivityLoss:

@@ -64,12 +64,24 @@ def parse_int(text: str, where: str) -> int:
     return int(text)
 
 
+def parse_float(text: str, where: str) -> float:
+    """`text` as a float if it is ASCII without `_`, else ValueError naming
+    `where` (`float()` also takes `_` and non-ASCII digits). `nan` and `inf`
+    pass, for the range checks that name them."""
+    if text.isascii() and "_" not in text:
+        try:
+            return float(text)
+        except ValueError:
+            pass
+    raise ValueError(f"expected a number in ASCII characters, got {text!r}: {where}")
+
+
 def parse_line(line: str) -> AnnotationRecord:
     parts = line.split()
     if len(parts) not in (8, 9):
         raise ValueError(f"expected 8 or 9 fields, got {len(parts)}: {line!r}")
     ints = [parse_int(p, repr(line)) for p in parts[:8]]
-    conf = float(parts[8]) if len(parts) == 9 else 1.0
+    conf = parse_float(parts[8], repr(line)) if len(parts) == 9 else 1.0
     if not math.isfinite(conf):
         raise ValueError(f"non-finite confidence: {line!r}")
     return AnnotationRecord(

@@ -22,8 +22,8 @@ import traceback
 
 import numpy as np
 
-from . import synth, wire
-from .annotations import AnnotationRecord, append_annotations, check_frame_id, group_by_frame, parse_int, read_annotations
+from . import synth, tensorio, wire
+from .annotations import AnnotationRecord, append_annotations, check_frame_id, group_by_frame, parse_float, parse_int, read_annotations
 from .boxgen import box_generator
 from .densemaps import encode, load_maps, save_maps
 from .evaluate import EvalConfig, action_map, evaluate_map
@@ -64,6 +64,14 @@ def _int(text: str) -> int:
 _int.__name__ = "int"  # argparse's "invalid int value" names the type
 
 
+def _float(text: str) -> float:
+    """An argparse type: a number in ASCII characters without `_`."""
+    return parse_float(text, "flag value")
+
+
+_float.__name__ = "float"
+
+
 def _at_least(low: int, parse=_int):
     """An argparse type: `parse` the text and require a finite value >= `low`."""
     def check(text: str):
@@ -89,8 +97,10 @@ def _frame_id(text: str) -> int:
 _frame_id.__name__ = "int"
 
 
-# One map file per frame: `encode DIR` and `synth` write it, `detect DIR` reads it.
+# Per frame, a map file (`encode DIR` and `synth` write it, `detect DIR` reads it)
+# and an (H, W) float64 intensity file (`synth` writes it); `pipeline` reads both.
 _MAPS_NAME = "frame_{:06d}.aero"
+_INTENSITY_NAME = "intensity_{:06d}.aero"
 
 
 def _load_pipeline_config(args: argparse.Namespace) -> PipelineConfig:
@@ -165,9 +175,11 @@ def cmd_synth(args: argparse.Namespace) -> int:
             if args.noise > 0.0:
                 maps = corrupt_maps(maps, args.noise, synth.FLIP_PROBABILITY, args.seed + 1000 + k)
             save_maps(os.path.join(args.out, _MAPS_NAME.format(scene.frame_id)), maps)
+            intensity = render_intensity(scene.records, scene_cfg.grid)
+            tensorio.save_tensor(os.path.join(args.out, _INTENSITY_NAME.format(scene.frame_id)), intensity)
             append_annotations(fh, scene.records)
     # Last, so a manifest exists only for a complete fixture.
-    entries = ((fid, "annotations.txt", _MAPS_NAME.format(fid)) for fid in range(args.frames))
+    entries = ((fid, _MAPS_NAME.format(fid), _INTENSITY_NAME.format(fid)) for fid in range(args.frames))
     synth.write_manifest(os.path.join(args.out, "manifest.txt"), args.seed, scene_cfg.grid, entries)
     print(f"wrote {args.frames} frames to {args.out}")
     return 0
@@ -179,25 +191,20 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     if not entries:
         raise ValueError(f"manifest {args.manifest} lists no frames")
     base = os.path.dirname(os.path.abspath(args.manifest))
-    by_file = {
-        name: group_by_frame(read_annotations(os.path.join(base, name)))
-        for name in dict.fromkeys(ann_name for _, ann_name, _ in entries)
-    }
-
     os.makedirs(args.out, exist_ok=True)
     model = load_model(args.model) if args.model else None
     pipeline = Pipeline(cfg, model=model)
     pred_path = os.path.join(args.out, "predictions.txt")
     reports_path = os.path.join(args.out, "reports.bin")
     with open(pred_path, "w", encoding="utf-8") as preds, open(reports_path, "wb") as reports:
-        for fid, ann_name, maps_name in entries:
+        for fid, maps_name, intensity_name in entries:
             maps = load_maps(os.path.join(base, maps_name))
             if (maps.width, maps.height) != grid:
                 raise ValueError(
                     f"frame {fid}: map {maps_name} is {maps.width}x{maps.height}, "
                     f"but {args.manifest} has grid {grid[0]}x{grid[1]}"
                 )
-            intensity = render_intensity(by_file[ann_name].get(fid, []), (maps.width, maps.height))
+            intensity = tensorio.load_tensor(os.path.join(base, intensity_name))
             result = pipeline.run_frame(FrameRecord(frame_id=fid, maps=maps, intensity=intensity))
             reports.write(wire.frame_payload(result.payload))
             reports.flush()
@@ -351,7 +358,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("synth", help="generate synthetic fixtures")
     p.add_argument("--seed", type=_int, default=0)
     p.add_argument("--frames", type=_at_least(1), default=10)
-    p.add_argument("--noise", type=_at_least(0, float), default=0.0, help="regression noise amplitude")
+    p.add_argument("--noise", type=_at_least(0, _float), default=0.0, help="regression noise amplitude")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_synth)
 
@@ -365,7 +372,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("eval", help="average precision of predictions vs ground truth")
     p.add_argument("--pred", required=True)
     p.add_argument("--gt", required=True)
-    p.add_argument("--iou", type=float)
+    p.add_argument("--iou", type=_float)
     p.add_argument("--curve", help="write the PR curve CSV here")
     p.set_defaults(func=cmd_eval)
 

@@ -128,11 +128,12 @@ def save_maps(path: str, maps: DenseMaps) -> None:
 
 
 def load_maps(path: str) -> DenseMaps:
+    """A map file's grids; a malformed file raises TensorFormatError naming `path`."""
     tensor = tensorio.load_tensor(path)
     if tensor.ndim != 3 or tensor.shape[0] != 3:
-        raise tensorio.TensorFormatError(f"expected dims (3, W, H), got {tensor.shape}")
+        raise tensorio.TensorFormatError(f"{path}: expected dims (3, W, H), got {tensor.shape}")
     if 0 in tensor.shape:
-        raise tensorio.TensorFormatError(f"map grid {tensor.shape[1]}x{tensor.shape[2]} has a zero dimension")
+        raise tensorio.TensorFormatError(f"{path}: map grid {tensor.shape[1]}x{tensor.shape[2]} has a zero dimension")
     # One (3, H, W) buffer that `seg` and `reg` view; the worker thread
     # transposes and widens the last channel while the caller does the rest.
     grids = np.empty((3, tensor.shape[2], tensor.shape[1]))

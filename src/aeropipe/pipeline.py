@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import ndimage
 
-from .annotations import AnnotationRecord, parse_int
+from .annotations import AnnotationRecord, parse_float, parse_int
 from .attention import CROP_SHAPE, LOCAL_WINDOW, STUB_SCALES, AttentionConfig, FeatureGrid, crop_and_resize
 from .boxgen import BoxGeneratorConfig, box_generator
 from .densemaps import DenseMaps
@@ -104,8 +104,10 @@ class PipelineConfig:
 
 
 def parse_config_file(path: str) -> dict[str, str]:
-    """Flat `section.key = value` pairs; blank lines and # comments skipped."""
+    """Flat `section.key = value` pairs; blank lines and # comments skipped,
+    and a key given twice raises ValueError naming both lines."""
     values: dict[str, str] = {}
+    lines: dict[str, int] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -113,8 +115,10 @@ def parse_config_file(path: str) -> dict[str, str]:
                 continue
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'section.key = value'")
-            key, _, value = line.partition("=")
-            values[key.strip()] = value.strip()
+            key, _, value = (part.strip() for part in line.partition("="))
+            if key in lines:
+                raise ValueError(f"{path}:{lineno}: config key {key!r} is already set on line {lines[key]}")
+            values[key], lines[key] = value, lineno
     return values
 
 
@@ -137,7 +141,7 @@ def config_from_mapping(values: dict[str, str]) -> PipelineConfig:
         if key not in keys:
             raise ValueError(f"unknown config key {key!r}")
         section, _, attr = key.partition(".")
-        overrides[section][attr] = parse_int(raw, key) if keys[key] is int else keys[key](raw)
+        overrides[section][attr] = (parse_int if keys[key] is int else parse_float)(raw, key)
     return PipelineConfig(**{name: sections[name](**kw) for name, kw in overrides.items()})
 
 

@@ -313,18 +313,18 @@ def crop_dataset(
 
 
 def write_manifest(path: str, seed: int, grid: tuple[int, int], entries: Iterable[tuple[int, str, str]]) -> None:
-    """Frame index for a generated sequence: annotation and map files."""
+    """Frame index for a generated sequence: (frame id, map file, intensity file) entries."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"seed {seed}\n")
         fh.write(f"grid {grid[0]} {grid[1]}\n")
-        for fid, ann, maps in entries:
-            fh.write(f"frame {fid} {ann} {maps}\n")
+        for fid, maps, intensity in entries:
+            fh.write(f"frame {fid} {maps} {intensity}\n")
 
 
 def read_manifest(path: str) -> tuple[int, tuple[int, int], list[tuple[int, str, str]]]:
-    """Seed, grid and frame entries; a line that is not a seed, grid or frame
-    line, a truncated one, a number not in ASCII digits, a frame id outside
-    the report's u32 or a missing grid line raises ValueError."""
+    """Seed, grid and (frame id, map file, intensity file) entries. A line that is not a
+    seed, grid or frame line, has another field count, a number not in ASCII digits, a
+    frame id outside the report's u32 or a missing grid line raises ValueError."""
     seed = 0
     grid: tuple[int, int] | None = None
     entries: list[tuple[int, str, str]] = []
@@ -336,8 +336,8 @@ def read_manifest(path: str) -> tuple[int, tuple[int, int], list[tuple[int, str,
             fields = {"seed": 2, "grid": 3, "frame": 4}.get(parts[0])
             if fields is None:
                 raise ValueError(f"{path} line {lineno}: {raw.strip()!r} is not a seed, grid or frame line")
-            if len(parts) < fields:
-                raise ValueError(f"{path} line {lineno}: truncated {parts[0]!r} line {raw.strip()!r}")
+            if len(parts) != fields:
+                raise ValueError(f"{path} line {lineno}: a {parts[0]!r} line has {fields} fields, got {raw.strip()!r}")
             where = f"{path} line {lineno}"
             if parts[0] == "seed":
                 seed = parse_int(parts[1], where)

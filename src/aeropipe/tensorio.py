@@ -1,6 +1,6 @@
 """Binary tensor files with the `AERO` tag.
 
-Single-tensor layout (used for dense map files):
+Single-tensor layout (used for dense map and intensity files):
 
     magic   4 bytes  b"AERO"
     version u8       currently 1
@@ -96,12 +96,16 @@ def save_tensor(path: str, array: np.ndarray) -> None:
 
 
 def load_tensor(path: str) -> np.ndarray:
-    with open(path, "rb") as fh:
-        _check_header(fh)
-        array = _read_record(fh)
-        if fh.read(1):
-            raise TensorFormatError("trailing bytes after tensor payload")
-        return array
+    """The file's one tensor; a TensorFormatError names `path`."""
+    try:
+        with open(path, "rb") as fh:
+            _check_header(fh)
+            array = _read_record(fh)
+            if fh.read(1):
+                raise TensorFormatError("trailing bytes after tensor payload")
+            return array
+    except TensorFormatError as exc:
+        raise TensorFormatError(f"{path}: {exc}") from None
 
 
 def save_named_tensors(path: str, tensors: dict[str, np.ndarray]) -> None:
@@ -117,19 +121,23 @@ def save_named_tensors(path: str, tensors: dict[str, np.ndarray]) -> None:
 
 
 def load_named_tensors(path: str) -> dict[str, np.ndarray]:
+    """The file's records by name; a TensorFormatError names `path`."""
     out: dict[str, np.ndarray] = {}
-    with open(path, "rb") as fh:
-        _check_header(fh)
-        (count,) = struct.unpack("<I", _read_exact(fh, 4))
-        for _ in range(count):
-            (name_len,) = struct.unpack("<H", _read_exact(fh, 2))
-            try:
-                name = _read_exact(fh, name_len).decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise TensorFormatError(f"record name is not utf-8: {exc}") from None
-            if name in out:
-                raise TensorFormatError(f"duplicate record name {name!r}")
-            out[name] = _read_record(fh)
-        if fh.read(1):
-            raise TensorFormatError("trailing bytes after last record")
+    try:
+        with open(path, "rb") as fh:
+            _check_header(fh)
+            (count,) = struct.unpack("<I", _read_exact(fh, 4))
+            for _ in range(count):
+                (name_len,) = struct.unpack("<H", _read_exact(fh, 2))
+                try:
+                    name = _read_exact(fh, name_len).decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise TensorFormatError(f"record name is not utf-8: {exc}") from None
+                if name in out:
+                    raise TensorFormatError(f"duplicate record name {name!r}")
+                out[name] = _read_record(fh)
+            if fh.read(1):
+                raise TensorFormatError("trailing bytes after last record")
+    except TensorFormatError as exc:
+        raise TensorFormatError(f"{path}: {exc}") from None
     return out

@@ -1,3 +1,4 @@
+import math
 import re
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from aeropipe.annotations import (
     AnnotationRecord,
     group_by_frame,
+    parse_float,
     parse_line,
     read_annotations,
     write_annotations,
@@ -52,6 +54,24 @@ def test_integers_outside_ascii_digits_rejected(line):
     record's integers are ASCII `-?[0-9]+` only."""
     with pytest.raises(ValueError, match=f"expected an integer in ASCII digits, got .*: {re.escape(repr(line))}"):
         parse_line(line)
+
+
+@pytest.mark.parametrize("value", ["0_5", "\u0660.5", "\uff10.5", "x"])
+def test_confidence_outside_ascii_rejected(value):
+    """`float()` once read a confidence of "0_5" as 5.0."""
+    line = f"0 1 1 9 9 -1 -1 -1 {value}"
+    with pytest.raises(ValueError, match=re.escape(f"expected a number in ASCII characters, got {value!r}: {line!r}")):
+        parse_line(line)
+
+
+@pytest.mark.parametrize("text, value", [("0.5", 0.5), ("-1e3", -1000.0), (" 2 ", 2.0), ("1E-2", 0.01)])
+def test_parse_float_takes_ascii_numbers(text, value):
+    assert parse_float(text, "here") == value
+
+
+@pytest.mark.parametrize("text", ["nan", "inf", "-Infinity"])
+def test_parse_float_passes_non_finite_values_to_the_range_checks(text):
+    assert not math.isfinite(parse_float(text, "here"))
 
 
 def test_frame_id_u32_bounds_accepted():

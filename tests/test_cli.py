@@ -154,24 +154,46 @@ class TestSynthAndPipeline:
         assert code == 2
         assert capsys.readouterr().err == "error: model has 300 and 5 action labels; u8 report actions hold 256\n"
 
-    def test_pipeline_reads_each_lines_annotation_file(self, tmp_path, monkeypatch):
-        grid = (64, 48)
-        for fid in (0, 1):
-            save_maps(str(tmp_path / f"m{fid}.aero"), encode([BBox(8, 6, 30, 28)], grid))
-        _write_gt(tmp_path / "a0.txt", [BBox(4, 4, 20, 20)], frame_id=0)
-        boxes = [BBox(2 + 10 * k, 2 + 20 * (k % 2), 8 + 10 * k, 12 + 20 * (k % 2)) for k in range(6)]
-        _write_gt(tmp_path / "a1.txt", boxes, frame_id=1)
+    def test_pipeline_reads_each_lines_intensity_file(self, tmp_path, monkeypatch):
+        """Each frame runs on the intensity file its line names; the
+        directory holds no annotation file."""
+        shades = np.random.default_rng(3).random((2, 48, 64))
+        for k in (0, 1):
+            save_maps(str(tmp_path / f"m{k}.aero"), encode([BBox(8, 6, 30, 28)], (64, 48)))
+            tensorio.save_tensor(str(tmp_path / f"i{k}.aero"), shades[k])
         manifest = tmp_path / "manifest.txt"
-        manifest.write_text("seed 1\ngrid 64 48\nframe 0 a0.txt m0.aero\nframe 1 a1.txt m1.aero\n")
-        rendered = []
+        manifest.write_text("seed 1\ngrid 64 48\nframe 0 m0.aero i1.aero\nframe 1 m1.aero i0.aero\n")
+        seen = []
+        run_frame = pipeline.Pipeline.run_frame
 
-        def spy(records, size):
-            rendered.append([r.box for r in records])
-            return render_intensity(records, size)
+        def spy(self, frame):
+            seen.append((frame.frame_id, frame.intensity.copy()))
+            return run_frame(self, frame)
 
-        monkeypatch.setattr(cli, "render_intensity", spy)
+        monkeypatch.setattr(pipeline.Pipeline, "run_frame", spy)
         assert main(["pipeline", "--manifest", str(manifest), "--out", str(tmp_path / "run")]) == 0
-        assert rendered == [[BBox(4, 4, 20, 20)], boxes]
+        assert [fid for fid, _ in seen] == [0, 1]
+        np.testing.assert_array_equal(seen[0][1], shades[1])
+        np.testing.assert_array_equal(seen[1][1], shades[0])
+
+    def test_synth_writes_each_frames_intensity_and_pipeline_needs_no_annotations(self, tmp_path):
+        data = tmp_path / "data"
+        assert main(["synth", "--seed", "5", "--frames", "3", "--out", str(data)]) == 0
+        records = read_annotations(str(data / "annotations.txt"))
+        for fid in range(3):
+            intensity = tensorio.load_tensor(str(data / f"intensity_{fid:06d}.aero"))
+            assert intensity.dtype == np.float64 and intensity.shape == (360, 640)
+            expected = render_intensity([r for r in records if r.frame_id == fid], (640, 360))
+            np.testing.assert_array_equal(intensity, expected)
+        lines = (data / "manifest.txt").read_text().splitlines()
+        assert lines == ["seed 5", "grid 640 360"] + [
+            f"frame {fid} frame_{fid:06d}.aero intensity_{fid:06d}.aero" for fid in range(3)
+        ]
+        main(["pipeline", "--manifest", str(data / "manifest.txt"), "--out", str(tmp_path / "with")])
+        (data / "annotations.txt").unlink()
+        assert main(["pipeline", "--manifest", str(data / "manifest.txt"), "--out", str(tmp_path / "without")]) == 0
+        for name in ("predictions.txt", "reports.bin"):
+            assert (tmp_path / "with" / name).read_bytes() == (tmp_path / "without" / name).read_bytes(), name
 
     @pytest.mark.parametrize(
         "flag",
@@ -276,12 +298,12 @@ class TestEachFrameWrittenAsItFinishes:
     def test_pipeline_memory_does_not_grow_with_the_run(self, tmp_path, monkeypatch):
         boxes = [BBox(2, 2, 12, 12), BBox(20, 4, 32, 16), BBox(4, 24, 16, 36), BBox(30, 26, 44, 40)]
         save_maps(str(tmp_path / "maps.aero"), encode(boxes, (64, 48)))
-        (tmp_path / "gt.txt").write_text("")
+        tensorio.save_tensor(str(tmp_path / "intensity.aero"), np.zeros((48, 64)))
         monkeypatch.setattr(sys, "stderr", _Discard())
 
         def peak(frames):
             manifest = str(tmp_path / f"manifest{frames}.txt")
-            write_manifest(manifest, 0, (64, 48), [(fid, "gt.txt", "maps.aero") for fid in range(frames)])
+            write_manifest(manifest, 0, (64, 48), [(fid, "maps.aero", "intensity.aero") for fid in range(frames)])
             tracemalloc.start()
             try:
                 assert main(["pipeline", "--manifest", manifest, "--out", str(tmp_path / "run")]) == 0
@@ -291,9 +313,10 @@ class TestEachFrameWrittenAsItFinishes:
 
         peak(2)
         assert len(read_annotations(str(tmp_path / "run" / "predictions.txt"))) == 2 * len(boxes)
-        # What grows is the manifest's own entries, read before the first
-        # frame: about 0.45 KiB each. Keeping each frame's detections and
-        # report until the run ends would add about 2 KiB more per frame.
+        # The peak grows by about 100 KiB from 50 to 250 frames (Python
+        # 3.11): about 65 KiB in a bare `run_frame` loop with no manifest,
+        # the rest the manifest's entries. Keeping each frame's detections
+        # and report until the run ends would add about 2 KiB more per frame.
         assert peak(250) - peak(50) < 200 * 1024
 
 
@@ -399,7 +422,7 @@ class TestExitCodes:
         manifest = tmp_path / "manifest.txt"
         manifest.write_text(f"{line}\n")
         assert main(["pipeline", "--manifest", str(manifest), "--out", str(tmp_path / "run")]) == 2
-        assert f"line 1: truncated {line.split()[0]!r}" in capsys.readouterr().err
+        assert f"line 1: a {line.split()[0]!r} line has" in capsys.readouterr().err
 
     def test_unknown_manifest_line_is_data_error(self, tmp_path, capsys):
         main(["synth", "--frames", "3", "--out", str(tmp_path / "data")])
@@ -407,7 +430,7 @@ class TestExitCodes:
         manifest.write_text(manifest.read_text().replace("frame 1 ", "fram 1 "))
         assert main(["pipeline", "--manifest", str(manifest), "--out", str(tmp_path / "run")]) == 2
         err = capsys.readouterr().err
-        assert "line 4: 'fram 1 annotations.txt frame_000001.aero' is not a seed, grid or frame line" in err
+        assert "line 4: 'fram 1 frame_000001.aero intensity_000001.aero' is not a seed, grid or frame line" in err
         assert not (tmp_path / "run").exists()
 
     def test_pipeline_rejects_a_map_off_the_manifest_grid(self, tmp_path, capsys):
@@ -591,6 +614,41 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "args, value",
+        [
+            (["synth", "--out", "{out}", "--noise"], "0_1"),
+            (["synth", "--out", "{out}", "--noise"], "\u0661"),
+            (["eval", "--pred", "p.txt", "--gt", "g.txt", "--curve", "{out}", "--iou"], "0_5"),
+            (["eval", "--pred", "p.txt", "--gt", "g.txt", "--curve", "{out}", "--iou"], "\uff10.5"),
+        ],
+        ids=["synth-noise-underscore", "synth-noise-arabic", "eval-iou-underscore", "eval-iou-fullwidth"],
+    )
+    def test_float_flag_outside_ascii_is_usage_error(self, tmp_path, capsys, args, value):
+        """`float()` once read "0_1" as 1.0 and "0_5" as 5.0."""
+        out = tmp_path / "out"
+        assert main([*(a.format(out=out) for a in args), value]) == 1
+        assert f"invalid float value: {value!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_key_given_twice_is_data_error(self, tmp_path, capsys):
+        save_maps(str(tmp_path / "maps.aero"), encode([BBox(8, 6, 30, 28)], (40, 36)))
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("boxgen.delta = 0.9\nnms.iou_threshold = 0.5\nboxgen.delta = 0.8\n")
+        out = tmp_path / "o.txt"
+        args = ["detect", "--maps", str(tmp_path / "maps.aero"), "--out", str(out), "--config", str(cfg)]
+        assert main(args) == 2
+        assert f"{cfg}:3: config key 'boxgen.delta' is already set on line 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_prediction_confidence_outside_ascii_is_data_error(self, tmp_path, capsys):
+        gt = tmp_path / "gt.txt"
+        _write_gt(gt, [BBox(4, 4, 20, 20)])
+        pred = tmp_path / "pred.txt"
+        pred.write_text("0 4 4 20 20 -1 0 1 0_5\n")
+        assert main(["eval", "--pred", str(pred), "--gt", str(gt)]) == 2
+        assert "expected a number in ASCII characters, got '0_5': '0 4 4 20 20 -1 0 1 0_5'" in capsys.readouterr().err
+
     def test_synth_takes_zero_noise(self, tmp_path):
         assert main(["synth", "--frames", "1", "--noise", "0", "--out", str(tmp_path / "s")]) == 0
         assert (tmp_path / "s" / "frame_000000.aero").exists()
@@ -641,13 +699,65 @@ class TestExitCodes:
         assert main(args) == 2
         assert "frame 3: box (4, 4, 9010, 20) outside 64x48 grid" in capsys.readouterr().err
 
-    def test_pipeline_box_off_the_grid_is_data_error(self, tmp_path, capsys):
-        save_maps(str(tmp_path / "frame_000000.aero"), encode([BBox(8, 6, 30, 28)], (640, 360)))
-        _write_gt(tmp_path / "annotations.txt", [BBox(8, 6, 30, 28), BBox(4, 4, 9010, 20)])
+    @pytest.mark.parametrize(
+        "intensity, message",
+        [
+            (np.zeros((36, 40)), "intensity shape (36, 40) != maps (height, width) (48, 64)"),
+            (np.zeros((3, 64, 48)), "intensity shape (3, 64, 48) != maps (height, width) (48, 64)"),
+            (np.full((48, 64), np.nan), "intensity must be finite and within +-2**500"),
+            (np.full((48, 64), -np.inf), "intensity must be finite and within +-2**500"),
+            (np.full((48, 64), 2.0**501), "intensity must be finite and within +-2**500"),
+            (b"junk", "{path}: bad magic b'junk'"),
+            (None, "{path}"),
+        ],
+        ids=["wrong-shape", "map-rank", "nan", "inf", "past-2-500", "garbage", "missing"],
+    )
+    def test_pipeline_bad_intensity_file_is_data_error(self, tmp_path, capsys, intensity, message):
+        """Frame 1's intensity file is bad: frame 0 is kept, and the run
+        stops with a data error before frame 1 writes anything."""
+        save_maps(str(tmp_path / "m.aero"), encode([BBox(8, 6, 30, 28)], (64, 48)))
+        tensorio.save_tensor(str(tmp_path / "good.aero"), np.zeros((48, 64)))
+        path = tmp_path / "bad.aero"
+        if isinstance(intensity, bytes):
+            path.write_bytes(intensity)
+        elif intensity is not None:
+            tensorio.save_tensor(str(path), intensity)
         manifest = tmp_path / "manifest.txt"
-        manifest.write_text("seed 1\ngrid 640 360\nframe 0 annotations.txt frame_000000.aero\n")
+        manifest.write_text("seed 1\ngrid 64 48\nframe 0 m.aero good.aero\nframe 1 m.aero bad.aero\n")
         assert main(["pipeline", "--manifest", str(manifest), "--out", str(tmp_path / "run")]) == 2
-        assert "frame 0: box (4, 4, 9010, 20) outside 640x360 grid" in capsys.readouterr().err
+        assert message.format(path=path) in capsys.readouterr().err
+        messages, _ = unframe_stream((tmp_path / "run" / "reports.bin").read_bytes())
+        assert [m.frame_id for m in messages] == [0]
+
+    def test_pipeline_rejects_an_old_form_manifest_line(self, tmp_path, capsys):
+        """`frame ID ANNOTATIONS MAPS` is not read any more: its second
+        column is read as a map file, and the error names that file."""
+        data = tmp_path / "data"
+        main(["synth", "--frames", "2", "--out", str(data)])
+        manifest = data / "manifest.txt"
+        manifest.write_text("seed 0\ngrid 640 360\nframe 0 annotations.txt frame_000000.aero\n")
+        capsys.readouterr()
+        assert main(["pipeline", "--manifest", str(manifest), "--out", str(tmp_path / "run")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {data / 'annotations.txt'}: bad magic b'0 ")
+
+    @pytest.mark.parametrize("command", ["detect", "pipeline-maps", "pipeline-model"])
+    def test_a_bad_tensor_file_is_named(self, tmp_path, capsys, command):
+        """A malformed tensor file once gave only `bad magic ...`, with no
+        word of which file it was."""
+        main(["synth", "--frames", "2", "--out", str(tmp_path / "data")])
+        run = ["pipeline", "--manifest", str(tmp_path / "data" / "manifest.txt"), "--out", str(tmp_path / "run")]
+        bad = tmp_path / "data" / "frame_000001.aero"
+        if command == "detect":
+            bad.write_bytes(b"junk")
+            run = ["detect", "--maps", str(tmp_path / "data"), "--out", str(tmp_path / "boxes.txt")]
+        elif command == "pipeline-maps":
+            bad.write_bytes(b"junk")
+        else:
+            bad = tmp_path / "data" / "annotations.txt"
+            run += ["--model", str(bad)]
+        capsys.readouterr()
+        assert main(run) == 2
+        assert capsys.readouterr().err.splitlines()[-1].startswith(f"error: {bad}: bad magic b")
 
     @pytest.mark.parametrize(
         "config",
@@ -886,15 +996,16 @@ def _annotation_text(draw):
 
 @st.composite
 def _manifest_text(draw):
-    """Frame ids mostly increase; annotation and map names may be missing
-    files, and `m1.aero` is a 40x36 grid that some boxes fall outside."""
+    """Frame ids mostly increase. A map name may be a missing file, garbage,
+    a 40x36 grid (`m1.aero`) or an annotation file; an intensity name may be
+    a missing file, garbage, 40x36 (`i1.aero`), a map file or hold NaN."""
     clean = draw(st.booleans())
     lines = [_damaged(draw, ["seed", draw(st.integers(0, 99))], clean), _damaged(draw, ["grid", 64, 48], clean)]
     fid = draw(st.integers(0, 1))
     for _ in range(draw(st.integers(1, 4))):
-        ann = draw(st.sampled_from(["a0.txt", "a1.txt"] * 4 + ["missing.txt"]))
-        maps = draw(st.sampled_from(["m0.aero"] * 6 + ["m1.aero", "bad.aero", "missing.aero"]))
-        lines.append(_damaged(draw, ["frame", fid, ann, maps], clean))
+        maps = draw(st.sampled_from(["m0.aero"] * 6 + ["m1.aero", "bad.aero", "missing.aero", "a0.txt"]))
+        intensity = draw(st.sampled_from(["i0.aero"] * 6 + ["missing.aero", "bad.aero", "i1.aero", "m0.aero", "nan.aero"]))
+        lines.append(_damaged(draw, ["frame", fid, maps, intensity], clean))
         fid += draw(st.sampled_from([1, 1, 1, 0, 2]))
     return "".join(line + "\n" for line in lines)
 
@@ -912,6 +1023,9 @@ def test_generated_manifests_and_annotations_never_exit_with_an_internal_error(m
 
         save_maps(path("m0.aero"), encode([BBox(8, 6, 30, 28)], (64, 48)))
         save_maps(path("m1.aero"), encode([BBox(4, 4, 20, 20)], (40, 36)))
+        tensorio.save_tensor(path("i0.aero"), np.linspace(0.0, 1.0, 48 * 64).reshape(48, 64))
+        tensorio.save_tensor(path("i1.aero"), np.zeros((36, 40)))
+        tensorio.save_tensor(path("nan.aero"), np.where(np.eye(48, 64) > 0, np.nan, 0.5))
         with open(path("bad.aero"), "wb") as fh:
             fh.write(b"AERO\x01\x00\x03garbage")
         with open(path("manifest.txt"), "w") as fh:

@@ -493,6 +493,23 @@ class TestConfigFile:
             config_from_mapping({key: value})
         assert config_from_mapping({key: "3"}) == config_from_mapping({key: "03"})
 
+    @pytest.mark.parametrize("value", ["4_0", "\u0663", "\uff14.0", "1e1_0"])
+    @pytest.mark.parametrize("key", ["associate.max_dist", "boxgen.delta"])
+    def test_float_keys_take_only_ascii_characters(self, key, value):
+        """`float()` once read "4_0" as 40.0 and "\u0663" as 3.0."""
+        with pytest.raises(ValueError, match=re.escape(f"expected a number in ASCII characters, got {value!r}: {key}")):
+            config_from_mapping({key: value})
+
+    def test_nan_reaches_the_range_check_that_names_it(self):
+        with pytest.raises(ValueError, match="max_dist must be >= 0, got nan"):
+            config_from_mapping({"associate.max_dist": "nan"})
+
+    def test_key_given_twice_rejected(self, tmp_path):
+        path = tmp_path / "twice.cfg"
+        path.write_text("boxgen.delta = 0.9\n# comment\nnms.iou_threshold = 0.4\n boxgen.delta=0.8\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:4: config key 'boxgen.delta' is already set on line 1")):
+            parse_config_file(str(path))
+
     def test_malformed_line_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("boxgen.delta 0.8\n")

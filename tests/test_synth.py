@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from unittest import mock
 
@@ -317,7 +318,7 @@ class TestRenderAndManifest:
 
     def test_manifest_roundtrip(self, tmp_path):
         path = str(tmp_path / "manifest.txt")
-        entries = [(0, "a.txt", "f0.aero"), (1, "a.txt", "f1.aero")]
+        entries = [(0, "frame_000000.aero", "intensity_000000.aero"), (1, "frame_000001.aero", "intensity_000001.aero")]
         write_manifest(path, 42, (640, 360), entries)
         seed, grid, back = read_manifest(path)
         assert (seed, grid, back) == (42, (640, 360), entries)
@@ -331,6 +332,15 @@ class TestRenderAndManifest:
             read_manifest(str(path))
         path.write_text("seed 2\nframe 0 a.txt f.aero\n")
         with pytest.raises(ValueError, match="no 'grid' line"):
+            read_manifest(str(path))
+
+    @pytest.mark.parametrize("line", ["seed 1 2", "grid 64 48 9", "frame 0 f.aero i.aero extra"])
+    def test_manifest_line_with_extra_fields_rejected(self, tmp_path, line):
+        """Extra fields were once dropped without a word."""
+        path = tmp_path / "manifest.txt"
+        path.write_text(f"seed 1\ngrid 64 48\n{line}\n")
+        fields = {"seed": 2, "grid": 3, "frame": 4}[line.split()[0]]
+        with pytest.raises(ValueError, match=re.escape(f"line 3: a {line.split()[0]!r} line has {fields} fields, got {line!r}")):
             read_manifest(str(path))
 
     @pytest.mark.parametrize("frame_id", [-7, 2**32])

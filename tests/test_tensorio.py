@@ -50,6 +50,16 @@ def test_bad_magic(tmp_path):
         tensorio.load_tensor(path)
 
 
+@pytest.mark.parametrize("named", [False, True])
+@pytest.mark.parametrize("data", [b"junk", b"AERO\x02", b"AERO\x01\x05\x01"], ids=["magic", "version", "short-body"])
+def test_format_error_names_the_file(tmp_path, named, data):
+    path = _write(tmp_path / "bad.aero", data)
+    load = tensorio.load_named_tensors if named else tensorio.load_tensor
+    with pytest.raises(tensorio.TensorFormatError) as info:
+        load(path)
+    assert str(info.value).startswith(f"{path}: ")
+
+
 def test_truncated_payload(tmp_path):
     path = str(tmp_path / "t.aero")
     tensorio.save_tensor(path, np.ones((4, 4), dtype=np.float32))

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from aeropipe.temporal import (
     ActivityModel,
     AdamConfig,
     TrainingDiverged,
+    bnlstm_step,
     train_toy,
 )
 
@@ -68,6 +71,37 @@ class TestTrainToy:
         assert result.holdout_primary_accuracy >= 0.95
         ma = np.convolve(result.loss_curve, np.ones(20) / 20, mode="valid")
         assert np.all(np.diff(ma) <= 1e-9)
+
+    def test_first_loss_is_the_action_loss_plus_the_bce(self):
+        """`loss_curve[0]` against numpy on 10 samples, whose 8 training
+        samples make one batch: the action cross-entropies over the
+        pedestrians, plus the confidence BCE over every sample. Random
+        heads keep the confidences off 0.5, where the BCE is log 2 for
+        either label."""
+        rng = np.random.default_rng(11)
+        features = rng.normal(size=(10, 12))
+        pedestrian = np.array([1, 0, 1, 1, 0, 1, 1, 0, 1, 1], dtype=bool)
+        primary = np.where(pedestrian, rng.integers(0, 3, 10), -1)
+        secondary = np.where(pedestrian, rng.integers(0, 4, 10), -1)
+        model = ActivityModel.build(input_size=12, hidden_size=6, n_primary=3, n_secondary=4, seed=5)
+        for value in model.heads.parameters().values():
+            value[...] = rng.normal(scale=2.0, size=value.shape)
+        heads = {name: value.copy() for name, value in model.heads.parameters().items()}
+        h0, c0 = model.cell.zero_state(10)
+        hidden = bnlstm_step(copy.deepcopy(model.cell), features, h0, c0, training=True)[0][:8]
+        result = train_toy(model, features, primary, secondary, pedestrian, epochs=1)
+
+        def log_softmax(logits):
+            return logits - np.logaddexp.reduce(logits, axis=1, keepdims=True)
+
+        ped = np.flatnonzero(pedestrian[:8])
+        log_p = log_softmax(hidden @ heads["w_primary"] + heads["b_primary"])[ped, primary[ped]]
+        log_s = log_softmax(hidden @ heads["w_secondary"] + heads["b_secondary"])[ped, secondary[ped]]
+        action = -log_p.sum() / (len(ped) * 3) - 0.5 * log_s.sum() / (len(ped) * 4)
+        z = (hidden @ heads["w_conf"] + heads["b_conf"])[:, 0]
+        bce = np.where(pedestrian[:8], np.logaddexp(0.0, -z), np.logaddexp(0.0, z)).mean()
+        assert abs(z).min() > 0.1
+        assert result.loss_curve[0] == pytest.approx(action + bce, rel=1e-12)
 
     def test_divergence_guard_trips_after_patience(self):
         guard = DivergenceGuard()

@@ -97,7 +97,7 @@ def _frame_id(text: str) -> int:
 _frame_id.__name__ = "int"
 
 
-# Per frame, a map file (`encode DIR` and `synth` write it, `detect DIR` reads it)
+# Per frame, a (3, H, W) map file (`encode DIR` and `synth` write it, `detect DIR` reads it)
 # and an (H, W) float64 intensity file (`synth` writes it); `pipeline` reads both.
 _MAPS_NAME = "frame_{:06d}.aero"
 _INTENSITY_NAME = "intensity_{:06d}.aero"
@@ -205,7 +205,10 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
                     f"but {args.manifest} has grid {grid[0]}x{grid[1]}"
                 )
             intensity = tensorio.load_tensor(os.path.join(base, intensity_name))
-            result = pipeline.run_frame(FrameRecord(frame_id=fid, maps=maps, intensity=intensity))
+            try:
+                result = pipeline.run_frame(FrameRecord(frame_id=fid, maps=maps, intensity=intensity))
+            except ValueError as exc:
+                raise ValueError(f"frame {fid} (map {maps_name}, intensity {intensity_name}): {exc}") from None
             reports.write(wire.frame_payload(result.payload))
             reports.flush()
             append_annotations(preds, result.detections, with_confidence=True)

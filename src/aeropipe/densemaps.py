@@ -33,7 +33,6 @@ import numpy as np
 
 from . import tensorio
 from .geometry import BBox, PixelCoord
-from .worker import both
 
 SEG_CHANNEL = 0
 REG0_CHANNEL = 1
@@ -122,24 +121,16 @@ def decode_pixel(maps: DenseMaps, pixel: PixelCoord) -> tuple[float, float, floa
 
 
 def save_maps(path: str, maps: DenseMaps) -> None:
-    """Write maps as one rank-3 tensor with dims (3, W, H): S then r0, r1."""
-    stacked = np.stack([maps.seg, maps.reg[0], maps.reg[1]]).astype(np.float32)
-    tensorio.save_tensor(path, stacked.transpose(0, 2, 1))
+    """Write maps as one rank-3 tensor with dims (3, H, W): S then r0, r1."""
+    tensorio.save_tensor(path, np.stack([maps.seg, maps.reg[0], maps.reg[1]]).astype(np.float32))
 
 
 def load_maps(path: str) -> DenseMaps:
     """A map file's grids; a malformed file raises TensorFormatError naming `path`."""
     tensor = tensorio.load_tensor(path)
     if tensor.ndim != 3 or tensor.shape[0] != 3:
-        raise tensorio.TensorFormatError(f"{path}: expected dims (3, W, H), got {tensor.shape}")
+        raise tensorio.TensorFormatError(f"{path}: expected dims (3, H, W), got {tensor.shape}")
     if 0 in tensor.shape:
-        raise tensorio.TensorFormatError(f"{path}: map grid {tensor.shape[1]}x{tensor.shape[2]} has a zero dimension")
-    # One (3, H, W) buffer that `seg` and `reg` view; the worker thread
-    # transposes and widens the last channel while the caller does the rest.
-    grids = np.empty((3, tensor.shape[2], tensor.shape[1]))
-
-    def convert(channels: slice) -> None:
-        grids[channels] = tensor[channels].transpose(0, 2, 1)
-
-    both(lambda: convert(slice(None, REG1_CHANNEL)), lambda: convert(slice(REG1_CHANNEL, None)))
+        raise tensorio.TensorFormatError(f"{path}: map grid {tensor.shape[2]}x{tensor.shape[1]} has a zero dimension")
+    grids = np.asarray(tensor, dtype=np.float64)
     return DenseMaps(seg=grids[SEG_CHANNEL], reg=grids[REG0_CHANNEL : REG1_CHANNEL + 1])

@@ -17,9 +17,9 @@ worker's coarser block means, or its levels and variance temporary
 beside the worker's scale-2 sweep.
 
 One worker thread (`worker.both`) gives a frame a second core: it runs the
-stub's coarser block means and coarser levels, the mask's channel 1 and
-one map channel's conversion in `load_maps`, each into arrays nothing else
-writes, so the bytes are those of a serial run.
+stub's coarser block means and coarser levels and the mask's channel 1,
+each into arrays nothing else writes, so the bytes are those of a serial
+run.
 
 A frame that raises leaves the loop as it was: `run_frame` commits its
 stepped copy of the track store and the frame id once the report is encoded.

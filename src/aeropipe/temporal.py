@@ -546,8 +546,8 @@ def save_model(path: str, model: ActivityModel) -> None:
 
 def load_model(path: str) -> ActivityModel:
     """Build the model the stored shapes describe and fill it in place; a
-    missing record or one whose shape differs from the model's raises
-    TensorFormatError."""
+    missing record, one whose shape differs from the model's or one that
+    holds NaN or an infinity raises TensorFormatError."""
     tensors = tensorio.load_named_tensors(path)
 
     def shape(name: str, rank: int) -> tuple[int, ...]:
@@ -576,5 +576,7 @@ def load_model(path: str) -> ActivityModel:
             raise tensorio.TensorFormatError(
                 f"{path}: {name!r} has shape {tensors[name].shape}, not {array.shape}"
             )
+        if not np.isfinite(tensors[name]).all():
+            raise tensorio.TensorFormatError(f"{path}: {name!r} holds NaN or an infinity")
         array[...] = tensors[name]
     return model

@@ -3,11 +3,15 @@
 Single-tensor layout (used for dense map and intensity files):
 
     magic   4 bytes  b"AERO"
-    version u8       currently 1
+    version u8       currently 2
     dtype   u8       0 = float32, 1 = float64
     rank    u8
     dims    rank x u32 little-endian
     payload row-major little-endian values
+
+Image tensors keep their dims in (..., H, W) order: maps (3, H, W),
+intensities (H, W). Version 1 stored maps as (3, W, H); its files are
+rejected, since a square one would load as a transposed map.
 
 Named-container layout (used for model parameter files) keeps the same
 per-tensor record encoding, preceded by a record count and a name per
@@ -30,7 +34,7 @@ from typing import BinaryIO
 import numpy as np
 
 MAGIC = b"AERO"
-VERSION = 1
+VERSION = 2
 
 _DTYPE_TAGS = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
 _TAG_FOR_KIND = {np.dtype("float32"): 0, np.dtype("float64"): 1}

@@ -7,7 +7,7 @@ Wire layout, all little-endian:
         version    u8    1
         flags      u8
         frame_id   u32
-        timestamp  u64   milliseconds since epoch
+        timestamp  u64   ms; `run_frame` stamps frame_id * frame_period_ms
         drone_lat  i32   fixed-point 1e-7 degrees
         drone_lon  i32   fixed-point 1e-7 degrees
         drone_alt  u16   decimeters

@@ -673,7 +673,7 @@ def _reference_decode_message(data: bytes) -> ReportMessage:
 
 # ---------------------------------------------------------------------------
 # Dense maps: the loader that converted all three channels, then copied
-# again, and the two-pass `encode`.
+# again, the version-1 writer and the two-pass `encode`.
 # ---------------------------------------------------------------------------
 
 
@@ -689,12 +689,20 @@ def _load_maps_reference(path: str) -> DenseMaps:
     """The loader that converted all three channels, then copied again."""
     tensor = _load_tensor_reference(path)
     if tensor.ndim != 3 or tensor.shape[0] != 3:
-        raise tensorio.TensorFormatError(f"expected dims (3, W, H), got {tensor.shape}")
-    grids = tensor.transpose(0, 2, 1).astype(np.float64)
+        raise tensorio.TensorFormatError(f"expected dims (3, H, W), got {tensor.shape}")
+    grids = tensor.astype(np.float64)
     return DenseMaps(
         seg=np.ascontiguousarray(grids[SEG_CHANNEL]),
         reg=np.ascontiguousarray(grids[[REG0_CHANNEL, REG1_CHANNEL]]),
     )
+
+def _save_maps_version_1(path: str, maps: DenseMaps) -> None:
+    """The version-1 `save_maps`: dims (3, W, H) under version byte 1."""
+    stacked = np.stack([maps.seg, maps.reg[0], maps.reg[1]]).astype(np.float32)
+    tensorio.save_tensor(path, stacked.transpose(0, 2, 1))
+    with open(path, "r+b") as fh:
+        fh.seek(len(tensorio.MAGIC))
+        fh.write(bytes([1]))
 
 def _encode_two_pass(boxes, grid):
     """The two-pass `encode` (assign every pixel, then fill), kept verbatim

@@ -27,6 +27,7 @@ from aeropipe.geometry import BBox
 from aeropipe.synth import SceneGenerationError, read_manifest, render_intensity, write_manifest
 from aeropipe.temporal import ActivityModel, save_model
 from aeropipe.wire import unframe_stream
+from reference import _save_maps_version_1
 
 
 def _write_gt(path, boxes, frame_id=0):
@@ -702,11 +703,11 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "intensity, message",
         [
-            (np.zeros((36, 40)), "intensity shape (36, 40) != maps (height, width) (48, 64)"),
-            (np.zeros((3, 64, 48)), "intensity shape (3, 64, 48) != maps (height, width) (48, 64)"),
-            (np.full((48, 64), np.nan), "intensity must be finite and within +-2**500"),
-            (np.full((48, 64), -np.inf), "intensity must be finite and within +-2**500"),
-            (np.full((48, 64), 2.0**501), "intensity must be finite and within +-2**500"),
+            (np.zeros((36, 40)), "{frame}intensity shape (36, 40) != maps (height, width) (48, 64)"),
+            (np.zeros((3, 64, 48)), "{frame}intensity shape (3, 64, 48) != maps (height, width) (48, 64)"),
+            (np.full((48, 64), np.nan), "{frame}intensity must be finite and within +-2**500"),
+            (np.full((48, 64), -np.inf), "{frame}intensity must be finite and within +-2**500"),
+            (np.full((48, 64), 2.0**501), "{frame}intensity must be finite and within +-2**500"),
             (b"junk", "{path}: bad magic b'junk'"),
             (None, "{path}"),
         ],
@@ -714,7 +715,8 @@ class TestExitCodes:
     )
     def test_pipeline_bad_intensity_file_is_data_error(self, tmp_path, capsys, intensity, message):
         """Frame 1's intensity file is bad: frame 0 is kept, and the run
-        stops with a data error before frame 1 writes anything."""
+        stops with a data error before frame 1 writes anything. An error
+        from `run_frame` names the frame and both of its files."""
         save_maps(str(tmp_path / "m.aero"), encode([BBox(8, 6, 30, 28)], (64, 48)))
         tensorio.save_tensor(str(tmp_path / "good.aero"), np.zeros((48, 64)))
         path = tmp_path / "bad.aero"
@@ -725,7 +727,8 @@ class TestExitCodes:
         manifest = tmp_path / "manifest.txt"
         manifest.write_text("seed 1\ngrid 64 48\nframe 0 m.aero good.aero\nframe 1 m.aero bad.aero\n")
         assert main(["pipeline", "--manifest", str(manifest), "--out", str(tmp_path / "run")]) == 2
-        assert message.format(path=path) in capsys.readouterr().err
+        frame = "error: frame 1 (map m.aero, intensity bad.aero): "
+        assert message.format(path=path, frame=frame) in capsys.readouterr().err
         messages, _ = unframe_stream((tmp_path / "run" / "reports.bin").read_bytes())
         assert [m.frame_id for m in messages] == [0]
 
@@ -743,21 +746,24 @@ class TestExitCodes:
     @pytest.mark.parametrize("command", ["detect", "pipeline-maps", "pipeline-model"])
     def test_a_bad_tensor_file_is_named(self, tmp_path, capsys, command):
         """A malformed tensor file once gave only `bad magic ...`, with no
-        word of which file it was."""
+        word of which file it was. A version-1 file, whose maps were
+        stored (3, W, H), is named too."""
         main(["synth", "--frames", "2", "--out", str(tmp_path / "data")])
         run = ["pipeline", "--manifest", str(tmp_path / "data" / "manifest.txt"), "--out", str(tmp_path / "run")]
         bad = tmp_path / "data" / "frame_000001.aero"
         if command == "detect":
-            bad.write_bytes(b"junk")
             run = ["detect", "--maps", str(tmp_path / "data"), "--out", str(tmp_path / "boxes.txt")]
-        elif command == "pipeline-maps":
-            bad.write_bytes(b"junk")
-        else:
-            bad = tmp_path / "data" / "annotations.txt"
+        elif command == "pipeline-model":
+            bad = tmp_path / "model.aero"
+            save_model(str(bad), ActivityModel.build(math.prod(CROP_SHAPE), hidden_size=2))
             run += ["--model", str(bad)]
-        capsys.readouterr()
-        assert main(run) == 2
-        assert capsys.readouterr().err.splitlines()[-1].startswith(f"error: {bad}: bad magic b")
+        version_1 = bytearray(bad.read_bytes())
+        version_1[len(tensorio.MAGIC)] = 1
+        for data, message in ((b"junk", "bad magic b"), (bytes(version_1), "unsupported version 1")):
+            bad.write_bytes(data)
+            capsys.readouterr()
+            assert main(run) == 2
+            assert capsys.readouterr().err.splitlines()[-1].startswith(f"error: {bad}: {message}")
 
     @pytest.mark.parametrize(
         "config",
@@ -998,12 +1004,13 @@ def _annotation_text(draw):
 def _manifest_text(draw):
     """Frame ids mostly increase. A map name may be a missing file, garbage,
     a 40x36 grid (`m1.aero`) or an annotation file; an intensity name may be
-    a missing file, garbage, 40x36 (`i1.aero`), a map file or hold NaN."""
+    a missing file, garbage, 40x36 (`i1.aero`), a map file or hold NaN. A
+    version-1 map file (`v1.aero`, the old (3, W, H) format) is drawn too."""
     clean = draw(st.booleans())
     lines = [_damaged(draw, ["seed", draw(st.integers(0, 99))], clean), _damaged(draw, ["grid", 64, 48], clean)]
     fid = draw(st.integers(0, 1))
     for _ in range(draw(st.integers(1, 4))):
-        maps = draw(st.sampled_from(["m0.aero"] * 6 + ["m1.aero", "bad.aero", "missing.aero", "a0.txt"]))
+        maps = draw(st.sampled_from(["m0.aero"] * 6 + ["m1.aero", "bad.aero", "missing.aero", "a0.txt", "v1.aero"]))
         intensity = draw(st.sampled_from(["i0.aero"] * 6 + ["missing.aero", "bad.aero", "i1.aero", "m0.aero", "nan.aero"]))
         lines.append(_damaged(draw, ["frame", fid, maps, intensity], clean))
         fid += draw(st.sampled_from([1, 1, 1, 0, 2]))
@@ -1026,8 +1033,9 @@ def test_generated_manifests_and_annotations_never_exit_with_an_internal_error(m
         tensorio.save_tensor(path("i0.aero"), np.linspace(0.0, 1.0, 48 * 64).reshape(48, 64))
         tensorio.save_tensor(path("i1.aero"), np.zeros((36, 40)))
         tensorio.save_tensor(path("nan.aero"), np.where(np.eye(48, 64) > 0, np.nan, 0.5))
+        _save_maps_version_1(path("v1.aero"), encode([BBox(8, 6, 30, 28)], (64, 48)))
         with open(path("bad.aero"), "wb") as fh:
-            fh.write(b"AERO\x01\x00\x03garbage")
+            fh.write(tensorio.MAGIC + bytes([tensorio.VERSION, 0, 3]) + b"garbage")
         with open(path("manifest.txt"), "w") as fh:
             fh.write(manifest)
         for name, text in zip(("a0.txt", "a1.txt"), annotations):

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from aeropipe import tensorio
+from aeropipe.boxgen import BoxGeneratorConfig, box_generator
 from aeropipe.densemaps import (
     decode_pixel,
     encode,
@@ -13,7 +14,7 @@ from aeropipe.densemaps import (
     zero_maps,
 )
 from aeropipe.geometry import BBox
-from reference import _encode_two_pass, _load_maps_reference
+from reference import _encode_two_pass, _load_maps_reference, _save_maps_version_1
 
 
 def _random_box(rng, grid=(64, 64), max_side=30):
@@ -180,13 +181,13 @@ class TestMapsFile:
             back.reg.astype(np.float32), maps.reg.astype(np.float32)
         )
 
-    def test_dims_are_3_w_h(self, tmp_path):
+    def test_dims_are_3_h_w(self, tmp_path):
         from aeropipe import tensorio
 
         maps = zero_maps((10, 6))
         path = str(tmp_path / "maps.aero")
         save_maps(path, maps)
-        assert tensorio.load_tensor(path).shape == (3, 10, 6)
+        assert tensorio.load_tensor(path).shape == (3, 6, 10)
 
     def test_rejects_wrong_rank(self, tmp_path):
         from aeropipe import tensorio
@@ -196,9 +197,9 @@ class TestMapsFile:
         with pytest.raises(tensorio.TensorFormatError):
             load_maps(path)
 
-    def test_size_follows_the_w_h_dims(self, tmp_path):
+    def test_size_follows_the_h_w_dims(self, tmp_path):
         path = str(tmp_path / "maps.aero")
-        tensorio.save_tensor(path, np.zeros((3, 7, 4), dtype=np.float32))
+        tensorio.save_tensor(path, np.zeros((3, 4, 7), dtype=np.float32))
         maps = load_maps(path)
         assert (maps.width, maps.height) == (7, 4)
         assert maps.seg.shape == (4, 7) and maps.reg.shape == (2, 4, 7)
@@ -207,8 +208,22 @@ class TestMapsFile:
     def test_rejects_a_zero_grid_dimension(self, tmp_path, dims):
         path = str(tmp_path / "empty.aero")
         tensorio.save_tensor(path, np.zeros(dims, dtype=np.float32))
-        with pytest.raises(tensorio.TensorFormatError, match=f"map grid {dims[1]}x{dims[2]} has a zero dimension"):
+        with pytest.raises(tensorio.TensorFormatError, match=f"map grid {dims[2]}x{dims[1]} has a zero dimension"):
             load_maps(path)
+
+    def test_rejects_a_square_version_1_map(self, tmp_path):
+        """Version 1 stored maps (3, W, H). On a square grid its payload
+        reads as a valid (3, H, W) map of the transposed box, so the
+        version byte is the only sign."""
+        maps = encode([BBox(2, 3, 9, 20)], (32, 32))
+        path = str(tmp_path / "old.aero")
+        _save_maps_version_1(path, maps)
+        with pytest.raises(tensorio.TensorFormatError, match=f"{path}: unsupported version 1"):
+            load_maps(path)
+        with open(path, "r+b") as fh:
+            fh.seek(len(tensorio.MAGIC))
+            fh.write(bytes([tensorio.VERSION]))
+        assert box_generator(load_maps(path), BoxGeneratorConfig()) == [BBox(3, 2, 20, 9)]
 
 
 @st.composite
@@ -224,7 +239,7 @@ def test_load_maps_equals_reference_loader(tmp_path_factory, tensor):
     path = str(tmp_path_factory.getbasetemp() / "generated_maps.aero")
     tensorio.save_tensor(path, tensor)
     maps, reference = load_maps(path), _load_maps_reference(path)
-    assert (maps.width, maps.height) == tensor.shape[1:]
+    assert (maps.height, maps.width) == tensor.shape[1:]
     for got, want in ((maps.seg, reference.seg), (maps.reg, reference.reg)):
         assert got.dtype == want.dtype == np.float64 and got.shape == want.shape
         assert got.flags.c_contiguous

@@ -435,6 +435,20 @@ class TestModelPersistence:
         with pytest.raises(TensorFormatError, match=name):
             load_model(path)
 
+    @pytest.mark.parametrize(
+        "name, value", [("heads.w_conf", np.nan), ("cell.w_xh", np.inf), ("cell.bn_c.running_var", -np.inf)]
+    )
+    def test_load_rejects_a_non_finite_record(self, tmp_path, name, value):
+        """A NaN confidence weight once loaded, and every detection then
+        failed the NMS score floor without a sign."""
+        path = str(tmp_path / "model.aero")
+        save_model(path, ActivityModel.build(input_size=12, hidden_size=6, seed=13))
+        tensors = load_named_tensors(path)
+        tensors[name].flat[-1] = value
+        save_named_tensors(path, tensors)
+        with pytest.raises(TensorFormatError, match=f"{path}: '{name}' holds NaN or an infinity"):
+            load_model(path)
+
     def test_load_checks_shapes_before_building(self, tmp_path, monkeypatch):
         # cell.w_xh (3, 8) means hidden size 2, so cell.w_hh must be (2, 8).
         path = str(tmp_path / "model.aero")

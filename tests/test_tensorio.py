@@ -51,7 +51,9 @@ def test_bad_magic(tmp_path):
 
 
 @pytest.mark.parametrize("named", [False, True])
-@pytest.mark.parametrize("data", [b"junk", b"AERO\x02", b"AERO\x01\x05\x01"], ids=["magic", "version", "short-body"])
+@pytest.mark.parametrize(
+    "data", [b"junk", b"AERO\x01", tensorio.MAGIC + bytes([tensorio.VERSION, 5, 1])], ids=["magic", "version", "short-body"]
+)
 def test_format_error_names_the_file(tmp_path, named, data):
     path = _write(tmp_path / "bad.aero", data)
     load = tensorio.load_named_tensors if named else tensorio.load_tensor
@@ -90,7 +92,7 @@ def test_dense_maps_file_layout(tmp_path):
     tensorio.save_tensor(path, np.zeros((3, 5, 2), dtype=np.float32))
     raw = Path(path).read_bytes()
     assert raw[:4] == b"AERO"
-    assert raw[4] == 1  # version
+    assert raw[4] == 2  # version
     assert raw[5] == 0  # dtype tag f32
     assert raw[6] == 3  # rank
     dims = np.frombuffer(raw[7:19], dtype="<u4")
